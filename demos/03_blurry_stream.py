@@ -23,19 +23,19 @@ cfg = StreamConfig(num_classes=10, classes_per_task=2, samples_per_class=100,
                    batch_size=10, mode=StreamMode.BLURRY, seed=0,
                    target_unique_labels=2.0)
 
-stream = make_stream(dataset, cfg)
-uniques = [len(np.unique(b.labels)) for b in stream.batches]
-print(f"default blurry stream: {len(stream)} steps, "
+batches = list(make_stream(dataset, cfg))
+uniques = [len(np.unique(b.labels)) for b in batches]
+print(f"default blurry stream: {len(batches)} steps, "
       f"mean unique labels/batch = {np.mean(uniques):.3f} (target 2.0)")
 
 print()
 print("class presence over time (rows = classes, columns = 20-step bins):")
 n_bins = 20
-bins = np.array_split(np.arange(len(stream)), n_bins)
+bins = np.array_split(np.arange(len(batches)), n_bins)
 for c in range(10):
     row = ""
     for b in bins:
-        count = sum(np.sum(stream.batches[i].labels == c) for i in b)
+        count = sum(np.sum(batches[i].labels == c) for i in b)
         row += " .:-=+*#@"[min(8, int(count / 15))]
     print(f"  class {c}: {row}")
 
@@ -43,5 +43,5 @@ print()
 print("sweeping the blurriness level:")
 for level in (1.0, 2.0, 3.0, 4.0, 5.0):
     st = blurriness_sweep(dataset, cfg, level)
-    measured = np.mean([len(np.unique(b.labels)) for b in st.batches])
+    measured = np.mean([len(np.unique(b.labels)) for b in st])
     print(f"  requested {level:.0f}  measured {measured:.3f}")

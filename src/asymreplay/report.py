@@ -22,7 +22,7 @@ from . import __version__
 from . import metrics as M
 from .losses import LossConfig, Method, NegativePolicy
 from .stream import (Dataset, StreamConfig, StreamMode, SyntheticDatasetSpec,
-                     load_dataset, make_stream, make_synthetic)
+                     load_dataset, make_synthetic)
 from .trainer import RunAbort, TrainerConfig, run
 
 REPORT_SCHEMA_VERSION = 1
@@ -235,9 +235,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             per_seed.append(entry)
             continue
         if stream_meta is None:
-            stream = make_stream(dataset, dataclasses.replace(
-                cfg.stream_config(seed), seed=seed))
-            stream_meta = stream.metadata()
+            stream_meta = result.stream_metadata
         log = result.log
         mat, tasks = log.accuracy_matrix()
         entry.update({
@@ -339,8 +337,10 @@ def load_report(path: str) -> dict:
 
 
 _STREAM_KEYS = ("dataset_path", "input_dim", "num_classes", "samples_per_class",
-                "noise_sigma", "mean_radius", "dataset_seed",
-                "classes_per_task", "batch_size", "stream_mode")
+                "noise_sigma", "mean_radius", "val_fraction", "test_fraction",
+                "dataset_seed", "classes_per_task", "batch_size", "stream_mode")
+# the schedule of a blurry stream; split streams ignore these keys
+_BLURRY_KEYS = ("target_unique_labels", "variance_scale")
 
 
 def compare(reports: Sequence[dict]):
@@ -353,8 +353,9 @@ def compare(reports: Sequence[dict]):
     if len(reports) < 2:
         raise ComparisonError("need at least two reports to compare")
     base = reports[0]["config"]
+    keys = _STREAM_KEYS + (_BLURRY_KEYS if base["stream_mode"] == "blurry" else ())
     for rep in reports[1:]:
-        diffs = [k for k in _STREAM_KEYS if rep["config"][k] != base[k]]
+        diffs = [k for k in keys if rep["config"][k] != base[k]]
         if diffs:
             raise ComparisonError(
                 "reports use different streams (keys differ: "

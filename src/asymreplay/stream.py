@@ -1,7 +1,9 @@
 """Data streams: synthetic class-cluster datasets, sharp task splits, and
 gradually blurred class schedules.
 
-A stream is materialized up front as an ordered list of batches plus
+A stream is a view over its dataset: one array of training-row indices in
+stream order plus each step's start offset, so a step's batch is gathered
+from the dataset only when the stream is iterated.  It also carries
 metadata (class-to-task map, boundary step indices).  The learner never
 sees the metadata; it exists for evaluation and for the doubly-masked
 ablation's task partition.
@@ -10,6 +12,7 @@ ablation's task partition.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,8 +61,6 @@ class SyntheticDatasetSpec:
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.val_fraction + self.test_fraction >= 1.0 - 1e-9:
-            pass  # fractions apply on top of the train count, see make_synthetic
 
 
 @dataclass
@@ -92,17 +93,27 @@ class Dataset:
 
 @dataclass
 class Stream:
-    batches: list
+    """One pass over ``dataset``'s training rows: ``order[i]`` is the row
+    of the i-th streamed sample and step k's batch is
+    ``order[starts[k]:starts[k + 1]]``.  Each pass gathers fresh batches,
+    so a yielded batch may be mutated without affecting the stream."""
+    dataset: Dataset
+    order: np.ndarray
+    starts: np.ndarray
     task_of_class: dict
     classes_of_task: dict
     boundaries: list       # step indices at which a new task begins (SPLIT)
     mode: StreamMode
 
     def __iter__(self):
-        return iter(self.batches)
+        x, y = self.dataset.train_x, self.dataset.train_y
+        ends = [*self.starts[1:].tolist(), len(self.order)]
+        for step, (lo, hi) in enumerate(zip(self.starts.tolist(), ends)):
+            sel = self.order[lo:hi]
+            yield LabeledBatch(x[sel], y[sel], step)
 
     def __len__(self):
-        return len(self.batches)
+        return len(self.starts)
 
     @property
     def num_tasks(self) -> int:
@@ -113,7 +124,7 @@ class Stream:
             "mode": self.mode.value,
             "task_of_class": {str(k): v for k, v in self.task_of_class.items()},
             "boundaries": list(self.boundaries),
-            "num_steps": len(self.batches),
+            "num_steps": len(self),
         }
 
 
@@ -136,29 +147,19 @@ def make_synthetic(spec: SyntheticDatasetSpec, seed: int) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     means = random_class_means(spec.num_classes, spec.input_dim, seed,
                                spec.mean_radius)
-    n_val = max(1, round(spec.val_fraction * spec.samples_per_class))
-    n_test = max(1, round(spec.test_fraction * spec.samples_per_class))
-    parts = {"train": [], "val": [], "test": []}
+    counts = (spec.samples_per_class,
+              max(1, round(spec.val_fraction * spec.samples_per_class)),
+              max(1, round(spec.test_fraction * spec.samples_per_class)))
+    labels = np.arange(spec.num_classes, dtype=np.intp)
+    splits = [(np.empty((spec.num_classes * n, spec.input_dim), dtype=np.float32),
+               np.repeat(labels, n)) for n in counts]
     for c in range(spec.num_classes):
-        total = spec.samples_per_class + n_val + n_test
         pts = means[c] + rng.normal(scale=spec.noise_sigma,
-                                    size=(total, spec.input_dim))
-        pts = pts.astype(np.float32)
-        labels = np.full(total, c, dtype=np.intp)
-        parts["train"].append((pts[:spec.samples_per_class],
-                               labels[:spec.samples_per_class]))
-        parts["val"].append((pts[spec.samples_per_class:spec.samples_per_class + n_val],
-                             labels[:n_val]))
-        parts["test"].append((pts[spec.samples_per_class + n_val:], labels[:n_test]))
-
-    def cat(key):
-        xs = np.concatenate([p[0] for p in parts[key]])
-        ys = np.concatenate([p[1] for p in parts[key]])
-        return xs, ys
-
-    tx, ty = cat("train")
-    vx, vy = cat("val")
-    sx, sy = cat("test")
+                                    size=(sum(counts), spec.input_dim))
+        parts = np.split(pts, np.cumsum(counts)[:-1])
+        for (xs, _), n, part in zip(splits, counts, parts):
+            xs[c * n:(c + 1) * n] = part      # float32 cast on store
+    (tx, ty), (vx, vy), (sx, sy) = splits
     return Dataset(tx, ty, vx, vy, sx, sy)
 
 
@@ -176,19 +177,18 @@ def split_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
         raise ValueError("split_stream requires SPLIT mode")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
     task_of_class, classes_of_task = _task_maps(cfg.num_classes, cfg.classes_per_task)
-    batches: list[LabeledBatch] = []
-    boundaries = []
+    order, starts, boundaries = [], [], []
+    n_streamed = 0
     for t in sorted(classes_of_task):
-        boundaries.append(len(batches))
+        boundaries.append(len(starts))
         idx = np.where(np.isin(dataset.train_y, classes_of_task[t]))[0]
-        idx = rng.permutation(idx)
-        for lo in range(0, len(idx), cfg.batch_size):
-            sel = idx[lo:lo + cfg.batch_size]
-            batches.append(LabeledBatch(dataset.train_x[sel].copy(),
-                                        dataset.train_y[sel].copy(),
-                                        len(batches)))
-    return Stream(batches, task_of_class, classes_of_task, boundaries,
-                  StreamMode.SPLIT)
+        order.append(rng.permutation(idx))
+        # each task is cut into its own batches; the last one may be short
+        starts.extend(range(n_streamed, n_streamed + len(idx), cfg.batch_size))
+        n_streamed += len(idx)
+    return Stream(dataset, np.concatenate([np.zeros(0, np.intp), *order]),
+                  np.array(starts, dtype=np.intp), task_of_class,
+                  classes_of_task, boundaries, StreamMode.SPLIT)
 
 
 def _schedule_log_weights(num_classes: int, per_class_samples: np.ndarray,
@@ -292,17 +292,18 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
         scale = 1.0
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB1E5]))
     step_labels = _draw_blurry_labels(per_class, cfg.batch_size, scale, rng)
-    # per-class shuffled pools of training indices
-    pools = {c: list(rng.permutation(np.where(dataset.train_y == c)[0]))
-             for c in range(dataset.num_classes)}
-    batches = []
-    for step, labels in enumerate(step_labels):
-        idx = np.array([pools[int(c)].pop() for c in labels], dtype=np.intp)
-        batches.append(LabeledBatch(dataset.train_x[idx].copy(),
-                                    dataset.train_y[idx].copy(), step))
+    labels = np.concatenate([np.zeros(0, np.intp), *step_labels])
+    # each class's training rows are shuffled into a pool that is popped
+    # from the end: the k-th draw of class c takes pool[-1 - k]
+    order = np.empty(len(labels), dtype=np.intp)
+    for c in range(dataset.num_classes):
+        pool = rng.permutation(np.where(dataset.train_y == c)[0])
+        order[labels == c] = pool[::-1]
+    sizes = np.array([len(lb) for lb in step_labels], dtype=np.intp)
     task_of_class, classes_of_task = _task_maps(dataset.num_classes,
                                                 cfg.classes_per_task)
-    return Stream(batches, task_of_class, classes_of_task, [], StreamMode.BLURRY)
+    return Stream(dataset, order, np.cumsum(sizes) - sizes,
+                  task_of_class, classes_of_task, [], StreamMode.BLURRY)
 
 
 def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float) -> Stream:
@@ -323,6 +324,11 @@ def make_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
 
 # dataset file format ----------------------------------------------------
 
+def _row_dtype(dim: int) -> np.dtype:
+    """One file row: ``dim`` little-endian float32 inputs, an int32 label."""
+    return np.dtype([("x", "<f4", (dim,)), ("y", "<i4")])
+
+
 def save_dataset(dataset: Dataset, path):
     """Little-endian binary: magic, version, input_dim, num_classes, three
     split counts, then per split rows of input_dim float32 plus an int32
@@ -335,9 +341,10 @@ def save_dataset(dataset: Dataset, path):
         for xs, ys in ((dataset.train_x, dataset.train_y),
                        (dataset.val_x, dataset.val_y),
                        (dataset.test_x, dataset.test_y)):
-            for x, y in zip(xs, ys):
-                fh.write(x.astype("<f4").tobytes())
-                fh.write(struct.pack("<i", int(y)))
+            rows = np.empty(len(ys), dtype=_row_dtype(dataset.input_dim))
+            rows["x"] = xs
+            rows["y"] = ys
+            fh.write(rows.tobytes())
 
 
 class DatasetParseError(ValueError):
@@ -358,21 +365,26 @@ def load_dataset(path) -> Dataset:
             "<IIIIII", header)
         if version != DATASET_VERSION:
             raise DatasetParseError(f"unsupported version {version}", 4)
+        row = _row_dtype(dim)
+        size = os.fstat(fh.fileno()).st_size
         splits = []
-        row_bytes = 4 * dim + 4
         for count in (n_train, n_val, n_test):
-            xs = np.zeros((count, dim), dtype=np.float32)
-            ys = np.zeros(count, dtype=np.intp)
-            for i in range(count):
-                raw = fh.read(row_bytes)
-                if len(raw) != row_bytes:
-                    raise DatasetParseError("truncated payload", fh.tell())
-                xs[i] = np.frombuffer(raw[:4 * dim], dtype="<f4")
-                (ys[i],) = struct.unpack("<i", raw[4 * dim:])
-                if not 0 <= ys[i] < num_classes:
-                    raise DatasetParseError(
-                        f"label {ys[i]} out of range", fh.tell() - 4)
-            splits.append((xs, ys))
+            offset = fh.tell()
+            # never ask for more than the file holds, whatever the header says
+            raw = fh.read(min(count * row.itemsize, size - offset))
+            rows = np.frombuffer(raw, dtype=row,
+                                 count=len(raw) // row.itemsize)
+            # a bad label in a complete row is reported before truncation
+            bad = np.flatnonzero((rows["y"] < 0) | (rows["y"] >= num_classes))
+            if len(bad):
+                i = int(bad[0])
+                raise DatasetParseError(
+                    f"label {rows['y'][i]} out of range",
+                    offset + i * row.itemsize + 4 * dim)
+            if len(rows) != count:
+                raise DatasetParseError("truncated payload", fh.tell())
+            splits.append((rows["x"].astype(np.float32),
+                           rows["y"].astype(np.intp)))
         if fh.read(1):
             raise DatasetParseError("trailing bytes after payload", fh.tell() - 1)
     (tx, ty), (vx, vy), (sx, sy) = splits

@@ -81,6 +81,7 @@ class RunResult:
     ledger: M.ResourceLedger
     final_task_accuracy: dict
     model: net.ModelParams
+    stream_metadata: dict
 
     @property
     def final_accuracy(self) -> float:
@@ -230,4 +231,5 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
             current_task = state.task_of_class[int(labels[np.argmax(counts)])]
             _evaluate(state, task_tests, current_task, log)
     final = log.task_accuracy[-1] if log.task_accuracy else {}
-    return RunResult(cfg, stream_cfg, log, state.ledger, final, state.model)
+    return RunResult(cfg, stream_cfg, log, state.ledger, final, state.model,
+                     stream.metadata())

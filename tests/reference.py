@@ -3,7 +3,9 @@
 Everything here is written directly from the mathematical definitions with
 plain numpy in double precision, never calling the library's autodiff ops.
 Gradients of library code are checked against central finite differences
-of these references; loss values are checked by transcription.
+of these references; loss values are checked by transcription.  The stream
+builders at the end are the copy-per-batch versions the library's
+index-array streams are checked against.
 """
 
 from __future__ import annotations
@@ -182,3 +184,39 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, context=""):
     assert worst <= rtol, (
         f"gradient mismatch{' in ' + context if context else ''}: "
         f"max relative error {worst:.3e} > {rtol}")
+
+
+def ref_split_batches(dataset, cfg):
+    """(inputs, labels, step) per step of a split stream, each batch copied
+    out of the dataset up front: tasks in ascending class order, one
+    permutation of each task's training rows, cut into batches."""
+    from asymreplay.stream import _task_maps
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
+    _, classes_of_task = _task_maps(cfg.num_classes, cfg.classes_per_task)
+    batches = []
+    for t in sorted(classes_of_task):
+        idx = np.where(np.isin(dataset.train_y, classes_of_task[t]))[0]
+        idx = rng.permutation(idx)
+        for lo in range(0, len(idx), cfg.batch_size):
+            sel = idx[lo:lo + cfg.batch_size]
+            batches.append((dataset.train_x[sel].copy(),
+                            dataset.train_y[sel].copy(), len(batches)))
+    return batches
+
+
+def ref_blurry_batches(dataset, cfg, variance_scale):
+    """(inputs, labels, step) per step of a blurry stream at a given
+    schedule variance: labels from the library's schedule draw, inputs
+    popped one by one from per-class shuffled pools."""
+    from asymreplay.stream import _draw_blurry_labels
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB1E5]))
+    step_labels = _draw_blurry_labels(dataset.train_count_per_class(),
+                                      cfg.batch_size, variance_scale, rng)
+    pools = {c: list(rng.permutation(np.where(dataset.train_y == c)[0]))
+             for c in range(dataset.num_classes)}
+    batches = []
+    for step, labels in enumerate(step_labels):
+        idx = np.array([pools[int(c)].pop() for c in labels], dtype=np.intp)
+        batches.append((dataset.train_x[idx].copy(),
+                        dataset.train_y[idx].copy(), step))
+    return batches

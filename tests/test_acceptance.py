@@ -355,7 +355,7 @@ def test_criterion_09_blurry_calibration():
                 num_classes=10, classes_per_task=2, samples_per_class=500,
                 batch_size=10, mode=S.StreamMode.BLURRY, seed=seed,
                 target_unique_labels=cfg))
-            vals.extend(len(np.unique(b.labels)) for b in st.batches)
+            vals.extend(len(np.unique(b.labels)) for b in st)
         return float(np.mean(vals))
 
     default = measured(2.0)

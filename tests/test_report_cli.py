@@ -138,6 +138,27 @@ def test_report_files_written(small_report):
     assert meta["mode"] == "split"
 
 
+def test_one_stream_built_per_seed(monkeypatch):
+    from asymreplay import report as RP
+    from asymreplay import stream as S
+    from asymreplay import trainer as TR
+    built = []
+    make_stream = S.make_stream
+
+    def counting_make_stream(dataset, cfg):
+        built.append(cfg.seed)
+        return make_stream(dataset, cfg)
+
+    # every module that could build a stream during a run
+    for module in (S, TR, RP):
+        monkeypatch.setattr(module, "make_stream", counting_make_stream,
+                            raising=False)
+    report = run_experiment(small_cfg(seeds=[0, 1, 2]), now="T0")
+    assert built == [0, 1, 2]
+    assert report["stream_metadata"] == make_stream(
+        small_cfg().dataset(), small_cfg().stream_config(0)).metadata()
+
+
 def test_report_byte_identical_with_fixed_timestamp(tmp_path):
     a = run_experiment(small_cfg(), out_dir=str(tmp_path / "a"), now="T0")
     b = run_experiment(small_cfg(), out_dir=str(tmp_path / "b"), now="T0")
@@ -181,6 +202,27 @@ def test_compare_refuses_different_streams(small_report):
     other = run_experiment(small_cfg(num_classes=2), now="T0")
     with pytest.raises(ComparisonError, match="num_classes"):
         compare([report, other])
+
+
+@pytest.mark.parametrize("key,values,extra", [
+    ("target_unique_labels", (1.0, 3.0), {"stream_mode": "blurry"}),
+    ("test_fraction", (0.25, 0.9), {}),
+])
+def test_compare_refuses_stream_keys_beyond_the_dataset_shape(key, values,
+                                                               extra):
+    """Blurriness level and split fractions change the stream too."""
+    a, b = (run_experiment(small_cfg(seeds=[0], **extra, **{key: v}), now="T0")
+            for v in values)
+    with pytest.raises(ComparisonError, match=key):
+        compare([a, b])
+
+
+def test_compare_ignores_schedule_keys_of_split_streams(small_report):
+    report, _ = small_report
+    other = json.loads(json.dumps(report))
+    other["config"]["target_unique_labels"] = 3.0
+    _, rows = compare([report, other])
+    assert len(rows) == 2
 
 
 def test_compare_needs_two_reports(small_report):

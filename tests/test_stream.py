@@ -1,7 +1,12 @@
 """Synthetic datasets, sharp task splits, blurred schedules, file format."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+
+import reference as R
 
 from asymreplay import stream as S
 from asymreplay.stream import (Dataset, DatasetParseError, StreamConfig,
@@ -18,6 +23,13 @@ def spec(**kw):
 def split_cfg(**kw):
     base = dict(num_classes=4, classes_per_task=2, samples_per_class=30,
                 batch_size=10, mode=StreamMode.SPLIT, seed=0)
+    base.update(kw)
+    return StreamConfig(**base)
+
+
+def blurry_cfg(**kw):
+    base = dict(num_classes=4, classes_per_task=2, samples_per_class=30,
+                batch_size=10, mode=StreamMode.BLURRY, seed=0)
     base.update(kw)
     return StreamConfig(**base)
 
@@ -55,6 +67,30 @@ def test_dataset_deterministic_per_seed():
     assert a.train_x.tobytes() != c.train_x.tobytes()
 
 
+def dataset_sha256(ds):
+    h = hashlib.sha256()
+    for xs in (ds.train_x, ds.val_x, ds.test_x):
+        h.update(xs.astype("<f4").tobytes())
+    for ys in (ds.train_y, ds.val_y, ds.test_y):
+        h.update(ys.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kw,seed,digest", [
+    ({}, 3,
+     "68d966cf364878a5e5709dcf39c6f323fd0dbc90a408e5bb7cb8aafb2eb4565f"),
+    (dict(input_dim=3, num_classes=3, samples_per_class=7, noise_sigma=0.5,
+          mean_radius=2.0, val_fraction=0.3, test_fraction=0.0), 11,
+     "556a5844e27b9bc8bfe3805b52db833fdde1c523792401f9b95879fa9d47ecb0"),
+])
+def test_dataset_bytes_pinned(kw, seed, digest):
+    """Generation stays bit-identical to the per-class concatenating
+    version these digests were recorded from."""
+    ds = S.make_synthetic(spec(**kw), seed=seed)
+    assert ds.train_x.dtype == np.float32 and ds.train_y.dtype == np.intp
+    assert dataset_sha256(ds) == digest
+
+
 def test_low_noise_clusters_linearly_separable():
     """Nearest-mean classification is near-perfect when sigma is small
     relative to the inter-mean distances."""
@@ -72,19 +108,20 @@ def test_low_noise_clusters_linearly_separable():
 def test_split_stream_task_order_and_boundaries():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.split_stream(ds, split_cfg())
+    batches = list(st)
     assert st.num_tasks == 2
     assert st.boundaries == [0, 6]           # 60 samples per task / 10
-    assert len(st) == 12
-    for b in st.batches[:6]:
+    assert len(st) == len(batches) == 12
+    for b in batches[:6]:
         assert set(b.labels) <= {0, 1}
-    for b in st.batches[6:]:
+    for b in batches[6:]:
         assert set(b.labels) <= {2, 3}
 
 
 def test_split_stream_single_pass_over_training_data():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.split_stream(ds, split_cfg())
-    streamed = np.concatenate([b.inputs for b in st.batches])
+    streamed = np.concatenate([b.inputs for b in st])
     assert streamed.shape[0] == len(ds.train_y)
     # every training row appears exactly once
     seen = {row.tobytes() for row in streamed}
@@ -94,10 +131,77 @@ def test_split_stream_single_pass_over_training_data():
 
 def test_split_stream_steps_sequential_and_shuffled():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.split_stream(ds, split_cfg(seed=5))
-    assert [b.step for b in st.batches] == list(range(len(st)))
-    first_task = np.concatenate([b.labels for b in st.batches[:6]])
+    batches = list(S.split_stream(ds, split_cfg(seed=5)))
+    assert [b.step for b in batches] == list(range(len(batches)))
+    first_task = np.concatenate([b.labels for b in batches[:6]])
     assert not np.array_equal(first_task, np.sort(first_task))
+
+
+def batch_tuples(stream):
+    return [(b.inputs.tobytes(), b.inputs.dtype, b.inputs.shape,
+             b.labels.tolist(), b.labels.dtype, b.step) for b in stream]
+
+
+def ref_tuples(batches):
+    return [(x.tobytes(), x.dtype, x.shape, y.tolist(), y.dtype, step)
+            for x, y, step in batches]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("samples_per_class,batch_size", [(30, 10), (27, 10),
+                                                          (13, 4)])
+def test_split_stream_matches_copying_reference(seed, samples_per_class,
+                                                batch_size):
+    """Bit-identical batches to the copy-per-batch builder, including tasks
+    whose size batch_size does not divide (a short last batch per task)."""
+    ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
+    cfg = split_cfg(samples_per_class=samples_per_class,
+                    batch_size=batch_size, seed=seed)
+    st = S.split_stream(ds, cfg)
+    want = ref_tuples(R.ref_split_batches(ds, cfg))
+    assert batch_tuples(st) == want
+    assert len(st) == len(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("samples_per_class,batch_size,scale", [
+    (30, 10, 1.0), (27, 10, 0.3), (13, 4, 50.0)])
+def test_blurry_stream_matches_copying_reference(seed, samples_per_class,
+                                                 batch_size, scale):
+    ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
+    cfg = blurry_cfg(samples_per_class=samples_per_class,
+                     batch_size=batch_size, seed=seed,
+                     target_unique_labels=None, variance_scale=scale)
+    st = S.blurry_stream(ds, cfg)
+    want = ref_tuples(R.ref_blurry_batches(ds, cfg, scale))
+    assert batch_tuples(st) == want
+    assert len(st) == len(want)
+
+
+def test_calibrated_blurry_stream_matches_copying_reference():
+    ds = S.make_synthetic(spec(samples_per_class=27), seed=2)
+    cfg = blurry_cfg(samples_per_class=27, seed=2)
+    scale = S.calibrate_variance_scale(ds.train_count_per_class(),
+                                       cfg.batch_size, cfg.target_unique_labels)
+    want = ref_tuples(R.ref_blurry_batches(ds, cfg, scale))
+    assert batch_tuples(S.blurry_stream(ds, cfg)) == want
+
+
+@pytest.mark.parametrize("make,cfg", [
+    (S.split_stream, split_cfg(samples_per_class=27, seed=3)),
+    (S.blurry_stream, blurry_cfg(samples_per_class=27, seed=3,
+                                 target_unique_labels=None,
+                                 variance_scale=1.0))])
+def test_stream_passes_repeat_and_batches_are_private(make, cfg):
+    ds = S.make_synthetic(spec(samples_per_class=27), seed=0)
+    train_x = ds.train_x.copy()
+    st = make(ds, cfg)
+    first = batch_tuples(st)
+    for b in st:
+        b.inputs[...] = -1.0
+        b.labels[...] = 99
+    assert batch_tuples(st) == first
+    assert ds.train_x.tobytes() == train_x.tobytes()
 
 
 def test_split_requires_divisible_classes():
@@ -117,19 +221,12 @@ def test_task_maps_consistent():
 
 # blurry streams -------------------------------------------------------
 
-def blurry_cfg(**kw):
-    base = dict(num_classes=4, classes_per_task=2, samples_per_class=30,
-                batch_size=10, mode=StreamMode.BLURRY, seed=0)
-    base.update(kw)
-    return StreamConfig(**base)
-
-
 def test_blurry_stream_single_pass():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.blurry_stream(ds, blurry_cfg())
-    labels = np.concatenate([b.labels for b in st.batches])
+    labels = np.concatenate([b.labels for b in st])
     assert np.all(np.bincount(labels, minlength=4) == 30)
-    streamed = np.concatenate([b.inputs for b in st.batches])
+    streamed = np.concatenate([b.inputs for b in st])
     assert {r.tobytes() for r in streamed} == {r.tobytes() for r in ds.train_x}
 
 
@@ -139,9 +236,9 @@ def test_blurry_low_variance_approaches_sharp_order():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.blurry_stream(ds, blurry_cfg(target_unique_labels=None,
                                         variance_scale=1e-6))
-    uniques = [len(np.unique(b.labels)) for b in st.batches]
+    uniques = [len(np.unique(b.labels)) for b in st]
     assert np.mean(uniques) <= 1.01
-    firsts = [int(b.labels[0]) for b in st.batches]
+    firsts = [int(b.labels[0]) for b in st]
     assert firsts == sorted(firsts)
 
 
@@ -149,7 +246,7 @@ def test_blurry_high_variance_mixes_classes():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.blurry_stream(ds, blurry_cfg(target_unique_labels=None,
                                         variance_scale=1e6))
-    uniques = [len(np.unique(b.labels)) for b in st.batches]
+    uniques = [len(np.unique(b.labels)) for b in st]
     assert np.mean(uniques) > 2.0
 
 
@@ -175,7 +272,7 @@ def test_blurriness_sweep_levels():
     cfg = blurry_cfg(num_classes=10, samples_per_class=50)
     for level in (1.0, 3.0):
         st = S.blurriness_sweep(ds, cfg, level)
-        uniques = [len(np.unique(b.labels)) for b in st.batches]
+        uniques = [len(np.unique(b.labels)) for b in st]
         assert np.mean(uniques) == pytest.approx(level, abs=0.3)
 
 
@@ -192,7 +289,7 @@ def test_stream_determinism_per_seed():
         a, b = make(ds, cfg), make(ds, cfg)
         assert all(np.array_equal(x.labels, y.labels)
                    and x.inputs.tobytes() == y.inputs.tobytes()
-                   for x, y in zip(a.batches, b.batches))
+                   for x, y in zip(a, b))
 
 
 # dataset file format --------------------------------------------------
@@ -222,10 +319,12 @@ def test_load_reports_truncation_offset(tmp_path):
     path = tmp_path / "trunc.bin"
     S.save_dataset(ds, path)
     data = path.read_bytes()
-    path.write_bytes(data[:-3])
-    with pytest.raises(DatasetParseError) as exc:
-        S.load_dataset(path)
-    assert exc.value.offset > 0
+    # a short read reports the end of the file, in any split
+    for cut, offset in ((3, 1033), (40, 996), (826, 210)):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(DatasetParseError, match="truncated payload") as exc:
+            S.load_dataset(path)
+        assert exc.value.offset == offset
 
 
 def test_load_rejects_out_of_range_label(tmp_path):
@@ -237,8 +336,47 @@ def test_load_rejects_out_of_range_label(tmp_path):
     data = bytearray(path.read_bytes())
     data[-4:] = (99).to_bytes(4, "little")  # corrupt the single label
     path.write_bytes(bytes(data))
-    with pytest.raises(DatasetParseError):
+    with pytest.raises(DatasetParseError, match="label 99 out of range") as exc:
         S.load_dataset(path)
+    assert exc.value.offset == 36          # the label field of row 0
+
+
+def test_load_reports_first_bad_label_before_truncation(tmp_path):
+    ds = S.make_synthetic(spec(samples_per_class=5), seed=0)
+    path = tmp_path / "label.bin"
+    S.save_dataset(ds, path)
+    data = bytearray(path.read_bytes())
+    label_at = 28 + 3 * 36 + 32            # header, 3 rows, row 3's inputs
+    data[label_at:label_at + 4] = (7).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(DatasetParseError, match="label 7 out of range") as exc:
+        S.load_dataset(path)
+    assert exc.value.offset == label_at
+    data[label_at:label_at + 4] = (-1).to_bytes(4, "little", signed=True)
+    path.write_bytes(bytes(data[:-5]))
+    with pytest.raises(DatasetParseError, match="label -1 out of range") as exc:
+        S.load_dataset(path)
+    assert exc.value.offset == label_at
+
+
+def test_saved_dataset_bytes_pinned(tmp_path):
+    """The file layout is the row-by-row one these bytes were recorded from."""
+    ds = S.make_synthetic(spec(samples_per_class=5), seed=0)
+    path = tmp_path / "ds.bin"
+    S.save_dataset(ds, path)
+    data = path.read_bytes()
+    assert len(data) == 28 + 4 * 7 * (4 * 8 + 4)
+    assert hashlib.sha256(data).hexdigest() == (
+        "5aa02d489b4106f932022aa41d09d1ce31d979b97725e0c7f17d22314cf9abc4")
+
+
+def test_load_rejects_row_count_beyond_the_file(tmp_path):
+    path = tmp_path / "huge.bin"
+    header = struct.pack("<IIIIII", 1, 1000, 3, 0xFFFFFFFF, 0, 0)
+    path.write_bytes(S.DATASET_MAGIC + header + b"\x00" * 50)
+    with pytest.raises(DatasetParseError, match="truncated payload") as exc:
+        S.load_dataset(path)
+    assert exc.value.offset == 4 + 24 + 50
 
 
 def test_load_rejects_trailing_bytes(tmp_path):

@@ -119,19 +119,21 @@ def test_buffer_update_happens_after_learning():
     state = TR.build_state(ds, stream, tcfg)
     x_bf, _ = state.buffer.sample(tcfg.rehearsal_batch_size)
     assert x_bf.shape[0] == 0
-    TR.train_step(state, stream.batches[0], tcfg)
-    assert len(state.buffer) == len(stream.batches[0].labels)
+    first = next(iter(stream))
+    TR.train_step(state, first, tcfg)
+    assert len(state.buffer) == len(first.labels)
 
 
 def test_observed_classes_and_first_seen_tasks():
     ds, scfg, tcfg = tiny_setup()
     stream = make_stream(ds, replace(scfg, seed=tcfg.seed))
     state = TR.build_state(ds, stream, tcfg)
-    for batch in stream.batches[:4]:
+    batches = list(stream)
+    for batch in batches[:4]:
         TR.train_step(state, batch, tcfg)
     assert state.observed == {0, 1}
     assert state.first_seen_task == {0: 0}
-    for batch in stream.batches[4:]:
+    for batch in batches[4:]:
         TR.train_step(state, batch, tcfg)
     assert state.observed == {0, 1, 2, 3}
     assert 1 in state.first_seen_task
@@ -152,7 +154,7 @@ def test_run_abort_on_non_finite_loss():
     state = TR.build_state(ds, stream, tcfg)
     state.model.extractor.weights[0].data[...] = np.nan
     with pytest.raises(TR.RunAbort) as exc:
-        TR.train_step(state, stream.batches[0], tcfg)
+        TR.train_step(state, next(iter(stream)), tcfg)
     assert exc.value.step == 0
     assert exc.value.method is L.Method.ER_ACE
 
