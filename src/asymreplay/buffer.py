@@ -8,6 +8,7 @@ methods which never call it do not perturb the reservoir state.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,12 +19,7 @@ from .losses import NegativePolicy
 
 BUFFER_DUMP_MAGIC = b"ARBF"
 BUFFER_DUMP_VERSION = 1
-
-
-@dataclass
-class Slot:
-    x: np.ndarray
-    y: int
+_DUMP_HEADER = struct.Struct("<III")   # version, row count, input dim
 
 
 @dataclass
@@ -39,37 +35,39 @@ class FetchResult:
     pairs: list
     buffer_slots: list = field(default_factory=list)
 
-    @property
-    def n_skipped(self) -> int:
-        return sum(1 for p in self.pairs if p is None)
-
 
 class ReplayBuffer:
+    """Slot i holds input ``x[i]`` and label ``y[i]``; the first
+    ``len(self)`` slots are filled.  Both arrays are allocated at full
+    capacity by the first ``reservoir_update``."""
+
     def __init__(self, capacity: int, seed: int = 0,
                  rng: Optional[np.random.Generator] = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.slots: list[Slot] = []
+        self.x = np.zeros((0, 0), dtype=np.float32)
+        self.y = np.zeros(0, dtype=np.intp)
         self.n_seen = 0
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
     def __len__(self):
-        return len(self.slots)
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.y for s in self.slots], dtype=np.intp)
+        return min(self.n_seen, self.capacity)
 
     def reservoir_update(self, inputs, labels):
         """Vitter's Algorithm R, applied per example."""
         inputs = np.asarray(inputs, dtype=np.float32)
+        if not len(self.x):
+            self.x = np.zeros((self.capacity, inputs.shape[1]), dtype=np.float32)
+            self.y = np.zeros(self.capacity, dtype=np.intp)
         for x, y in zip(inputs, labels):
             if self.n_seen < self.capacity:
-                self.slots.append(Slot(x.copy(), int(y)))
+                j = self.n_seen
             else:
                 j = self.rng.integers(0, self.n_seen + 1)
-                if j < self.capacity:
-                    self.slots[j] = Slot(x.copy(), int(y))
+            if j < self.capacity:
+                self.x[j] = x
+                self.y[j] = y
             self.n_seen += 1
 
     def sample(self, k: int):
@@ -77,17 +75,14 @@ class ReplayBuffer:
 
         An empty buffer yields an empty batch (rehearsal simply skipped).
         """
-        if not self.slots:
-            dim = 0
-            return np.zeros((0, dim), dtype=np.float32), np.zeros(0, dtype=np.intp)
-        n = len(self.slots)
+        n = len(self)
+        if not n:
+            return self.x[:0], self.y[:0]
         if n < k:
             idx = self.rng.integers(0, n, size=k)
         else:
             idx = self.rng.choice(n, size=k, replace=False)
-        xs = np.stack([self.slots[i].x for i in idx])
-        ys = np.array([self.slots[i].y for i in idx], dtype=np.intp)
-        return xs, ys
+        return self.x[idx], self.y[idx]
 
     def fetch_pos_neg(self, x_in, y_in, policy: NegativePolicy,
                       rng: np.random.Generator) -> FetchResult:
@@ -100,8 +95,8 @@ class ReplayBuffer:
         """
         y_in = np.asarray(y_in)
         n = len(y_in)
-        c_curr = set(int(c) for c in np.unique(y_in))
-        buf_labels = self.labels()
+        buf_labels = self.y[:len(self)]
+        buf_in_batch = np.isin(buf_labels, y_in)
         pairs: list = []
         used_slots: list[int] = []
         slot_seen = set()
@@ -124,15 +119,12 @@ class ReplayBuffer:
                 else:
                     pairs.append(None)
                     continue
-            # negative
+            # negative: in-batch candidates first, then buffer slots
+            neg_buf = buf_labels != ci
             if policy is NegativePolicy.INCOMING_ONLY:
-                ok = lambda c: c != ci and c in c_curr
-            else:
-                ok = lambda c: c != ci
-            in_neg = [("in", j) for j in range(n) if ok(int(y_in[j]))]
-            buf_neg = [("buf", int(s)) for s in np.where(
-                [ok(int(c)) for c in buf_labels])[0]] if len(buf_labels) else []
-            cands = in_neg + buf_neg
+                neg_buf &= buf_in_batch
+            cands = ([("in", int(j)) for j in np.flatnonzero(y_in != ci)]
+                     + [("buf", int(s)) for s in np.flatnonzero(neg_buf)])
             if not cands:
                 pairs.append(None)
                 continue
@@ -145,14 +137,22 @@ class ReplayBuffer:
         return FetchResult(pairs=pairs, buffer_slots=used_slots)
 
     def dump(self, path):
-        """Versioned little-endian dump of (label, input) pairs."""
-        dim = self.slots[0].x.size if self.slots else 0
+        """Versioned little-endian dump: a header, then one (label, input)
+        row per filled slot."""
+        n = len(self)
+        rows = np.empty(n, dtype=_dump_row(self.x.shape[1]))
+        rows["y"] = self.y[:n]
+        rows["x"] = self.x[:n]
         with open(path, "wb") as fh:
             fh.write(BUFFER_DUMP_MAGIC)
-            fh.write(struct.pack("<III", BUFFER_DUMP_VERSION, len(self.slots), dim))
-            for s in self.slots:
-                fh.write(struct.pack("<i", s.y))
-                fh.write(s.x.astype("<f4").tobytes())
+            fh.write(_DUMP_HEADER.pack(BUFFER_DUMP_VERSION, n,
+                                       self.x.shape[1] if n else 0))
+            fh.write(rows.tobytes())
+
+
+def _dump_row(dim: int) -> np.dtype:
+    """One dump row: an int32 label, then ``dim`` float32 inputs."""
+    return np.dtype([("y", "<i4"), ("x", "<f4", (dim,))])
 
 
 def load_buffer_dump(path):
@@ -161,15 +161,16 @@ def load_buffer_dump(path):
         magic = fh.read(4)
         if magic != BUFFER_DUMP_MAGIC:
             raise ValueError(f"bad buffer dump magic {magic!r}")
-        version, count, dim = struct.unpack("<III", fh.read(12))
+        header = fh.read(_DUMP_HEADER.size)
+        if len(header) != _DUMP_HEADER.size:
+            raise ValueError("truncated buffer dump header")
+        version, count, dim = _DUMP_HEADER.unpack(header)
         if version != BUFFER_DUMP_VERSION:
             raise ValueError(f"unsupported buffer dump version {version}")
-        xs = np.zeros((count, dim), dtype=np.float32)
-        ys = np.zeros(count, dtype=np.intp)
-        for i in range(count):
-            (ys[i],) = struct.unpack("<i", fh.read(4))
-            raw = fh.read(4 * dim)
-            if len(raw) != 4 * dim:
-                raise ValueError("truncated buffer dump payload")
-            xs[i] = np.frombuffer(raw, dtype="<f4")
-    return xs, ys
+        size = count * 4 * (1 + dim)
+        # never ask for more than the file holds, whatever the header says
+        raw = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
+        if len(raw) != size:
+            raise ValueError("truncated buffer dump payload")
+    rows = np.frombuffer(raw, dtype=_dump_row(dim), count=count)
+    return rows["x"].astype(np.float32), rows["y"].astype(np.intp)

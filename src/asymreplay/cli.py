@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
 
-from .report import (ComparisonError, ConfigError, compare, load_report,
-                     parse_config, run_experiment)
-from .stream import SyntheticDatasetSpec, make_synthetic, save_dataset
+from .report import (FIELD_KINDS, ComparisonError, ConfigError,
+                     ExperimentConfig, compare, load_report, parse_config,
+                     run_experiment)
+from .stream import SyntheticDatasetSpec, save_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -29,37 +31,34 @@ def _int_list(text: str):
                                          f"got {text!r}")
 
 
+_CONFIG_FIELDS = dataclasses.fields(ExperimentConfig)
+# gen-dataset takes the synthetic dataset's fields plus its seed
+_SPEC_NAMES = {f.name for f in dataclasses.fields(SyntheticDatasetSpec)}
+_DATASET_FIELDS = [f for f in _CONFIG_FIELDS
+                  if f.name in _SPEC_NAMES or f.name == "dataset_seed"]
+_FLAG_TYPES = {int: int, float: float, str: None, tuple: _int_list}
+
+
+def _add_field_flag(group, f, **kwargs):
+    """One flag for config field ``f``, typed from its annotation."""
+    choices = f.metadata.get("choices")
+    group.add_argument("--" + f.name.replace("_", "-"),
+                       type=_FLAG_TYPES[FIELD_KINDS[f.name][0]],
+                       choices=[c.value for c in choices] if choices else None,
+                       help=f.metadata.get("help"), **kwargs)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
     """One flag per config key; unset flags defer to the config file."""
     g = parser.add_argument_group("config overrides")
     g.add_argument("--config", help="JSON config file")
-    g.add_argument("--dataset-path")
-    for name in ("input-dim", "num-classes", "samples-per-class",
-                 "dataset-seed", "classes-per-task", "batch-size",
-                 "rehearsal-batch-size", "eval-every", "buffer-capacity"):
-        g.add_argument(f"--{name}", type=int)
-    for name in ("noise-sigma", "mean-radius", "val-fraction", "test-fraction",
-                 "gamma", "tau", "triplet-margin", "lr",
-                 "target-unique-labels", "variance-scale", "head-tau"):
-        g.add_argument(f"--{name}", type=float)
-    g.add_argument("--stream-mode", choices=["split", "blurry"])
-    g.add_argument("--method", choices=["er", "er-ace", "er-aml",
-                                        "er-aml-triplet", "ssil-nodistill"])
-    g.add_argument("--negative-policy", choices=["incoming-only", "all-classes"])
-    g.add_argument("--hidden-sizes", type=_int_list,
-                   help="comma-separated layer widths")
-    g.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
+    for f in _CONFIG_FIELDS:
+        _add_field_flag(g, f)
 
 
 def _overrides(args) -> dict:
-    keys = ("dataset_path", "input_dim", "num_classes", "samples_per_class",
-            "dataset_seed", "classes_per_task", "batch_size",
-            "rehearsal_batch_size", "eval_every", "buffer_capacity",
-            "noise_sigma", "mean_radius", "val_fraction", "test_fraction",
-            "gamma", "tau", "triplet_margin", "lr", "target_unique_labels",
-            "variance_scale", "head_tau", "stream_mode", "method",
-            "negative_policy", "hidden_sizes", "seeds")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {f.name: getattr(args, f.name) for f in _CONFIG_FIELDS
+            if getattr(args, f.name, None) is not None}
 
 
 def _cmd_run(args) -> int:
@@ -145,12 +144,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
-    spec = SyntheticDatasetSpec(
-        input_dim=args.input_dim, num_classes=args.num_classes,
-        samples_per_class=args.samples_per_class,
-        noise_sigma=args.noise_sigma, mean_radius=args.mean_radius,
-        val_fraction=args.val_fraction, test_fraction=args.test_fraction)
-    dataset = make_synthetic(spec, args.dataset_seed)
+    dataset = ExperimentConfig(**{f.name: getattr(args, f.name)
+                                  for f in _DATASET_FIELDS}).dataset()
     try:
         save_dataset(dataset, args.out)
     except OSError as exc:
@@ -194,14 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_gen = sub.add_parser("gen-dataset", help="write a synthetic dataset file")
-    p_gen.add_argument("--input-dim", type=int, default=16)
-    p_gen.add_argument("--num-classes", type=int, default=10)
-    p_gen.add_argument("--samples-per-class", type=int, default=1000)
-    p_gen.add_argument("--noise-sigma", type=float, default=0.5)
-    p_gen.add_argument("--mean-radius", type=float, default=1.0)
-    p_gen.add_argument("--val-fraction", type=float, default=0.05)
-    p_gen.add_argument("--test-fraction", type=float, default=0.25)
-    p_gen.add_argument("--dataset-seed", type=int, default=0)
+    for f in _DATASET_FIELDS:
+        _add_field_flag(p_gen, f, default=f.default)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen_dataset)
     return parser

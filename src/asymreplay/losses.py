@@ -215,10 +215,8 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
 
     buf_slots = pos_neg.buffer_slots
     if buf_slots:
-        bx = np.stack([buffer.slots[s].x for s in buf_slots])
-        by = np.array([buffer.slots[s].y for s in buf_slots])
-        f_extra = net.features(model, bx)
-        records.append((f_extra, by))
+        f_extra = net.features(model, buffer.x[buf_slots])
+        records.append((f_extra, buffer.y[buf_slots]))
         extra = len(buf_slots)
         slot_row = {s: i for i, s in enumerate(buf_slots)}
     else:

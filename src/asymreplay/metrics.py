@@ -114,15 +114,21 @@ def forgetting(matrix: np.ndarray) -> float:
     return float(np.mean(drops)) if drops else float("nan")
 
 
-def one_step_drift(model_before, model_after, probe_inputs) -> float:
-    """Mean distance between l2-normalized features across one update."""
-    probe_inputs = np.asarray(probe_inputs, dtype=np.float32)
-    if probe_inputs.size == 0:
-        return float("nan")
+def probe_features(model, inputs) -> np.ndarray:
+    """l2-normalized features of ``inputs``, computed without a graph; an
+    empty probe is not forwarded."""
+    if not len(inputs):
+        return np.zeros((0, 0), dtype=np.float32)
     with T.no_grad():
-        fa = T.l2_normalize(net.features(model_before, probe_inputs)).data
-        fb = T.l2_normalize(net.features(model_after, probe_inputs)).data
-    return float(np.mean(np.linalg.norm(fa - fb, axis=1)))
+        return T.l2_normalize(net.features(model, inputs)).data
+
+
+def one_step_drift(feats_before, feats_after) -> float:
+    """Mean distance between matching rows of two ``probe_features``
+    arrays taken across one update; NaN for an empty probe."""
+    if not len(feats_before):
+        return float("nan")
+    return float(np.mean(np.linalg.norm(feats_after - feats_before, axis=1)))
 
 
 def old_feature_grad_norm(feature_records, old_classes) -> float:
@@ -147,17 +153,16 @@ def buffer_holdout_alignment(model, buffer, val_inputs, val_labels,
     similarity against held-out features. Samples whose class is absent
     from the validation set are skipped."""
     val_labels = np.asarray(val_labels)
-    if not len(buffer.slots):
+    n = len(buffer)
+    if not n:
         return {}
-    with T.no_grad():
-        vf = T.l2_normalize(net.features(model, val_inputs)).data
-        bx = np.stack([s.x for s in buffer.slots])
-        bf = T.l2_normalize(net.features(model, bx)).data
+    vf = probe_features(model, val_inputs)
+    bf = probe_features(model, buffer.x[:n])
     per_task: dict = {}
-    for i, slot in enumerate(buffer.slots):
-        same = np.where(val_labels == slot.y)[0]
+    for i, y in enumerate(buffer.y[:n].tolist()):
+        same = np.where(val_labels == y)[0]
         if same.size == 0:
             continue
         best = float(np.max(vf[same] @ bf[i]))
-        per_task.setdefault(task_of_class[int(slot.y)], []).append(best)
+        per_task.setdefault(task_of_class[y], []).append(best)
     return {t: float(np.mean(v)) for t, v in sorted(per_task.items())}

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,6 +39,10 @@ class ComparisonError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of an experiment.  A field's annotation is its config
+    type; ``choices`` metadata is the enum an enum-valued field is checked
+    against and ``help`` metadata documents its CLI flag."""
+
     # dataset: either a file path or a synthetic spec
     dataset_path: Optional[str] = None
     input_dim: int = 16
@@ -51,46 +56,51 @@ class ExperimentConfig:
     # stream
     classes_per_task: int = 2
     batch_size: int = 10
-    stream_mode: str = "split"
+    stream_mode: str = field(default="split", metadata={"choices": StreamMode})
     target_unique_labels: Optional[float] = 2.0
     variance_scale: Optional[float] = None
     # method / loss
-    method: str = "er-ace"
+    method: str = field(default="er-ace", metadata={"choices": Method})
     gamma: float = 1.0
     tau: float = 0.1
-    negative_policy: str = "incoming-only"
+    negative_policy: str = field(default="incoming-only",
+                                 metadata={"choices": NegativePolicy})
     triplet_margin: float = 0.2
     # trainer
     lr: float = 0.05
     rehearsal_batch_size: int = 10
     eval_every: int = 10
     buffer_capacity: int = 20
-    hidden_sizes: tuple = (128, 128, 64)
+    hidden_sizes: tuple[int, ...] = field(
+        default=(128, 128, 64), metadata={"help": "comma-separated layer widths"})
     head_tau: Optional[float] = None
     # seeds
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = field(default=(0,),
+                                   metadata={"help": "comma-separated seeds"})
 
     def __post_init__(self):
-        Method(self.method)
-        NegativePolicy(self.negative_policy)
-        StreamMode(self.stream_mode)
+        for f in dataclasses.fields(self):
+            choices = [c.value for c in f.metadata.get("choices", ())]
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"config key {f.name!r} must be one of "
+                                  f"{', '.join(choices)}, "
+                                  f"got {getattr(self, f.name)!r}")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ConfigError("config key 'hidden_sizes' must be a nonempty "
+                              "list of positive integers")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hidden_sizes"] = list(self.hidden_sizes)
-        d["seeds"] = list(self.seeds)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
 
     def dataset(self) -> Dataset:
         if self.dataset_path is not None:
             return load_dataset(self.dataset_path)
-        spec = SyntheticDatasetSpec(
-            input_dim=self.input_dim, num_classes=self.num_classes,
-            samples_per_class=self.samples_per_class,
-            noise_sigma=self.noise_sigma, mean_radius=self.mean_radius,
-            val_fraction=self.val_fraction, test_fraction=self.test_fraction)
+        spec = SyntheticDatasetSpec(**{
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(SyntheticDatasetSpec)})
         return make_synthetic(spec, self.dataset_seed)
 
     def stream_config(self, seed: int) -> StreamConfig:
@@ -116,54 +126,43 @@ class ExperimentConfig:
                              head_tau=self.head_tau, seed=seed)
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_INT_FIELDS = {"input_dim", "num_classes", "samples_per_class", "dataset_seed",
-               "classes_per_task", "batch_size", "rehearsal_batch_size",
-               "eval_every", "buffer_capacity"}
-_FLOAT_FIELDS = {"noise_sigma", "mean_radius", "val_fraction", "test_fraction",
-                 "gamma", "tau", "triplet_margin", "lr"}
-_OPT_FLOAT_FIELDS = {"target_unique_labels", "variance_scale", "head_tau"}
-_STR_FIELDS = {"dataset_path", "stream_mode", "method", "negative_policy"}
+def _kind(hint):
+    """(type, optional) of a field annotation; the type is int, float, str
+    or tuple (a tuple of integers)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return next(a for a in args if a is not type(None)), True
+    return typing.get_origin(hint) or hint, False
+
+
+# config key -> (type, optional), read off ExperimentConfig's annotations
+FIELD_KINDS = {name: _kind(hint) for name, hint in
+               typing.get_type_hints(ExperimentConfig).items()}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               tuple: "a list of integers"}
+
+
+def _is_a(kind, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_is_a(int, v) for v in value))
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _coerce(key, value):
-    if key not in _FIELD_TYPES:
+    if key not in FIELD_KINDS:
         raise ConfigError(f"unknown config key: {key!r}")
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, "
-                              f"got {value!r}")
-        return value
-    if key in _FLOAT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, "
-                              f"got {value!r}")
+    kind, optional = FIELD_KINDS[key]
+    if value is None and optional:
+        return None
+    if not _is_a(kind, value):
+        raise ConfigError(f"config key {key!r} must be {_KIND_NAMES[kind]}"
+                          f"{' or null' if optional else ''}, got {value!r}")
+    if kind is float:
         return float(value)
-    if key in _OPT_FLOAT_FIELDS:
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number or null, "
-                              f"got {value!r}")
-        return float(value)
-    if key in _STR_FIELDS:
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, "
-                              f"got {value!r}")
-        return value
-    if key == "hidden_sizes":
-        if (not isinstance(value, (list, tuple)) or not value
-                or not all(isinstance(v, int) and v >= 1 for v in value)):
-            raise ConfigError("config key 'hidden_sizes' must be a nonempty "
-                              "list of positive integers")
-        return tuple(value)
-    if key == "seeds":
-        if (not isinstance(value, (list, tuple))
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in value)):
-            raise ConfigError("config key 'seeds' must be a list of integers")
-        return tuple(value)
-    raise ConfigError(f"unknown config key: {key!r}")
+    return tuple(value) if kind is tuple else value
 
 
 def parse_config(path: Optional[str] = None,

@@ -365,6 +365,8 @@ def load_dataset(path) -> Dataset:
             "<IIIIII", header)
         if version != DATASET_VERSION:
             raise DatasetParseError(f"unsupported version {version}", 4)
+        if 4 * dim + 4 >= 2**31:   # numpy dtypes stay under 2 GiB
+            raise DatasetParseError(f"input_dim {dim} too large", 8)
         row = _row_dtype(dim)
         size = os.fstat(fh.fileno()).st_size
         splits = []

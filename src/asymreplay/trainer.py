@@ -10,14 +10,13 @@ which skip it leave the shared state untouched).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import losses as L
 from . import metrics as M
 from . import network as net
-from . import tensor as T
 from .buffer import ReplayBuffer
 from .stream import Dataset, LabeledBatch, Stream, StreamConfig, make_stream
 
@@ -68,7 +67,6 @@ class RunState:
         self.task_of_class = task_of_class
         self.classes_of_task = classes_of_task
         self.observed: set = set()
-        self.first_seen_task: dict = {}
         self.step = 0
         self.ledger = M.ResourceLedger()
 
@@ -143,13 +141,9 @@ def train_step(state: RunState, batch: LabeledBatch,
 
     # drift probe: buffered samples of classes outside the incoming batch
     old_classes = sets.c_old
-    probe = [s.x for s in state.buffer.slots if s.y in old_classes]
-    probe_x = np.stack(probe) if probe else np.zeros((0, batch.inputs.shape[1]),
-                                                     dtype=np.float32)
-    if len(probe_x):
-        with T.no_grad():
-            feats_before = T.l2_normalize(
-                net.features(state.model, probe_x)).data.copy()
+    n = len(state.buffer)
+    probe_x = state.buffer.x[:n][np.isin(state.buffer.y[:n], list(old_classes))]
+    feats_before = M.probe_features(state.model, probe_x)
 
     out = _dispatch_loss(state, batch, x_bf, y_bf, cfg, sets)
     loss_value = float(out.loss.data)
@@ -162,20 +156,12 @@ def train_step(state: RunState, batch: LabeledBatch,
     grad_norm = M.old_feature_grad_norm(out.feature_records, old_classes)
     sgd_update(state.model, cfg.lr)
 
-    if len(probe_x):
-        with T.no_grad():
-            feats_after = T.l2_normalize(
-                net.features(state.model, probe_x)).data
-        drift = float(np.mean(np.linalg.norm(feats_after - feats_before, axis=1)))
-    else:
-        drift = float("nan")
+    drift = M.one_step_drift(feats_before,
+                             M.probe_features(state.model, probe_x))
 
     # new data enters the buffer only after being learned
     state.buffer.reservoir_update(batch.inputs, batch.labels)
     state.observed.update(int(c) for c in sets.c_curr)
-    for c in sets.c_curr:
-        t = state.task_of_class[int(c)]
-        state.first_seen_task.setdefault(t, state.step)
 
     per_sample = net.forward_flops_per_sample(state.model)
     n_samples = len(batch.labels) + len(y_bf) + out.extra_buffer_forwards

@@ -4,11 +4,15 @@ Everything here is written directly from the mathematical definitions with
 plain numpy in double precision, never calling the library's autodiff ops.
 Gradients of library code are checked against central finite differences
 of these references; loss values are checked by transcription.  The stream
-builders at the end are the copy-per-batch versions the library's
-index-array streams are checked against.
+builders near the end are the copy-per-batch versions the library's
+index-array streams are checked against, and ``RefReservoir`` is the
+list-of-slots reservoir the array-backed ``ReplayBuffer`` is checked
+against.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -220,3 +224,89 @@ def ref_blurry_batches(dataset, cfg, variance_scale):
         batches.append((dataset.train_x[idx].copy(),
                         dataset.train_y[idx].copy(), step))
     return batches
+
+
+class RefReservoir:
+    """Reservoir replay memory kept as a list of (input, label) slots, one
+    copied row per slot; the same RNG draws as ``ReplayBuffer``."""
+
+    def __init__(self, capacity, seed=0, rng=None):
+        self.capacity = capacity
+        self.slots = []            # [(x, y)]
+        self.n_seen = 0
+        self.rng = rng if rng is not None else np.random.default_rng(seed)
+
+    def __len__(self):
+        return len(self.slots)
+
+    def reservoir_update(self, inputs, labels):
+        """Vitter's Algorithm R, applied per example."""
+        inputs = np.asarray(inputs, dtype=np.float32)
+        for x, y in zip(inputs, labels):
+            if self.n_seen < self.capacity:
+                self.slots.append((x.copy(), int(y)))
+            else:
+                j = self.rng.integers(0, self.n_seen + 1)
+                if j < self.capacity:
+                    self.slots[j] = (x.copy(), int(y))
+            self.n_seen += 1
+
+    def sample(self, k):
+        if not self.slots:
+            return np.zeros((0, 0), dtype=np.float32), np.zeros(0, dtype=np.intp)
+        n = len(self.slots)
+        if n < k:
+            idx = self.rng.integers(0, n, size=k)
+        else:
+            idx = self.rng.choice(n, size=k, replace=False)
+        return (np.stack([self.slots[i][0] for i in idx]),
+                np.array([self.slots[i][1] for i in idx], dtype=np.intp))
+
+    def fetch_pos_neg(self, x_in, y_in, policy, rng):
+        """(pairs, buffer_slots) with the library's draw order: per anchor,
+        a positive (in-batch first, buffer fallback), then a negative drawn
+        from the in-batch candidates followed by the buffer candidates."""
+        from asymreplay.losses import NegativePolicy
+        y_in = np.asarray(y_in)
+        n = len(y_in)
+        c_curr = set(int(c) for c in np.unique(y_in))
+        buf_labels = np.array([y for _, y in self.slots], dtype=np.intp)
+        pairs, used = [], []
+        for i in range(n):
+            ci = int(y_in[i])
+            in_pos = [j for j in range(n) if j != i and int(y_in[j]) == ci]
+            if in_pos:
+                pos = ("in", int(rng.choice(in_pos)))
+            else:
+                buf_pos = np.where(buf_labels == ci)[0]
+                if not buf_pos.size:
+                    pairs.append(None)
+                    continue
+                pos = ("buf", int(rng.choice(buf_pos)))
+            if policy is NegativePolicy.INCOMING_ONLY:
+                ok = lambda c: c != ci and c in c_curr
+            else:
+                ok = lambda c: c != ci
+            cands = ([("in", j) for j in range(n) if ok(int(y_in[j]))]
+                     + [("buf", s) for s, c in enumerate(buf_labels.tolist())
+                        if ok(c)])
+            if not cands:
+                pairs.append(None)
+                continue
+            neg = cands[int(rng.integers(0, len(cands)))]
+            for src, idx in (pos, neg):
+                if src == "buf" and idx not in used:
+                    used.append(idx)
+            pairs.append((pos, neg))
+        return pairs, used
+
+    def dump(self, path):
+        """Magic, version, count and dim, then per slot an int32 label
+        followed by the float32 input, written row by row."""
+        dim = self.slots[0][0].size if self.slots else 0
+        with open(path, "wb") as fh:
+            fh.write(b"ARBF")
+            fh.write(struct.pack("<III", 1, len(self.slots), dim))
+            for x, y in self.slots:
+                fh.write(struct.pack("<i", y))
+                fh.write(x.astype("<f4").tobytes())

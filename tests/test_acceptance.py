@@ -116,8 +116,7 @@ def _fd_instance(rng):
     pairs = [None if p is None else tuple(
         (src, idx if src == "in" else slot_row[idx]) for src, idx in p)
         for p in pos_neg.pairs]
-    bsel = (np.stack([buffer.slots[s].x for s in pos_neg.buffer_slots])
-            if pos_neg.buffer_slots else np.zeros((0, 3), dtype=np.float32))
+    bsel = buffer.x[pos_neg.buffer_slots]
     aml_cfg = L.LossConfig(method=L.Method.ER_AML_SUPCON, gamma=1.2, tau=0.2)
     tri_cfg = L.LossConfig(method=L.Method.ER_AML_TRIPLET, gamma=1.2,
                            triplet_margin=0.3)
@@ -250,8 +249,8 @@ def test_criterion_04_reservoir_retention():
         for child in np.random.SeedSequence(42).spawn(trials):
             buf = ReplayBuffer(capacity, rng=np.random.default_rng(child))
             buf.reservoir_update(xs, np.arange(n))
-            for s in buf.slots:
-                counts[int(s.y)] += 1
+            for y in buf.y[:len(buf)]:
+                counts[int(y)] += 1
         p = capacity / n
         sigma = np.sqrt(trials * p * (1 - p))
         dev = np.abs(counts - trials * p).max() / max(sigma, 1e-9)

@@ -1,10 +1,15 @@
 """Reservoir memory: retention statistics, sampling, pair fetching, dumps."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from asymreplay.buffer import FetchResult, ReplayBuffer, load_buffer_dump
+from asymreplay.buffer import BUFFER_DUMP_MAGIC, ReplayBuffer, load_buffer_dump
 from asymreplay.losses import NegativePolicy
+
+from reference import RefReservoir
 
 
 def filled_buffer(capacity, n, seed=0):
@@ -31,7 +36,7 @@ def test_buffer_stores_copies():
     xs = np.ones((2, 3), dtype=np.float32)
     buf.reservoir_update(xs, [0, 1])
     xs[...] = -1.0
-    assert np.array_equal(buf.slots[0].x, np.ones(3, dtype=np.float32))
+    assert np.array_equal(buf.x[0], np.ones(3, dtype=np.float32))
 
 
 @pytest.mark.parametrize("capacity,n", [(5, 100), (20, 200), (1, 2)])
@@ -45,8 +50,8 @@ def test_reservoir_retention_probability(capacity, n):
     for child in master.spawn(trials):
         buf = ReplayBuffer(capacity, rng=np.random.default_rng(child))
         buf.reservoir_update(xs, np.arange(n))
-        for s in buf.slots:
-            counts[int(s.y)] += 1
+        for y in buf.y[:len(buf)]:
+            counts[int(y)] += 1
     p = capacity / n
     sigma = np.sqrt(trials * p * (1 - p))
     expected = trials * p
@@ -108,13 +113,13 @@ def test_fetch_prefers_in_batch_positive():
         if i in (0, 1):  # class 0 has an in-batch partner
             assert psrc == "in" and pidx in (0, 1) and pidx != i
         else:            # class 1 is alone in-batch, falls back to buffer
-            assert psrc == "buf" and buf.slots[pidx].y == 1
+            assert psrc == "buf" and buf.y[pidx] == 1
 
 
 def test_fetch_skips_anchor_without_positive():
     buf = ReplayBuffer(4)  # empty: no buffer fallback
     res = fetch(buf, [0, 1], NegativePolicy.INCOMING_ONLY)
-    assert res.pairs == [None, None] and res.n_skipped == 2
+    assert res.pairs == [None, None]
 
 
 def test_fetch_incoming_only_restricts_negative_classes():
@@ -128,7 +133,7 @@ def test_fetch_incoming_only_restricts_negative_classes():
         for i, pair in enumerate(res.pairs):
             assert pair is not None
             _, (nsrc, nidx) = pair
-            c = y_in[nidx] if nsrc == "in" else buf.slots[nidx].y
+            c = y_in[nidx] if nsrc == "in" else buf.y[nidx]
             assert c in (0, 1) and c != y_in[i]
 
 
@@ -140,7 +145,7 @@ def test_fetch_all_classes_reaches_old_negatives():
         res = fetch(buf, [0, 0], NegativePolicy.ALL_CLASSES, seed=seed)
         for pair in res.pairs:
             _, (nsrc, nidx) = pair
-            if nsrc == "buf" and buf.slots[nidx].y == 5:
+            if nsrc == "buf" and buf.y[nidx] == 5:
                 hit_old = True
     assert hit_old
 
@@ -153,10 +158,10 @@ def test_fetch_single_class_batch_all_classes_negative_from_buffer():
         assert pair is not None
         (psrc, _), (nsrc, nidx) = pair
         assert psrc == "in"
-        assert nsrc == "buf" and buf.slots[nidx].y == 3
+        assert nsrc == "buf" and buf.y[nidx] == 3
     # under INCOMING_ONLY the same batch has no admissible negative
     res2 = fetch(buf, [0, 0], NegativePolicy.INCOMING_ONLY)
-    assert res2.n_skipped == 2
+    assert sum(p is None for p in res2.pairs) == 2
 
 
 def test_fetch_buffer_slots_unique_first_use_order():
@@ -181,14 +186,9 @@ def test_fetch_does_not_touch_reservoir_rng():
     more = np.full((10, 1), 7.0, dtype=np.float32)
     a.reservoir_update(more, np.full(10, 9))
     b.reservoir_update(more, np.full(10, 9))
-    assert [s.y for s in a.slots] == [s.y for s in b.slots]
-    assert all(np.array_equal(sa.x, sb.x)
-               for sa, sb in zip(a.slots, b.slots))
-
-
-def test_n_skipped_property():
-    res = FetchResult(pairs=[None, (("in", 0), ("in", 1)), None])
-    assert res.n_skipped == 2
+    assert a.y[:len(a)].tolist() == b.y[:len(b)].tolist()
+    assert all(np.array_equal(xa, xb)
+               for xa, xb in zip(a.x[:len(a)], b.x[:len(b)]))
 
 
 # dump / load ----------------------------------------------------------
@@ -201,9 +201,9 @@ def test_dump_round_trip(tmp_path):
     path = tmp_path / "buf.bin"
     buf.dump(path)
     xs, ys = load_buffer_dump(path)
-    assert ys.tolist() == [s.y for s in buf.slots]
-    for row, s in zip(xs, buf.slots):
-        assert row.tobytes() == s.x.tobytes()
+    assert ys.tolist() == buf.y[:len(buf)].tolist()
+    for row, x in zip(xs, buf.x[:len(buf)]):
+        assert row.tobytes() == x.tobytes()
 
 
 def test_dump_empty_buffer(tmp_path):
@@ -230,3 +230,73 @@ def test_load_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-5])
     with pytest.raises(ValueError):
         load_buffer_dump(path)
+
+
+def test_load_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(BUFFER_DUMP_MAGIC + struct.pack("<II", 1, 2))
+    with pytest.raises(ValueError, match="truncated buffer dump header"):
+        load_buffer_dump(path)
+
+
+def test_load_rejects_row_count_beyond_the_file(tmp_path):
+    """A header claiming 2**24 rows of dim 2**16 (4 TiB) is refused without
+    allocating more than the file holds."""
+    path = tmp_path / "huge.bin"
+    path.write_bytes(BUFFER_DUMP_MAGIC + struct.pack("<III", 1, 2**24, 2**16)
+                     + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated buffer dump payload"):
+            load_buffer_dump(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# equivalence with the list-of-slots reservoir ---------------------------
+
+def contents(buf):
+    return buf.x[:len(buf)].tobytes(), buf.y[:len(buf)].tolist()
+
+
+def ref_contents(ref):
+    return (b"".join(x.tobytes() for x, _ in ref.slots),
+            [y for _, y in ref.slots])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("longer", [False, True])
+@pytest.mark.parametrize("capacity", [1, 5, 20, 500])
+def test_matches_list_of_slots_oracle(capacity, longer, seed, tmp_path):
+    """Contents, n_seen, sample draws, pos/neg fetches and dump bytes equal
+    the oracle's, bit for bit, after every batch of a stream shorter or
+    longer than the capacity."""
+    rng = np.random.default_rng(seed)
+    n = 3 * capacity + 7 if longer else capacity // 2
+    xs = rng.standard_normal((n, 3)).astype(np.float32)
+    # each batch of 10 draws from 1 to 3 classes of 8
+    steps = range(0, max(n, 1), 10)
+    ys = np.concatenate([rng.choice(rng.choice(8, size=rng.integers(1, 4)), 10)
+                         for _ in steps])[:n]
+    buf, ref = ReplayBuffer(capacity, seed=seed), RefReservoir(capacity, seed=seed)
+    for lo in steps:
+        x_in, y_in = xs[lo:lo + 10], ys[lo:lo + 10]
+        for k in (4, 10):
+            got, want = buf.sample(k), ref.sample(k)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tolist() == want[1].tolist()
+        for policy in NegativePolicy:
+            got = buf.fetch_pos_neg(x_in, y_in, policy,
+                                    np.random.default_rng(lo))
+            want = ref.fetch_pos_neg(x_in, y_in, policy,
+                                     np.random.default_rng(lo))
+            assert (got.pairs, got.buffer_slots) == want
+        buf.reservoir_update(x_in, y_in)
+        ref.reservoir_update(x_in, y_in)
+        assert (len(buf), buf.n_seen) == (len(ref), ref.n_seen)
+        assert contents(buf) == ref_contents(ref)
+    buf.dump(tmp_path / "buf.bin")
+    ref.dump(tmp_path / "ref.bin")
+    assert (tmp_path / "buf.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()

@@ -223,8 +223,7 @@ def test_er_aml_value_transcription(trial, policy):
                      negative_policy=policy)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
-    bx = (np.stack([buffer.slots[s].x for s in pos_neg.buffer_slots])
-          if pos_neg.buffer_slots else np.zeros((0, 4), dtype=np.float32))
+    bx = buffer.x[pos_neg.buffer_slots]
     # reference indexes buffer-sourced features by their first-use order
     slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
     pairs = [None if p is None else tuple(
@@ -242,8 +241,7 @@ def test_er_aml_triplet_value_transcription():
                      triplet_margin=0.4)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
-    bx = (np.stack([buffer.slots[s].x for s in pos_neg.buffer_slots])
-          if pos_neg.buffer_slots else np.zeros((0, 4), dtype=np.float32))
+    bx = buffer.x[pos_neg.buffer_slots]
     slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
     pairs = [None if p is None else tuple(
         (src, idx if src == "in" else slot_row[idx]) for src, idx in p)
@@ -462,8 +460,7 @@ def test_grad_er_aml(trial, method):
     rng = np.random.default_rng(330 + trial)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = LossConfig(method=method, gamma=1.1, tau=0.2, triplet_margin=0.3)
-    bx = (np.stack([buffer.slots[s].x for s in pos_neg.buffer_slots])
-          if pos_neg.buffer_slots else np.zeros((0, 4), dtype=np.float32))
+    bx = buffer.x[pos_neg.buffer_slots]
     slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
     pairs = [None if p is None else tuple(
         (src, idx if src == "in" else slot_row[idx]) for src, idx in p)

@@ -69,10 +69,12 @@ def test_one_step_drift_orthogonal_features_sqrt2():
     after.extractor.weights[0].data[...] = np.array([[0, 1], [-1, 0]],
                                                     dtype=np.float32)
     probe = np.array([[3.0, 0.0]], dtype=np.float32)
-    assert M.one_step_drift(before, after, probe) == pytest.approx(
+    assert M.one_step_drift(M.probe_features(before, probe),
+                            M.probe_features(after, probe)) == pytest.approx(
         np.sqrt(2.0), rel=1e-6)
-    assert np.isnan(M.one_step_drift(before, after,
-                                     np.zeros((0, 2), dtype=np.float32)))
+    empty = np.zeros((0, 2), dtype=np.float32)
+    assert np.isnan(M.one_step_drift(M.probe_features(before, empty),
+                                     M.probe_features(after, empty)))
 
 
 def test_old_feature_grad_norm_fixture():

@@ -1,12 +1,14 @@
 """Config parsing, experiment reports, comparisons, CLI commands."""
 
+import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from asymreplay.cli import EXIT_CONFIG, EXIT_OK, main
+from asymreplay.cli import EXIT_CONFIG, EXIT_OK, _overrides, build_parser, main
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment)
@@ -90,6 +92,97 @@ def test_config_to_trainer_and_stream():
     assert tcfg.seed == 7 and tcfg.loss.gamma == 1.5
     scfg = cfg.stream_config(seed=7)
     assert scfg.num_classes == 4 and scfg.seed == 7
+
+
+def test_invalid_enum_value_rejected_by_name(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"negative_policy": "none"}))
+    with pytest.raises(ConfigError, match="negative_policy"):
+        parse_config(str(path))
+
+
+# the CLI flags: flag -> (type name, choices, default)
+_CONFIG_FLAGS = {
+    "--config": (None, None, None), "--dataset-path": (None, None, None),
+    **{f"--{name}": ("int", None, None) for name in (
+        "input-dim", "num-classes", "samples-per-class", "dataset-seed",
+        "classes-per-task", "batch-size", "rehearsal-batch-size",
+        "eval-every", "buffer-capacity")},
+    **{f"--{name}": ("float", None, None) for name in (
+        "noise-sigma", "mean-radius", "val-fraction", "test-fraction",
+        "gamma", "tau", "triplet-margin", "lr", "target-unique-labels",
+        "variance-scale", "head-tau")},
+    "--stream-mode": (None, ["split", "blurry"], None),
+    "--method": (None, ["er", "er-ace", "er-aml", "er-aml-triplet",
+                        "ssil-nodistill"], None),
+    "--negative-policy": (None, ["incoming-only", "all-classes"], None),
+    "--hidden-sizes": ("_int_list", None, None),
+    "--seeds": ("_int_list", None, None),
+}
+FLAG_TABLE = {
+    "run": {**_CONFIG_FLAGS, "--out": (None, None, None),
+            "--timestamp": (None, None, None)},
+    "sweep": {**_CONFIG_FLAGS, "--methods": ("<lambda>", None, None),
+              "--buffer-capacities": ("_int_list", None, None),
+              "--out": (None, None, None), "--workers": ("int", None, None),
+              "--timestamp": (None, None, None)},
+    "gen-dataset": {
+        "--input-dim": ("int", None, 16), "--num-classes": ("int", None, 10),
+        "--samples-per-class": ("int", None, 1000),
+        "--noise-sigma": ("float", None, 0.5),
+        "--mean-radius": ("float", None, 1.0),
+        "--val-fraction": ("float", None, 0.05),
+        "--test-fraction": ("float", None, 0.25),
+        "--dataset-seed": ("int", None, 0), "--out": (None, None, None)},
+}
+
+
+def subcommand(name) -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_flag_table_unchanged(command):
+    """Names, types, choices and defaults of every flag, as recorded from
+    the hand-written flag lists the derived ones replaced."""
+    table = {a.option_strings[0]: (getattr(a.type, "__name__", None),
+                                   a.choices and list(a.choices), a.default)
+             for a in subcommand(command)._actions
+             if a.option_strings and a.dest != "help"}
+    assert table == FLAG_TABLE[command]
+
+
+def other_value(f):
+    """A valid value of config field ``f`` other than its default."""
+    if "choices" in f.metadata:
+        return [c.value for c in f.metadata["choices"]][-1]
+    if f.name == "dataset_path":
+        return "ds.bin"
+    if isinstance(f.default, tuple):
+        return (3, 4)
+    if isinstance(f.default, int):
+        return f.default + 1
+    return (f.default or 0.0) + 0.5
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_every_config_field_has_one_flag_and_round_trips(command):
+    parser = subcommand(command)
+    fields = dataclasses.fields(ExperimentConfig)
+    for f in fields:
+        flags = [a.option_strings for a in parser._actions if a.dest == f.name]
+        assert flags == [["--" + f.name.replace("_", "-")]], f.name
+    want = {f.name: other_value(f) for f in fields}
+    assert all(want[f.name] != f.default for f in fields)
+    argv = [command] + (["--out", "o"] if command == "sweep" else [])
+    for f in fields:
+        v = want[f.name]
+        argv += ["--" + f.name.replace("_", "-"),
+                 ",".join(map(str, v)) if isinstance(v, tuple) else str(v)]
+    args = build_parser().parse_args(argv)
+    assert parse_config(overrides=_overrides(args)) == ExperimentConfig(**want)
 
 
 # experiments ----------------------------------------------------------

@@ -379,6 +379,15 @@ def test_load_rejects_row_count_beyond_the_file(tmp_path):
     assert exc.value.offset == 4 + 24 + 50
 
 
+def test_load_rejects_input_dim_too_large_for_a_row(tmp_path):
+    path = tmp_path / "wide.bin"
+    header = struct.pack("<IIIIII", 1, 0xFFFFFFFF, 3, 1, 0, 0)
+    path.write_bytes(S.DATASET_MAGIC + header + b"\x00" * 50)
+    with pytest.raises(DatasetParseError, match="input_dim") as exc:
+        S.load_dataset(path)
+    assert exc.value.offset == 8           # the input_dim field
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     ds = S.make_synthetic(spec(samples_per_class=5), seed=0)
     path = tmp_path / "trail.bin"
