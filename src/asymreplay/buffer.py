@@ -96,44 +96,36 @@ class ReplayBuffer:
         y_in = np.asarray(y_in)
         n = len(y_in)
         buf_labels = self.y[:len(self)]
-        buf_in_batch = np.isin(buf_labels, y_in)
+        # row i: anchor i's same-class partners in the batch and in the
+        # buffer, and its negative candidates (in-batch rows, then slots)
+        pos_in = y_in[:, None] == y_in[None, :]
+        np.fill_diagonal(pos_in, False)
+        pos_buf = y_in[:, None] == buf_labels[None, :]
+        neg_buf = ~pos_buf
+        if policy is NegativePolicy.INCOMING_ONLY:
+            neg_buf &= np.isin(buf_labels, y_in)
+        neg = np.concatenate([y_in[:, None] != y_in[None, :], neg_buf], axis=1)
         pairs: list = []
         used_slots: list[int] = []
-        slot_seen = set()
-
-        def note_slot(s):
-            if s not in slot_seen:
-                slot_seen.add(s)
-                used_slots.append(s)
-
         for i in range(n):
-            ci = int(y_in[i])
             # positive: in-batch first, buffer fallback
-            in_pos = [j for j in range(n) if j != i and int(y_in[j]) == ci]
-            if in_pos:
-                pos = ("in", int(rng.choice(in_pos)))
+            if pos_in[i].any():
+                pos = ("in", int(rng.choice(np.flatnonzero(pos_in[i]))))
+            elif pos_buf[i].any():
+                pos = ("buf", int(rng.choice(np.flatnonzero(pos_buf[i]))))
             else:
-                buf_pos = np.where(buf_labels == ci)[0]
-                if buf_pos.size:
-                    pos = ("buf", int(rng.choice(buf_pos)))
-                else:
-                    pairs.append(None)
-                    continue
-            # negative: in-batch candidates first, then buffer slots
-            neg_buf = buf_labels != ci
-            if policy is NegativePolicy.INCOMING_ONLY:
-                neg_buf &= buf_in_batch
-            cands = ([("in", int(j)) for j in np.flatnonzero(y_in != ci)]
-                     + [("buf", int(s)) for s in np.flatnonzero(neg_buf)])
-            if not cands:
                 pairs.append(None)
                 continue
-            neg = cands[int(rng.integers(0, len(cands)))]
-            if pos[0] == "buf":
-                note_slot(pos[1])
-            if neg[0] == "buf":
-                note_slot(neg[1])
-            pairs.append((pos, neg))
+            cands = np.flatnonzero(neg[i])
+            if not cands.size:
+                pairs.append(None)
+                continue
+            j = int(cands[rng.integers(0, cands.size)])
+            neg_ref = ("in", j) if j < n else ("buf", j - n)
+            for src, idx in (pos, neg_ref):
+                if src == "buf" and idx not in used_slots:
+                    used_slots.append(idx)
+            pairs.append((pos, neg_ref))
         return FetchResult(pairs=pairs, buffer_slots=used_slots)
 
     def dump(self, path):
@@ -167,10 +159,16 @@ def load_buffer_dump(path):
         version, count, dim = _DUMP_HEADER.unpack(header)
         if version != BUFFER_DUMP_VERSION:
             raise ValueError(f"unsupported buffer dump version {version}")
+        if 4 * dim + 4 >= 2**31:   # numpy dtypes stay under 2 GiB
+            raise ValueError(f"buffer dump input dim {dim} too large")
         size = count * 4 * (1 + dim)
-        # never ask for more than the file holds, whatever the header says
-        raw = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
-        if len(raw) != size:
+        # checked before reading, so a header claiming more than the file
+        # holds never allocates it
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > remaining:
             raise ValueError("truncated buffer dump payload")
+        if size < remaining:
+            raise ValueError("trailing bytes after buffer dump payload")
+        raw = fh.read(size)
     rows = np.frombuffer(raw, dtype=_dump_row(dim), count=count)
     return rows["x"].astype(np.float32), rows["y"].astype(np.intp)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration error, 2 run failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -16,7 +15,7 @@ import sys
 from .report import (FIELD_KINDS, ComparisonError, ConfigError,
                      ExperimentConfig, compare, load_report, parse_config,
                      run_experiment)
-from .stream import SyntheticDatasetSpec, save_dataset
+from .stream import DatasetParseError, SyntheticDatasetSpec, save_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,7 +64,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     try:
         report = run_experiment(cfg, out_dir=args.out, now=args.timestamp)
-    except OSError as exc:
+    except (OSError, DatasetParseError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
     failed = [e for e in report["seeds"] if e["error"] is not None]
@@ -93,6 +92,8 @@ def _sweep_worker(payload):
 
 
 def _cmd_sweep(args) -> int:
+    import concurrent.futures   # only sweep pays for the pool's imports
+
     base = parse_config(args.config, _overrides(args))
     methods = args.methods or [base.method]
     capacities = args.buffer_capacities or [base.buffer_capacity]

@@ -99,36 +99,30 @@ def masked_ce(logits: Tensor, labels, class_set) -> Tensor:
     return T.sub(T.tsum(lse), T.tsum(tgt))
 
 
-def supcon_loss(anchors: Tensor, positives: Sequence[Tensor],
-                negatives: Sequence[Tensor], tau: float) -> Tensor:
+def supcon_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
+                tau: float) -> Tensor:
     """Temperature-scaled contrastive loss on cosine similarities.
 
-    For each anchor, averages -log(sim_p / sum over negatives-and-positives)
-    over its positives, then sums over anchors.  The anchor itself never
-    enters its own denominator.
+    Row i of ``positives`` and ``negatives`` ([n, d] each, like
+    ``anchors``) is anchor i's one positive and one negative.  With
+    s = cos/tau, the loss is the sum over anchors of
+    lse(s_p, s_n) - s_p.  The anchor itself never enters its own
+    denominator.  The graph has the same ops for any number of anchors.
     """
-    n = anchors.data.shape[0] if anchors.data.ndim == 2 else 0
+    n = anchors.data.shape[0]
     if n == 0:
         return Tensor(0.0)
-    if len(positives) != n or len(negatives) != n:
-        raise ValueError("need one positive set and one negative set per anchor")
+    if positives.data.shape != anchors.data.shape \
+            or negatives.data.shape != anchors.data.shape:
+        raise ValueError("need one positive row and one negative row per anchor")
     an = T.l2_normalize(anchors)
-    total = Tensor(0.0)
-    for i in range(n):
-        p = positives[i].data.shape[0]
-        if p == 0:
-            raise ValueError(f"anchor {i} has no positives; skip it upstream")
-        row = T.transpose(T.take_rows(an, [i]))  # (d, 1)
-        pn = T.l2_normalize(positives[i])
-        if negatives[i].data.shape[0]:
-            cand = T.concat_rows([pn, T.l2_normalize(negatives[i])])
-        else:
-            cand = pn
-        sims = T.scale(T.matmul(cand, row), 1.0 / tau)  # (p+q, 1)
-        lse = T.tsum(T.log_sum_exp(T.transpose(sims), np.ones(cand.data.shape[0], bool)))
-        mean_pos = T.scale(T.tsum(T.take_rows(sims, np.arange(p))), 1.0 / p)
-        total = T.add(total, T.sub(lse, mean_pos))
-    return total
+    cand = T.l2_normalize(T.concat_rows([positives, negatives]))  # (2n, d)
+    sims = T.scale(T.matmul(an, T.transpose(cand)), 1.0 / tau)  # (n, 2n)
+    rows = np.arange(n)
+    pair = T.take_per_row(sims, np.stack([rows, n + rows], axis=1))  # (n, 2)
+    lse = T.log_sum_exp(pair, np.ones(2, dtype=bool))
+    s_p = T.take_per_row(pair, np.zeros(n, dtype=np.intp))
+    return T.sub(T.tsum(lse), T.tsum(s_p))
 
 
 def triplet_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
@@ -235,14 +229,11 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
     skipped = len(pos_neg.pairs) - len(active)
     if active:
         anchors = T.take_rows(f_in, active)
-        pos_refs = [pos_neg.pairs[i][0] for i in active]
-        neg_refs = [pos_neg.pairs[i][1] for i in active]
+        positives = feat_rows([pos_neg.pairs[i][0] for i in active])
+        negatives = feat_rows([pos_neg.pairs[i][1] for i in active])
         if cfg.method is Method.ER_AML_TRIPLET:
-            l1 = triplet_loss(anchors, feat_rows(pos_refs), feat_rows(neg_refs),
-                              cfg.triplet_margin)
+            l1 = triplet_loss(anchors, positives, negatives, cfg.triplet_margin)
         else:
-            positives = [feat_rows([r]) for r in pos_refs]
-            negatives = [feat_rows([r]) for r in neg_refs]
             l1 = supcon_loss(anchors, positives, negatives, cfg.tau)
         loss = T.scale(l1, cfg.gamma)
     else:

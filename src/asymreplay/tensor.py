@@ -298,8 +298,10 @@ def log_sum_exp(x: Tensor, mask: Sequence[bool]) -> Tensor:
 
 
 def take_per_row(x: Tensor, idx) -> Tensor:
+    """Row i of the output is ``x[i, idx[i]]``: ``idx`` is ``[n]`` (one
+    column per row, output ``[n]``) or ``[n, k]`` (k columns, ``[n, k]``)."""
     idx = np.asarray(idx, dtype=np.intp)
-    rows = np.arange(x.data.shape[0])
+    rows = np.arange(x.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
     out_data = x.data[rows, idx]
 
     def backward(g):

@@ -239,6 +239,25 @@ def test_load_rejects_truncated_header(tmp_path):
         load_buffer_dump(path)
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    buf = ReplayBuffer(3)
+    buf.reservoir_update(np.ones((2, 4), dtype=np.float32), [0, 1])
+    path = tmp_path / "long.bin"
+    buf.dump(path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 7)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_buffer_dump(path)
+
+
+def test_load_rejects_input_dim_too_large_for_a_row(tmp_path):
+    """A row of 2**30 inputs would pass 2 GiB; the header is refused by name
+    before a row dtype is built, even with no rows."""
+    path = tmp_path / "wide.bin"
+    path.write_bytes(BUFFER_DUMP_MAGIC + struct.pack("<III", 1, 0, 2**30))
+    with pytest.raises(ValueError, match="input dim 1073741824 too large"):
+        load_buffer_dump(path)
+
+
 def test_load_rejects_row_count_beyond_the_file(tmp_path):
     """A header claiming 2**24 rows of dim 2**16 (4 TiB) is refused without
     allocating more than the file holds."""

@@ -89,31 +89,57 @@ def test_masked_ce_rejects_empty_set():
 @pytest.mark.parametrize("trial", range(10))
 def test_supcon_value_transcription(trial):
     rng = np.random.default_rng(20 + trial)
-    n, d = 4, 3
-    anchors = rng.standard_normal((n, d)).astype(np.float32)
-    pos = [rng.standard_normal((rng.integers(1, 3), d)).astype(np.float32)
-           for _ in range(n)]
-    neg = [rng.standard_normal((rng.integers(0, 3), d)).astype(np.float32)
-           for _ in range(n)]
+    n, d = 1 + trial % 5, 3
+    anchors, pos, neg = (rng.standard_normal((n, d)).astype(np.float32)
+                         for _ in range(3))
     tau = 0.2
-    got = float(L.supcon_loss(T.Tensor(anchors), [T.Tensor(p) for p in pos],
-                              [T.Tensor(q) for q in neg], tau).data)
-    want = R.ref_supcon(anchors, [list(p) for p in pos],
-                        [list(q) for q in neg], tau)
+    got = float(L.supcon_loss(T.Tensor(anchors), T.Tensor(pos),
+                              T.Tensor(neg), tau).data)
+    want = R.ref_supcon(anchors, [[p] for p in pos], [[q] for q in neg], tau)
     assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_supcon_denominator_monotone_in_negatives():
-    """Adding a negative with positive similarity strictly raises the loss."""
+    """A negative nearer the anchor (higher cosine) strictly raises the
+    loss: the loss is lse(s_p, s_n) - s_p, increasing in s_n."""
     rng = np.random.default_rng(30)
     anchor = rng.standard_normal((1, 4)).astype(np.float32)
-    pos = [T.Tensor(rng.standard_normal((1, 4)).astype(np.float32))]
-    base = float(L.supcon_loss(T.Tensor(anchor), pos,
-                               [T.Tensor(np.zeros((0, 4)))], 0.1).data)
-    near = anchor + 0.01 * rng.standard_normal((1, 4)).astype(np.float32)
-    more = float(L.supcon_loss(T.Tensor(anchor), pos,
-                               [T.Tensor(near)], 0.1).data)
-    assert more > base
+    pos = T.Tensor(rng.standard_normal((1, 4)).astype(np.float32))
+    negs = rng.standard_normal((6, 4)).astype(np.float32)
+    negs[0] = -anchor[0]
+    negs[-1] = anchor[0] + 0.01 * negs[-1]
+    cos = R.ref_l2n(negs) @ R.ref_l2n(anchor)[0]
+    losses = [float(L.supcon_loss(T.Tensor(anchor), pos,
+                                  T.Tensor(negs[[k]]), 0.1).data)
+              for k in np.argsort(cos)]
+    assert all(lo < hi for lo, hi in zip(losses, losses[1:]))
+
+
+def graph_nodes(out):
+    """Number of tensors reachable from ``out`` through recorded parents."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_supcon_graph_size_independent_of_anchor_count():
+    """The batched form builds the same graph for 2 anchors as for 10: no
+    per-anchor subgraphs."""
+    rng = np.random.default_rng(31)
+    sizes = [graph_nodes(L.supcon_loss(*(leaf(rng.standard_normal((n, 4)))
+                                         for _ in range(3)), 0.1))
+             for n in (2, 10)]
+    assert sizes[0] == sizes[1]
+
+
+def test_supcon_rejects_misaligned_rows():
+    a = T.Tensor(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="one positive row"):
+        L.supcon_loss(a, T.Tensor(np.ones((2, 4))), a, 0.1)
 
 
 @pytest.mark.parametrize("trial", range(5))
@@ -483,8 +509,7 @@ def test_grad_supcon_standalone(trial):
     pos = rng.standard_normal((3, 4)).astype(np.float32)
     neg = rng.standard_normal((3, 4)).astype(np.float32)
     a, p, n = leaf(anchors), leaf(pos), leaf(neg)
-    loss = L.supcon_loss(a, [T.take_rows(p, [i]) for i in range(3)],
-                         [T.take_rows(n, [i]) for i in range(3)], 0.2)
+    loss = L.supcon_loss(a, p, n, 0.2)
     loss.backward()
     numeric = R.central_diff(
         lambda ar: R.ref_supcon(ar[0], [[x] for x in ar[1]],

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from asymreplay.cli import EXIT_CONFIG, EXIT_OK, _overrides, build_parser, main
+from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
+                            build_parser, main)
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment)
@@ -365,6 +366,19 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"nonsense_key": 1}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert "nonsense_key" in capsys.readouterr().err
+
+
+def test_cli_exit_code_on_missing_or_truncated_dataset(tmp_path, capsys):
+    """A dataset file that cannot be read is a run failure, not a config
+    error, whether it is missing or truncated."""
+    ds_path = tmp_path / "ds.bin"
+    assert main(["run", "--dataset-path", str(ds_path)]) == EXIT_RUN
+    assert main(["gen-dataset", "--input-dim", "4", "--num-classes", "4",
+                 "--samples-per-class", "20", "--out", str(ds_path)]) == EXIT_OK
+    ds_path.write_bytes(ds_path.read_bytes()[:-10])
+    capsys.readouterr()
+    assert main(["run", "--dataset-path", str(ds_path)]) == EXIT_RUN
+    assert "run failed: truncated payload" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):

@@ -189,6 +189,22 @@ def test_grad_gather_ops(trial):
 
 
 @pytest.mark.parametrize("trial", range(5))
+def test_grad_take_per_row_k_columns(trial):
+    """[n, k] indices gather k columns per row; a column taken twice in a
+    row gets both gradients."""
+    rng = np.random.default_rng(550 + trial)
+    x = rand(rng, 5, 4)
+    idx = rng.integers(0, 4, size=(5, 3))
+    idx[0] = [2, 2, 1]
+    r = rand(rng, 5, 3)
+    got = T.take_per_row(Tensor(x), idx).data
+    assert np.array_equal(got, x[np.arange(5)[:, None], idx])
+    check_grad(lambda ls: T.tsum(T.mul(T.take_per_row(ls[0], idx), Tensor(r))),
+               lambda ar: float((ar[0][np.arange(5)[:, None], idx] * r).sum()),
+               [x], "take_per_row [n, k]")
+
+
+@pytest.mark.parametrize("trial", range(5))
 def test_grad_concat_transpose_rowdot_scale(trial):
     rng = np.random.default_rng(600 + trial)
     a, b = rand(rng, 2, 3), rand(rng, 4, 3)
