@@ -33,8 +33,7 @@ dataset = make_synthetic(
     SyntheticDatasetSpec(input_dim=16, num_classes=10, samples_per_class=NPC,
                          noise_sigma=0.5),
     seed=0)
-stream_cfg = StreamConfig(num_classes=10, classes_per_task=2,
-                          samples_per_class=NPC, batch_size=10, seed=0)
+stream_cfg = StreamConfig(classes_per_task=2, batch_size=10, seed=0)
 
 METHODS = [
     ("er", Method.ER, NegativePolicy.INCOMING_ONLY),

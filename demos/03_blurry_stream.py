@@ -19,9 +19,8 @@ dataset = make_synthetic(
                          noise_sigma=0.3),
     seed=0)
 
-cfg = StreamConfig(num_classes=10, classes_per_task=2, samples_per_class=100,
-                   batch_size=10, mode=StreamMode.BLURRY, seed=0,
-                   target_unique_labels=2.0)
+cfg = StreamConfig(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY,
+                   seed=0, target_unique_labels=2.0)
 
 batches = list(make_stream(dataset, cfg))
 uniques = [len(np.unique(b.labels)) for b in batches]

@@ -25,8 +25,7 @@ dataset = make_synthetic(
     SyntheticDatasetSpec(input_dim=16, num_classes=4, samples_per_class=NPC,
                          noise_sigma=0.5),
     seed=0)
-stream_cfg = StreamConfig(num_classes=4, classes_per_task=2,
-                          samples_per_class=NPC, batch_size=10, seed=0)
+stream_cfg = StreamConfig(classes_per_task=2, batch_size=10, seed=0)
 
 traces = {}
 for name, method in (("er", Method.ER), ("er-ace", Method.ER_ACE)):

@@ -1,7 +1,7 @@
 """Command-line front door: run experiments, sweep method/buffer grids,
 compare reports, and generate dataset files.
 
-Exit codes: 0 success, 1 configuration error, 2 run failure.
+Exit codes: 0 success, 1 bad config or compare input, 2 a run that failed.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 
 from .report import (FIELD_KINDS, ComparisonError, ConfigError,
                      ExperimentConfig, compare, load_report, parse_config,
                      run_experiment)
-from .stream import DatasetParseError, SyntheticDatasetSpec, save_dataset
+from .stream import SyntheticDatasetSpec, save_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,7 +65,9 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     try:
         report = run_experiment(cfg, out_dir=args.out, now=args.timestamp)
-    except (OSError, DatasetParseError) as exc:
+    except Exception as exc:   # the config was checked whole before the run
+        if not isinstance(exc, (OSError, ValueError)):
+            traceback.print_exc()   # an unexpected kind of fault: show where
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
     failed = [e for e in report["seeds"] if e["error"] is not None]
@@ -135,7 +138,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports = [load_report(p) for p in args.reports]
+    reports = []
+    for path in args.reports:
+        try:
+            reports.append(load_report(path))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read report {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     table, rows = compare(reports)
     print(table, end="")
     if args.out:
@@ -145,8 +154,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
-    dataset = ExperimentConfig(**{f.name: getattr(args, f.name)
-                                  for f in _DATASET_FIELDS}).dataset()
+    # no stream is built, and tasks of one class fit any class count
+    dataset = ExperimentConfig(classes_per_task=1, **{
+        f.name: getattr(args, f.name) for f in _DATASET_FIELDS}).dataset()
     try:
         save_dataset(dataset, args.out)
     except OSError as exc:
@@ -202,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ComparisonError, ValueError) as exc:
+    except (ConfigError, ComparisonError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -85,29 +85,36 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {f.name!r} must be one of "
                                   f"{', '.join(choices)}, "
                                   f"got {getattr(self, f.name)!r}")
-        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
-            raise ConfigError("config key 'hidden_sizes' must be a nonempty "
-                              "list of positive integers")
-        if not self.seeds:
-            raise ConfigError("seeds must not be empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("config key 'seeds' must be a nonempty list of "
+                              "non-negative integers")
+        if self.dataset_seed < 0:
+            raise ConfigError("config key 'dataset_seed' must be >= 0")
+        try:
+            stream = self.stream_config(0)
+            self.trainer_config(0)
+            if self.dataset_path is None:
+                stream.check_num_classes(self._synthetic_spec().num_classes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in dataclasses.asdict(self).items()}
 
+    def _synthetic_spec(self) -> SyntheticDatasetSpec:
+        return SyntheticDatasetSpec(**{
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(SyntheticDatasetSpec)})
+
     def dataset(self) -> Dataset:
         if self.dataset_path is not None:
             return load_dataset(self.dataset_path)
-        spec = SyntheticDatasetSpec(**{
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(SyntheticDatasetSpec)})
-        return make_synthetic(spec, self.dataset_seed)
+        return make_synthetic(self._synthetic_spec(), self.dataset_seed)
 
     def stream_config(self, seed: int) -> StreamConfig:
         return StreamConfig(
-            num_classes=self.num_classes,
             classes_per_task=self.classes_per_task,
-            samples_per_class=self.samples_per_class,
             batch_size=self.batch_size,
             mode=StreamMode(self.stream_mode), seed=seed,
             target_unique_labels=self.target_unique_labels,
@@ -186,13 +193,7 @@ def parse_config(path: Optional[str] = None,
         merged.update(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = {k: _coerce(k, v) for k, v in merged.items()}
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**{k: _coerce(k, v) for k, v in merged.items()})
 
 
 def _stderr(values) -> float:
@@ -329,7 +330,7 @@ def write_report_files(report: dict, out_dir: str):
 def load_report(path: str) -> dict:
     with open(path) as fh:
         report = json.load(fh)
-    version = report.get("schema_version")
+    version = report.get("schema_version") if isinstance(report, dict) else None
     if version != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version {version}")
     return report

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,9 +30,8 @@ class StreamMode(enum.Enum):
 
 @dataclass(frozen=True)
 class StreamConfig:
-    num_classes: int
+    """How a dataset is streamed; its classes come from the dataset."""
     classes_per_task: int
-    samples_per_class: int
     batch_size: int = 10
     mode: StreamMode = StreamMode.SPLIT
     seed: int = 0
@@ -42,10 +41,23 @@ class StreamConfig:
     variance_scale: Optional[float] = None
 
     def __post_init__(self):
+        if self.classes_per_task < 1:
+            raise ValueError("classes_per_task must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.mode is StreamMode.SPLIT and self.num_classes % self.classes_per_task:
-            raise ValueError("num_classes must be divisible by classes_per_task")
+        if not (self.target_unique_labels is None
+                or self.target_unique_labels >= 1):
+            raise ValueError("target_unique_labels must be >= 1")
+
+    def check_num_classes(self, num_classes: int):
+        """Refuse a class count this stream cannot partition or reach."""
+        if self.mode is StreamMode.SPLIT and num_classes % self.classes_per_task:
+            raise ValueError(f"num_classes {num_classes} must be divisible "
+                             f"by classes_per_task {self.classes_per_task}")
+        if (self.mode is StreamMode.BLURRY and self.variance_scale is None
+                and (self.target_unique_labels or 1) > num_classes):
+            raise ValueError("target_unique_labels must be <= num_classes "
+                             f"{num_classes}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,9 @@ class SyntheticDatasetSpec:
     test_fraction: float = 0.25
 
     def __post_init__(self):
+        for name in ("input_dim", "num_classes", "samples_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -72,20 +87,19 @@ class LabeledBatch:
 
 @dataclass
 class Dataset:
+    """Splits over labels ``0..num_classes-1``; a class may have no rows in
+    a split.  Streams, model and evaluation take the class count from here."""
     train_x: np.ndarray
     train_y: np.ndarray
     val_x: np.ndarray
     val_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
+    num_classes: int
 
     @property
     def input_dim(self) -> int:
         return self.train_x.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.train_y.max()) + 1 if len(self.train_y) else 0
 
     def train_count_per_class(self) -> np.ndarray:
         return np.bincount(self.train_y, minlength=self.num_classes)
@@ -160,7 +174,7 @@ def make_synthetic(spec: SyntheticDatasetSpec, seed: int) -> Dataset:
         for (xs, _), n, part in zip(splits, counts, parts):
             xs[c * n:(c + 1) * n] = part      # float32 cast on store
     (tx, ty), (vx, vy), (sx, sy) = splits
-    return Dataset(tx, ty, vx, vy, sx, sy)
+    return Dataset(tx, ty, vx, vy, sx, sy, spec.num_classes)
 
 
 def _task_maps(num_classes: int, classes_per_task: int):
@@ -175,8 +189,10 @@ def split_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
     """Disjoint tasks in ascending class order, one pass, shuffled within."""
     if cfg.mode is not StreamMode.SPLIT:
         raise ValueError("split_stream requires SPLIT mode")
+    cfg.check_num_classes(dataset.num_classes)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
-    task_of_class, classes_of_task = _task_maps(cfg.num_classes, cfg.classes_per_task)
+    task_of_class, classes_of_task = _task_maps(dataset.num_classes,
+                                                cfg.classes_per_task)
     order, starts, boundaries = [], [], []
     n_streamed = 0
     for t in sorted(classes_of_task):
@@ -308,9 +324,6 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
 
 def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float) -> Stream:
     """Blurry stream calibrated to a requested unique-labels-per-batch level."""
-    if not (1.0 <= level <= dataset.num_classes):
-        raise ValueError(f"unattainable blurriness level {level}")
-    from dataclasses import replace
     return blurry_stream(dataset, replace(cfg, mode=StreamMode.BLURRY,
                                           target_unique_labels=float(level),
                                           variance_scale=None))
@@ -390,4 +403,4 @@ def load_dataset(path) -> Dataset:
         if fh.read(1):
             raise DatasetParseError("trailing bytes after payload", fh.tell() - 1)
     (tx, ty), (vx, vy), (sx, sy) = splits
-    return Dataset(tx, ty, vx, vy, sx, sy)
+    return Dataset(tx, ty, vx, vy, sx, sy, num_classes)

@@ -35,8 +35,18 @@ class TrainerConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
+        if self.rehearsal_batch_size < 0:
+            raise ValueError("rehearsal_batch_size must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must be a nonempty list of "
+                             "positive integers")
+        if not (self.head_tau is None
+                or (np.isfinite(self.head_tau) and self.head_tau > 0)):
+            raise ValueError("head_tau must be finite and positive")
 
 
 class RunAbort(RuntimeError):

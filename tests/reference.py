@@ -196,7 +196,7 @@ def ref_split_batches(dataset, cfg):
     permutation of each task's training rows, cut into batches."""
     from asymreplay.stream import _task_maps
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
-    _, classes_of_task = _task_maps(cfg.num_classes, cfg.classes_per_task)
+    _, classes_of_task = _task_maps(dataset.num_classes, cfg.classes_per_task)
     batches = []
     for t in sorted(classes_of_task):
         idx = np.where(np.isin(dataset.train_y, classes_of_task[t]))[0]

@@ -39,11 +39,10 @@ def _bench_dataset(num_classes):
         seed=0)
 
 
-def _bench_run(dataset, num_classes, method, seed, capacity=20,
+def _bench_run(dataset, method, seed, capacity=20,
                policy=L.NegativePolicy.INCOMING_ONLY,
                hidden=(64, 32), lr=0.05, gamma=2.0):
-    scfg = S.StreamConfig(num_classes=num_classes, classes_per_task=2,
-                          samples_per_class=NPC, batch_size=10, seed=seed)
+    scfg = S.StreamConfig(classes_per_task=2, batch_size=10, seed=seed)
     tcfg = TR.TrainerConfig(
         loss=L.LossConfig(method=method, gamma=gamma, tau=0.2,
                           negative_policy=policy),
@@ -66,13 +65,13 @@ def five_task_runs():
     ds = _bench_dataset(10)
     out = {}
     for cap in (20, 100, 500):
-        out[("er", cap)] = [_bench_run(ds, 10, L.Method.ER, s, cap)
+        out[("er", cap)] = [_bench_run(ds, L.Method.ER, s, cap)
                             for s in SEEDS]
-        out[("er-ace", cap)] = [_bench_run(ds, 10, L.Method.ER_ACE, s, cap)
+        out[("er-ace", cap)] = [_bench_run(ds, L.Method.ER_ACE, s, cap)
                                 for s in SEEDS]
     for tag, pol in (("aml-in", L.NegativePolicy.INCOMING_ONLY),
                      ("aml-all", L.NegativePolicy.ALL_CLASSES)):
-        out[(tag, 20)] = [_bench_run(ds, 10, L.Method.ER_AML_SUPCON, s, 20,
+        out[(tag, 20)] = [_bench_run(ds, L.Method.ER_AML_SUPCON, s, 20,
                                      policy=pol) for s in SEEDS]
     return out
 
@@ -305,7 +304,7 @@ def test_criterion_07_current_task_ordering():
     cur = {}
     for tag, method in (("er", L.Method.ER), ("er-ace", L.Method.ER_ACE),
                         ("ssil", L.Method.SSIL_NODISTILL)):
-        runs = [_bench_run(ds, 10, method, s, hidden=(128, 128, 64),
+        runs = [_bench_run(ds, method, s, hidden=(128, 128, 64),
                            lr=0.07, gamma=1.0) for s in SEEDS]
         cur[tag] = np.array([np.nanmean(r.log.current_task_accuracy)
                              for r in runs])
@@ -325,7 +324,7 @@ def test_criterion_08_boundary_gradient_spike():
     ds = _bench_dataset(4)
 
     def window_norm(method, seed):
-        r = _bench_run(ds, 4, method, seed)
+        r = _bench_run(ds, method, seed)
         g = np.array(r.log.grad_norm_trace)
         b = len(g) // 2   # the single task boundary
         return float(np.mean(g[b:b + 20]))
@@ -351,9 +350,8 @@ def test_criterion_09_blurry_calibration():
         vals = []
         for seed in (0, 1, 2):
             st = S.make_stream(ds, S.StreamConfig(
-                num_classes=10, classes_per_task=2, samples_per_class=500,
-                batch_size=10, mode=S.StreamMode.BLURRY, seed=seed,
-                target_unique_labels=cfg))
+                classes_per_task=2, batch_size=10, mode=S.StreamMode.BLURRY,
+                seed=seed, target_unique_labels=cfg))
             vals.extend(len(np.unique(b.labels)) for b in st)
         return float(np.mean(vals))
 
@@ -384,8 +382,7 @@ def test_criterion_10_metric_arithmetic():
         S.SyntheticDatasetSpec(input_dim=4, num_classes=4,
                                samples_per_class=50, noise_sigma=0.3),
         seed=0)
-    scfg = S.StreamConfig(num_classes=4, classes_per_task=2,
-                          samples_per_class=50, batch_size=5, seed=0)
+    scfg = S.StreamConfig(classes_per_task=2, batch_size=5, seed=0)
     tcfg = TR.TrainerConfig(loss=L.LossConfig(method=L.Method.ER), lr=0.05,
                             rehearsal_batch_size=5, eval_every=10,
                             buffer_capacity=8, hidden_sizes=(8, 4), seed=0)

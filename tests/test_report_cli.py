@@ -92,7 +92,7 @@ def test_config_to_trainer_and_stream():
     tcfg = cfg.trainer_config(seed=7)
     assert tcfg.seed == 7 and tcfg.loss.gamma == 1.5
     scfg = cfg.stream_config(seed=7)
-    assert scfg.num_classes == 4 and scfg.seed == 7
+    assert scfg.seed == 7
 
 
 def test_invalid_enum_value_rejected_by_name(tmp_path):
@@ -379,6 +379,109 @@ def test_cli_exit_code_on_missing_or_truncated_dataset(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--dataset-path", str(ds_path)]) == EXIT_RUN
     assert "run failed: truncated payload" in capsys.readouterr().err
+
+
+def gen_dataset(path, num_classes, samples_per_class):
+    assert main(["gen-dataset", "--input-dim", "4",
+                 "--num-classes", str(num_classes),
+                 "--samples-per-class", str(samples_per_class),
+                 "--out", str(path)]) == EXIT_OK
+
+
+def test_dataset_file_sets_the_class_count(tmp_path, monkeypatch):
+    """A 10-class file run with --num-classes 4 streams every training
+    row of the file exactly once, over 5 tasks."""
+    from asymreplay import trainer as TR
+    streams = []
+    make_stream = TR.make_stream
+
+    def recording_make_stream(dataset, cfg):
+        streams.append(make_stream(dataset, cfg))
+        return streams[-1]
+
+    monkeypatch.setattr(TR, "make_stream", recording_make_stream)
+    ds_path = tmp_path / "ds10.bin"
+    gen_dataset(ds_path, 10, 20)
+    assert main(["run", "--dataset-path", str(ds_path), "--num-classes", "4",
+                 "--hidden-sizes", "8", "--timestamp", "T0"]) == EXIT_OK
+    (stream,) = streams
+    n_train = len(load_dataset(str(ds_path)).train_y)
+    assert n_train == 200
+    assert sorted(stream.order.tolist()) == list(range(n_train))
+    assert stream.num_tasks == 5
+
+
+def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
+    """A 4-class file at the default num_classes of 10 streams 2 tasks, and
+    writes the metadata that --num-classes 4 writes."""
+    ds_path = tmp_path / "ds4.bin"
+    gen_dataset(ds_path, 4, 50)
+    written = []
+    for extra in ([], ["--num-classes", "4"]):
+        out = tmp_path / f"run{len(written)}"
+        assert main(["run", "--dataset-path", str(ds_path), *extra,
+                     "--timestamp", "T0", "--out", str(out)]) == EXIT_OK
+        written.append((out / "stream_metadata.json").read_bytes())
+    meta = json.loads(written[0])
+    assert meta["task_of_class"] == {"0": 0, "1": 0, "2": 1, "3": 1}
+    assert meta["boundaries"] == [0, 10]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("key,value,mode", [
+    ("classes_per_task", "0", "split"),
+    ("classes_per_task", "3", "split"),
+    ("rehearsal_batch_size", "-1", "split"),
+    ("buffer_capacity", "0", "split"),
+    ("head_tau", "0", "split"),
+    ("input_dim", "0", "split"),
+    ("num_classes", "0", "split"),
+    ("samples_per_class", "0", "split"),
+    ("seeds", "-1", "split"),
+    ("dataset_seed", "-1", "split"),
+    ("target_unique_labels", "0.5", "blurry"),
+    ("target_unique_labels", "11", "blurry"),
+])
+def test_bad_config_value_exits_1_before_the_dataset(key, value, mode,
+                                                     monkeypatch, capsys):
+    from asymreplay import report as RP
+    from asymreplay import stream as S
+    built = []
+    for module in (S, RP):
+        monkeypatch.setattr(module, "make_synthetic",
+                            lambda *a: built.append(a), raising=False)
+    code = main(["run", "--samples-per-class", "20", "--hidden-sizes", "8",
+                 "--stream-mode", mode, f"--{key.replace('_', '-')}={value}"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert built == []
+
+
+def test_fault_during_the_run_exits_2(monkeypatch, capsys):
+    from asymreplay import trainer as TR
+
+    def faulty_step(*args):
+        raise ValueError("fault inside train_step")
+
+    monkeypatch.setattr(TR, "train_step", faulty_step)
+    assert main(["run", *cli_small_args()]) == EXIT_RUN
+    assert "run failed: fault inside train_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_cli_compare_unreadable_report_exits_1(content, small_report,
+                                               tmp_path, capsys):
+    """A missing, non-JSON or non-report file gives one line naming it."""
+    _, out = small_report
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    assert main(["compare", str(out / "report.json"), str(bad)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read report {bad}:")
+    assert err.count("\n") == 1
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):

@@ -21,15 +21,15 @@ def spec(**kw):
 
 
 def split_cfg(**kw):
-    base = dict(num_classes=4, classes_per_task=2, samples_per_class=30,
-                batch_size=10, mode=StreamMode.SPLIT, seed=0)
+    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.SPLIT,
+                seed=0)
     base.update(kw)
     return StreamConfig(**base)
 
 
 def blurry_cfg(**kw):
-    base = dict(num_classes=4, classes_per_task=2, samples_per_class=30,
-                batch_size=10, mode=StreamMode.BLURRY, seed=0)
+    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY,
+                seed=0)
     base.update(kw)
     return StreamConfig(**base)
 
@@ -155,8 +155,7 @@ def test_split_stream_matches_copying_reference(seed, samples_per_class,
     """Bit-identical batches to the copy-per-batch builder, including tasks
     whose size batch_size does not divide (a short last batch per task)."""
     ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
-    cfg = split_cfg(samples_per_class=samples_per_class,
-                    batch_size=batch_size, seed=seed)
+    cfg = split_cfg(batch_size=batch_size, seed=seed)
     st = S.split_stream(ds, cfg)
     want = ref_tuples(R.ref_split_batches(ds, cfg))
     assert batch_tuples(st) == want
@@ -169,8 +168,7 @@ def test_split_stream_matches_copying_reference(seed, samples_per_class,
 def test_blurry_stream_matches_copying_reference(seed, samples_per_class,
                                                  batch_size, scale):
     ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
-    cfg = blurry_cfg(samples_per_class=samples_per_class,
-                     batch_size=batch_size, seed=seed,
+    cfg = blurry_cfg(batch_size=batch_size, seed=seed,
                      target_unique_labels=None, variance_scale=scale)
     st = S.blurry_stream(ds, cfg)
     want = ref_tuples(R.ref_blurry_batches(ds, cfg, scale))
@@ -180,7 +178,7 @@ def test_blurry_stream_matches_copying_reference(seed, samples_per_class,
 
 def test_calibrated_blurry_stream_matches_copying_reference():
     ds = S.make_synthetic(spec(samples_per_class=27), seed=2)
-    cfg = blurry_cfg(samples_per_class=27, seed=2)
+    cfg = blurry_cfg(seed=2)
     scale = S.calibrate_variance_scale(ds.train_count_per_class(),
                                        cfg.batch_size, cfg.target_unique_labels)
     want = ref_tuples(R.ref_blurry_batches(ds, cfg, scale))
@@ -188,9 +186,8 @@ def test_calibrated_blurry_stream_matches_copying_reference():
 
 
 @pytest.mark.parametrize("make,cfg", [
-    (S.split_stream, split_cfg(samples_per_class=27, seed=3)),
-    (S.blurry_stream, blurry_cfg(samples_per_class=27, seed=3,
-                                 target_unique_labels=None,
+    (S.split_stream, split_cfg(seed=3)),
+    (S.blurry_stream, blurry_cfg(seed=3, target_unique_labels=None,
                                  variance_scale=1.0))])
 def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     ds = S.make_synthetic(spec(samples_per_class=27), seed=0)
@@ -205,8 +202,9 @@ def test_stream_passes_repeat_and_batches_are_private(make, cfg):
 
 
 def test_split_requires_divisible_classes():
+    ds = S.make_synthetic(spec(num_classes=5), seed=0)
     with pytest.raises(ValueError):
-        split_cfg(num_classes=5, classes_per_task=2)
+        S.split_stream(ds, split_cfg(classes_per_task=2))
 
 
 def test_task_maps_consistent():
@@ -269,7 +267,7 @@ def test_calibration_rejects_unattainable_target():
 def test_blurriness_sweep_levels():
     ds = S.make_synthetic(spec(input_dim=4, num_classes=10,
                                samples_per_class=50), seed=0)
-    cfg = blurry_cfg(num_classes=10, samples_per_class=50)
+    cfg = blurry_cfg()
     for level in (1.0, 3.0):
         st = S.blurriness_sweep(ds, cfg, level)
         uniques = [len(np.unique(b.labels)) for b in st]
@@ -306,6 +304,22 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(ds.test_y, back.test_y)
 
 
+def test_round_trip_keeps_a_class_without_training_rows(tmp_path):
+    """The class count is the header's, not the largest training label."""
+    x = np.arange(12, dtype=np.float32).reshape(6, 2)
+    y = np.array([0, 1, 2, 0, 1, 2], dtype=np.intp)
+    ds = Dataset(x[:2], y[:2], x[2:4], y[2:4], x[4:], y[4:], num_classes=3)
+    path = tmp_path / "ds.bin"
+    S.save_dataset(ds, path)
+    back = S.load_dataset(path)
+    assert back.num_classes == 3
+    assert list(back.train_count_per_class()) == [1, 1, 0]
+    for name in ("train", "val", "test"):
+        for part in ("x", "y"):
+            a, b = (getattr(d, f"{name}_{part}") for d in (ds, back))
+            assert a.tobytes() == b.tobytes()
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WHAT" + b"\x00" * 40)
@@ -330,7 +344,8 @@ def test_load_reports_truncation_offset(tmp_path):
 def test_load_rejects_out_of_range_label(tmp_path):
     ds = Dataset(np.zeros((1, 2), dtype=np.float32), np.array([0]),
                  np.zeros((0, 2), dtype=np.float32), np.zeros(0, dtype=np.intp),
-                 np.zeros((0, 2), dtype=np.float32), np.zeros(0, dtype=np.intp))
+                 np.zeros((0, 2), dtype=np.float32), np.zeros(0, dtype=np.intp),
+                 num_classes=1)
     path = tmp_path / "label.bin"
     S.save_dataset(ds, path)
     data = bytearray(path.read_bytes())

@@ -17,8 +17,7 @@ def tiny_setup(method=L.Method.ER_ACE, seed=0, **trainer_kw):
     ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
                                              samples_per_class=20,
                                              noise_sigma=0.3), seed=0)
-    scfg = StreamConfig(num_classes=4, classes_per_task=2,
-                        samples_per_class=20, batch_size=5,
+    scfg = StreamConfig(classes_per_task=2, batch_size=5,
                         mode=StreamMode.SPLIT, seed=seed)
     kw = dict(loss=L.LossConfig(method=method), lr=0.05,
               rehearsal_batch_size=5, eval_every=4, buffer_capacity=8,
@@ -208,8 +207,7 @@ def test_run_learns_separable_data():
     ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
                                              samples_per_class=200,
                                              noise_sigma=0.3), seed=0)
-    scfg = StreamConfig(num_classes=4, classes_per_task=2,
-                        samples_per_class=200, batch_size=5,
+    scfg = StreamConfig(classes_per_task=2, batch_size=5,
                         mode=StreamMode.SPLIT, seed=0)
     tcfg = TR.TrainerConfig(loss=L.LossConfig(method=L.Method.ER_ACE),
                             lr=0.05, rehearsal_batch_size=5, eval_every=20,
