@@ -94,7 +94,7 @@ def masked_ce(logits: Tensor, labels, class_set) -> Tensor:
     except KeyError as exc:
         raise ValueError(f"target class {exc} outside admissible set") from None
     sub = T.take_columns(logits, cols)
-    lse = T.log_sum_exp(sub, np.ones(cols.size, dtype=bool))
+    lse = T.log_sum_exp(sub)
     tgt = T.take_per_row(sub, mapped)
     return T.sub(T.tsum(lse), T.tsum(tgt))
 
@@ -120,7 +120,7 @@ def supcon_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
     sims = T.scale(T.matmul(an, T.transpose(cand)), 1.0 / tau)  # (n, 2n)
     rows = np.arange(n)
     pair = T.take_per_row(sims, np.stack([rows, n + rows], axis=1))  # (n, 2)
-    lse = T.log_sum_exp(pair, np.ones(2, dtype=bool))
+    lse = T.log_sum_exp(pair)
     s_p = T.take_per_row(pair, np.zeros(n, dtype=np.intp))
     return T.sub(T.tsum(lse), T.tsum(s_p))
 

@@ -8,17 +8,12 @@ not yet appeared in the stream exist from step 0 with random init.
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-CHECKPOINT_MAGIC = b"ARCK"
-CHECKPOINT_VERSION = 1
-
 
 class FeatureExtractor:
     """Fully connected net with relu between layers, none after the last."""
@@ -148,38 +143,3 @@ def forward_flops_per_sample(model: ModelParams, with_head: bool = True) -> int:
         total += 3 * d + 1          # feature normalization
         total += 2 * d * c + c      # prototype matmul + temperature scale
     return total
-
-
-def save_checkpoint(model: ModelParams, path):
-    """Versioned little-endian binary layout for reproducibility snapshots."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        sizes = model.extractor.sizes
-        fh.write(struct.pack("<I", len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<I", model.head.num_classes))
-        fh.write(struct.pack("<d", model.head.tau))
-        for p in model.parameters():
-            fh.write(p.data.astype("<f4").tobytes())
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n_sizes,) = struct.unpack("<I", fh.read(4))
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        (num_classes,) = struct.unpack("<I", fh.read(4))
-        (tau,) = struct.unpack("<d", fh.read(8))
-        model = init_params(sizes, num_classes, tau, seed=0)
-        for p in model.parameters():
-            raw = fh.read(4 * p.data.size)
-            if len(raw) != 4 * p.data.size:
-                raise ValueError("truncated checkpoint payload")
-            p.data = np.frombuffer(raw, dtype="<f4").reshape(p.data.shape).copy()
-    return model

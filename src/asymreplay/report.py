@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from . import metrics as M
 from .losses import LossConfig, Method, NegativePolicy
 from .stream import (Dataset, StreamConfig, StreamMode, SyntheticDatasetSpec,
                      load_dataset, make_synthetic)
@@ -333,12 +332,16 @@ def load_report(path: str) -> dict:
     version = report.get("schema_version") if isinstance(report, dict) else None
     if version != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version {version}")
+    for key in ("config", "aggregates"):
+        if not isinstance(report.get(key), dict):
+            raise ValueError(f"report has no {key!r} object")
     return report
 
 
-_STREAM_KEYS = ("dataset_path", "input_dim", "num_classes", "samples_per_class",
-                "noise_sigma", "mean_radius", "val_fraction", "test_fraction",
-                "dataset_seed", "classes_per_task", "batch_size", "stream_mode")
+_STREAM_KEYS = ("dataset_path", "classes_per_task", "batch_size", "stream_mode")
+# the synthetic dataset; a dataset_path run ignores these keys
+_SYNTHETIC_KEYS = (*(f.name for f in dataclasses.fields(SyntheticDatasetSpec)),
+                   "dataset_seed")
 # the schedule of a blurry stream; split streams ignore these keys
 _BLURRY_KEYS = ("target_unique_labels", "variance_scale")
 
@@ -353,7 +356,9 @@ def compare(reports: Sequence[dict]):
     if len(reports) < 2:
         raise ComparisonError("need at least two reports to compare")
     base = reports[0]["config"]
-    keys = _STREAM_KEYS + (_BLURRY_KEYS if base["stream_mode"] == "blurry" else ())
+    keys = (_STREAM_KEYS
+            + (_SYNTHETIC_KEYS if base["dataset_path"] is None else ())
+            + (_BLURRY_KEYS if base["stream_mode"] == "blurry" else ()))
     for rep in reports[1:]:
         diffs = [k for k in keys if rep["config"][k] != base[k]]
         if diffs:

@@ -97,6 +97,14 @@ class Dataset:
     test_y: np.ndarray
     num_classes: int
 
+    def __post_init__(self):
+        for split in ("train", "val", "test"):
+            y = np.asarray(getattr(self, f"{split}_y"))
+            bad = y[(y < 0) | (y >= self.num_classes)]
+            if bad.size:
+                raise ValueError(f"{split} label {bad[0]} outside "
+                                 f"0..{self.num_classes - 1}")
+
     @property
     def input_dim(self) -> int:
         return self.train_x.shape[1]
@@ -128,10 +136,6 @@ class Stream:
 
     def __len__(self):
         return len(self.starts)
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.classes_of_task)
 
     def metadata(self) -> dict:
         return {

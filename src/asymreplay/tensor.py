@@ -29,10 +29,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-class InvalidMaskError(ValueError):
-    """Raised when a masked reduction is given an all-false mask."""
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -42,10 +38,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -92,29 +84,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar -----------------------------------------------------
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
 
 
 def _make(data, parents, backward):
@@ -229,6 +198,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+# No caller in the package: it stays while perfbench's TENSOR_OPS wraps it by name.
 def tmean(a: Tensor) -> Tensor:
     return scale(tsum(a), 1.0 / a.data.size)
 
@@ -271,28 +241,25 @@ def l2_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def log_sum_exp(x: Tensor, mask: Sequence[bool]) -> Tensor:
-    """Row-wise log-sum-exp over the columns selected by ``mask``.
+def log_sum_exp(x: Tensor) -> Tensor:
+    """Row-wise log-sum-exp over all columns of ``x[n, c]``.
 
-    Masked-out columns are excluded from the sum outright, so their values
-    can never influence the output or any gradient.
+    Callers exclude classes by slicing columns away before this reduction
+    (``losses.masked_ce``), so an excluded column never reaches it.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 2 or mask.shape != (x.data.shape[1],):
-        raise ValueError("log_sum_exp expects x[n,c] and mask of length c")
-    if not mask.any():
-        raise InvalidMaskError("log_sum_exp mask selects no columns")
-    sel = x.data[:, mask].astype(np.float64)
-    m = np.max(sel, axis=1, keepdims=True)
-    ex = np.exp(sel - m)
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
+        raise ValueError(
+            f"log_sum_exp expects x[n, c] with c >= 1, got shape {x.data.shape}"
+        )
+    x64 = x.data.astype(np.float64)
+    m = np.max(x64, axis=1, keepdims=True)
+    ex = np.exp(x64 - m)
     out_data = (m[:, 0] + np.log(np.sum(ex, axis=1))).astype(np.float32)
 
     def backward(g):
         if x.requires_grad:
             soft = ex / np.sum(ex, axis=1, keepdims=True)
-            gx = np.zeros_like(x.data)
-            gx[:, mask] = (soft * g[:, None]).astype(np.float32)
-            x._accumulate(gx)
+            x._accumulate(soft * g[:, None])
 
     return _make(out_data, (x,), backward)
 

@@ -1,4 +1,4 @@
-"""Feature extractor, cosine-prototype head, checkpoints, FLOPs counts."""
+"""Feature extractor, cosine-prototype head, FLOPs counts."""
 
 import numpy as np
 import pytest
@@ -125,24 +125,6 @@ def test_forward_flops_full_formula():
     expected = (2 * 5 * 7 + 7) + 7 + (2 * 7 * 3 + 3)       # layers + relu
     expected += (3 * 3 + 1) + (2 * 3 * 4 + 4)              # norm + head
     assert net.forward_flops_per_sample(model) == expected
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = net.init_params([6, 5, 4], 3, 0.17, seed=9)
-    path = tmp_path / "model.ck"
-    net.save_checkpoint(model, path)
-    loaded = net.load_checkpoint(path)
-    assert loaded.extractor.sizes == model.extractor.sizes
-    assert loaded.head.tau == model.head.tau
-    for pa, pb in zip(model.parameters(), loaded.parameters()):
-        assert pa.data.tobytes() == pb.data.tobytes()
-
-
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.ck"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        net.load_checkpoint(path)
 
 
 def test_regression_fixture_two_layer_forward():

@@ -408,7 +408,7 @@ def test_dataset_file_sets_the_class_count(tmp_path, monkeypatch):
     n_train = len(load_dataset(str(ds_path)).train_y)
     assert n_train == 200
     assert sorted(stream.order.tolist()) == list(range(n_train))
-    assert stream.num_tasks == 5
+    assert len(stream.classes_of_task) == 5
 
 
 def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
@@ -482,6 +482,38 @@ def test_cli_compare_unreadable_report_exits_1(content, small_report,
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read report {bad}:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("missing", ["config", "aggregates"])
+def test_cli_compare_report_without_section_exits_1(missing, small_report,
+                                                    tmp_path, capsys):
+    """A report of the right schema but without a section compare reads
+    is refused by name, not with a traceback."""
+    report, out = small_report
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({k: v for k, v in report.items() if k != missing}))
+    with pytest.raises(ValueError, match=f"no '{missing}' object"):
+        load_report(str(bad))
+    assert main(["compare", str(out / "report.json"), str(bad)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read report {bad}:") and missing in err
+
+
+def test_cli_compare_accepts_runs_of_one_dataset_file(tmp_path, capsys):
+    """The synthetic dataset keys a file run ignores do not make two runs
+    of the same file incomparable."""
+    ds_path = tmp_path / "ds4.bin"
+    gen_dataset(ds_path, 4, 20)
+    outs = [tmp_path / "run0", tmp_path / "run1"]
+    for out, extra in zip(outs, ([], ["--num-classes", "4"])):
+        assert main(["run", "--dataset-path", str(ds_path), *extra,
+                     "--hidden-sizes", "8", "--timestamp", "T0",
+                     "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["compare", *(str(o / "report.json") for o in outs)]) \
+        == EXIT_OK
+    assert capsys.readouterr().out.count("er-ace") == 2
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):

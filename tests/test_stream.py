@@ -109,7 +109,7 @@ def test_split_stream_task_order_and_boundaries():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.split_stream(ds, split_cfg())
     batches = list(st)
-    assert st.num_tasks == 2
+    assert len(st.classes_of_task) == 2
     assert st.boundaries == [0, 6]           # 60 samples per task / 10
     assert len(st) == len(batches) == 12
     for b in batches[:6]:
@@ -318,6 +318,17 @@ def test_round_trip_keeps_a_class_without_training_rows(tmp_path):
         for part in ("x", "y"):
             a, b = (getattr(d, f"{name}_{part}") for d in (ds, back))
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("split,label", [("train", 3), ("val", -1),
+                                         ("test", 2)])
+def test_dataset_rejects_label_outside_its_classes(split, label):
+    """A dataset holds no label that its own file format would refuse."""
+    x = np.zeros((2, 2), dtype=np.float32)
+    ys = {name: np.array([0, 1]) for name in ("train", "val", "test")}
+    ys[split] = np.array([0, label])
+    with pytest.raises(ValueError, match=f"{split} label {label} outside 0..1"):
+        Dataset(x, ys["train"], x, ys["val"], x, ys["test"], num_classes=2)
 
 
 def test_load_rejects_bad_magic(tmp_path):
