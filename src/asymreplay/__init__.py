@@ -10,7 +10,7 @@ streams, and a full metric suite with analytic FLOPs/memory ledgers.
 __version__ = "0.1.0"
 
 from .buffer import ReplayBuffer
-from .losses import ClassIndexSets, LossConfig, Method, NegativePolicy
+from .losses import LossConfig, Method, NegativePolicy
 from .network import ModelParams, init_params, predict
 from .stream import (Dataset, LabeledBatch, Stream, StreamConfig, StreamMode,
                      SyntheticDatasetSpec, blurriness_sweep, blurry_stream,
@@ -22,7 +22,7 @@ from .report import (ComparisonError, ConfigError, ExperimentConfig, compare,
                      load_report, parse_config, run_experiment)
 
 __all__ = [
-    "ReplayBuffer", "ClassIndexSets", "LossConfig", "Method", "NegativePolicy",
+    "ReplayBuffer", "LossConfig", "Method", "NegativePolicy",
     "ModelParams", "init_params", "predict", "Dataset", "LabeledBatch",
     "Stream", "StreamConfig", "StreamMode", "SyntheticDatasetSpec",
     "blurriness_sweep", "blurry_stream", "load_dataset", "make_stream",

@@ -103,7 +103,7 @@ class ReplayBuffer:
         pos_buf = y_in[:, None] == buf_labels[None, :]
         neg_buf = ~pos_buf
         if policy is NegativePolicy.INCOMING_ONLY:
-            neg_buf &= np.isin(buf_labels, y_in)
+            neg_buf &= pos_buf.any(axis=0)   # slots of a class in the batch
         neg = np.concatenate([y_in[:, None] != y_in[None, :], neg_buf], axis=1)
         pairs: list = []
         used_slots: list[int] = []

@@ -145,7 +145,11 @@ def _cmd_compare(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot read report {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    table, rows = compare(reports)
+    try:
+        table, rows = compare(reports)
+    except ComparisonError as exc:
+        print(f"cannot compare: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(table, end="")
     if args.out:
         with open(args.out, "w") as fh:
@@ -212,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ComparisonError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,9 +1,10 @@
 """Loss regimes for replay training.
 
-The shared primitive is a class-masked cross-entropy whose denominator is
-restricted to an admissible class set by exact exclusion (masked-out
-classes are sliced away before the log-sum-exp, so they can never leak
-value or gradient).  On top of it sit the method compositions: plain
+Every class set is a ``bool[num_classes]`` mask indexed by label.  The
+shared primitive is a class-masked cross-entropy whose denominator runs
+over the classes its mask admits, by exact exclusion (masked-out columns
+are sliced away before the log-sum-exp, so they can never leak value or
+gradient).  On top of it sit the method compositions: plain
 replay (ER), asymmetric cross-entropy (ER-ACE), asymmetric metric
 learning with a contrastive or triplet incoming loss (ER-AML), and a
 doubly-masked ablation in the style of SS-IL without distillation.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,19 +52,11 @@ class LossConfig:
             raise ValueError("triplet_margin must be finite and positive")
 
 
-@dataclass(frozen=True)
-class ClassIndexSets:
-    """Admissible class sets derived from the batch, never a task oracle."""
-
-    c_all: frozenset
-    c_curr: frozenset
-    c_old: frozenset
-
-    @classmethod
-    def derive(cls, batch_labels, observed: Sequence[int], num_classes: int):
-        c_curr = frozenset(int(c) for c in np.unique(batch_labels))
-        c_old = frozenset(int(c) for c in observed) - c_curr
-        return cls(c_all=frozenset(range(num_classes)), c_curr=c_curr, c_old=c_old)
+def class_masks(batch_labels, seen: np.ndarray):
+    """(curr, old) masks derived from the batch, never a task oracle:
+    the batch's classes, and the ``seen`` classes outside the batch."""
+    curr = np.bincount(batch_labels, minlength=seen.size) > 0
+    return curr, seen & ~curr
 
 
 @dataclass
@@ -78,24 +70,29 @@ class LossOutput:
     skipped_anchors: int = 0
 
 
-def masked_ce(logits: Tensor, labels, class_set) -> Tensor:
-    """Cross-entropy whose softmax runs over ``class_set`` only.
+def masked_ce(logits: Tensor, labels, mask) -> Tensor:
+    """Cross-entropy whose softmax runs over the classes ``mask`` admits.
 
-    Summed over samples.  Gradient w.r.t. logits of classes outside the
-    set is exactly zero, by construction.
+    ``mask`` is ``bool[num_classes]``, one entry per logit column.  Summed
+    over samples.  Gradient w.r.t. logits of classes outside the mask is
+    exactly zero, by construction.
     """
-    cols = np.array(sorted(class_set), dtype=np.intp)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != logits.data.shape[1:]:
+        raise ValueError("masked_ce needs one mask entry per logit column")
+    cols = np.flatnonzero(mask)
     if cols.size == 0:
-        raise ValueError("masked_ce needs a nonempty class set")
+        raise ValueError("masked_ce needs a nonempty class mask")
     labels = np.asarray(labels, dtype=np.intp)
-    col_of = {int(c): i for i, c in enumerate(cols)}
-    try:
-        mapped = np.array([col_of[int(c)] for c in labels], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"target class {exc} outside admissible set") from None
+    in_range = (labels >= 0) & (labels < mask.size)
+    admitted = in_range & mask[np.where(in_range, labels, 0)]
+    if not admitted.all():
+        raise ValueError(f"target class {labels[~admitted][0]} "
+                         "outside admissible set")
     sub = T.take_columns(logits, cols)
     lse = T.log_sum_exp(sub)
-    tgt = T.take_per_row(sub, mapped)
+    # label -> its column in ``sub``
+    tgt = T.take_per_row(sub, (np.cumsum(mask) - 1)[labels])
     return T.sub(T.tsum(lse), T.tsum(tgt))
 
 
@@ -151,7 +148,7 @@ def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
     loss is identical either way) so that on a first task the computation
     coincides float-for-float with the asymmetric variant.
     """
-    c_all = range(model.head.num_classes)
+    c_all = np.ones(model.head.num_classes, dtype=bool)
     f_in, lg_in = _forward_with_logits(model, x_in)
     loss = masked_ce(lg_in, y_in, c_all)
     records = [(f_in, np.asarray(y_in))]
@@ -162,37 +159,39 @@ def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
     return LossOutput(loss, feature_records=records)
 
 
-def er_ace_loss(model, x_in, y_in, x_bf, y_bf, sets: ClassIndexSets) -> LossOutput:
+def er_ace_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
+                old: np.ndarray) -> LossOutput:
+    """Incoming CE over ``curr``; rehearsal CE over ``curr | old``."""
     f_in, lg_in = _forward_with_logits(model, x_in)
-    loss = masked_ce(lg_in, y_in, sets.c_curr)
+    loss = masked_ce(lg_in, y_in, curr)
     records = [(f_in, np.asarray(y_in))]
     if len(y_bf):
         f_bf, lg_bf = _forward_with_logits(model, x_bf)
-        loss = T.add(loss, masked_ce(lg_bf, y_bf, sets.c_old | sets.c_curr))
+        loss = T.add(loss, masked_ce(lg_bf, y_bf, curr | old))
         records.append((f_bf, np.asarray(y_bf)))
     return LossOutput(loss, feature_records=records)
 
 
-def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, sets: ClassIndexSets,
-                        task_of_class: Mapping[int, int],
-                        classes_of_task: Mapping[int, Sequence[int]]) -> LossOutput:
-    """Both sides masked: incoming to its own classes, rehearsal per task.
+def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
+                        task_ids: np.ndarray) -> LossOutput:
+    """Both sides masked: incoming to ``curr``, rehearsal per task, where
+    ``task_ids`` holds each class's task, indexed by label.
 
     No loss term ever compares classes across tasks, which is the defining
     pathology of this ablation in the single-head setting.
     """
     f_in, lg_in = _forward_with_logits(model, x_in)
-    loss = masked_ce(lg_in, y_in, sets.c_curr)
+    loss = masked_ce(lg_in, y_in, curr)
     records = [(f_in, np.asarray(y_in))]
     if len(y_bf):
         f_bf, lg_bf = _forward_with_logits(model, x_bf)
-        records.append((f_bf, np.asarray(y_bf)))
-        tasks = np.array([task_of_class[int(c)] for c in y_bf])
-        for t in np.unique(tasks):
-            rows = np.where(tasks == t)[0]
-            loss = T.add(loss, masked_ce(T.take_rows(lg_bf, rows),
-                                         np.asarray(y_bf)[rows],
-                                         classes_of_task[int(t)]))
+        y_bf = np.asarray(y_bf)
+        records.append((f_bf, y_bf))
+        tasks = task_ids[y_bf]
+        for t in np.flatnonzero(np.bincount(tasks)):   # ascending task order
+            rows = np.flatnonzero(tasks == t)
+            loss = T.add(loss, masked_ce(T.take_rows(lg_bf, rows), y_bf[rows],
+                                         task_ids == t))
     return LossOutput(loss, feature_records=records)
 
 
@@ -241,7 +240,8 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
 
     if len(y_bf):
         f_bf, lg_bf = _forward_with_logits(model, x_bf)
-        loss = T.add(loss, masked_ce(lg_bf, y_bf, range(model.head.num_classes)))
+        loss = T.add(loss, masked_ce(lg_bf, y_bf,
+                                     np.ones(model.head.num_classes, dtype=bool)))
         records.append((f_bf, np.asarray(y_bf)))
 
     return LossOutput(loss, feature_records=records,

@@ -131,19 +131,14 @@ def one_step_drift(feats_before, feats_after) -> float:
     return float(np.mean(np.linalg.norm(feats_after - feats_before, axis=1)))
 
 
-def old_feature_grad_norm(feature_records, old_classes) -> float:
-    """Mean l2 norm of the loss gradient w.r.t. features of old-class
-    samples present in the step's loss graph; 0 when no probe appears."""
-    old = set(int(c) for c in old_classes)
+def old_feature_grad_norm(feature_records, old: np.ndarray) -> float:
+    """Mean l2 norm of the loss gradient w.r.t. features of the samples in
+    the step's loss graph whose class the ``old`` mask admits (a feature
+    without a gradient counts as zero); 0 when no such sample appears."""
     norms = []
     for feats, labels in feature_records:
-        if feats.grad is None:
-            g = np.zeros_like(feats.data)
-        else:
-            g = feats.grad
-        for i, y in enumerate(np.asarray(labels)):
-            if int(y) in old:
-                norms.append(float(np.linalg.norm(g[i])))
+        g = feats.grad if feats.grad is not None else np.zeros_like(feats.data)
+        norms += [float(np.linalg.norm(g[i])) for i in np.flatnonzero(old[labels])]
     return float(np.mean(norms)) if norms else 0.0
 
 

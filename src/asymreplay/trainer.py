@@ -70,13 +70,12 @@ class StepLog:
 
 class RunState:
     def __init__(self, model: net.ModelParams, buffer: ReplayBuffer,
-                 fetch_rng: np.random.Generator, task_of_class, classes_of_task):
+                 fetch_rng: np.random.Generator, task_ids: np.ndarray):
         self.model = model
         self.buffer = buffer
         self.fetch_rng = fetch_rng
-        self.task_of_class = task_of_class
-        self.classes_of_task = classes_of_task
-        self.observed: set = set()
+        self.task_ids = task_ids   # each class's task, indexed by label
+        self.seen = np.zeros(len(task_ids), dtype=bool)   # classes trained on
         self.step = 0
         self.ledger = M.ResourceLedger()
 
@@ -120,22 +119,22 @@ def build_state(dataset: Dataset, stream: Stream, cfg: TrainerConfig) -> RunStat
                           rng=np.random.default_rng(
                               np.random.SeedSequence([cfg.seed, 0xB0FF])))
     fetch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xFE7C]))
-    return RunState(model, buffer, fetch_rng,
-                    stream.task_of_class, stream.classes_of_task)
+    task_ids = np.array([stream.task_of_class[c]
+                         for c in range(dataset.num_classes)])
+    return RunState(model, buffer, fetch_rng, task_ids)
 
 
 def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
-                   cfg: TrainerConfig, sets: L.ClassIndexSets) -> L.LossOutput:
+                   cfg: TrainerConfig, curr, old) -> L.LossOutput:
     method = cfg.loss.method
     if method is L.Method.ER:
         return L.er_loss(state.model, batch.inputs, batch.labels, x_bf, y_bf)
     if method is L.Method.ER_ACE:
         return L.er_ace_loss(state.model, batch.inputs, batch.labels,
-                             x_bf, y_bf, sets)
+                             x_bf, y_bf, curr, old)
     if method is L.Method.SSIL_NODISTILL:
         return L.ssil_nodistill_loss(state.model, batch.inputs, batch.labels,
-                                     x_bf, y_bf, sets, state.task_of_class,
-                                     state.classes_of_task)
+                                     x_bf, y_bf, curr, state.task_ids)
     pos_neg = state.buffer.fetch_pos_neg(batch.inputs, batch.labels,
                                          cfg.loss.negative_policy,
                                          state.fetch_rng)
@@ -145,17 +144,15 @@ def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
 
 def train_step(state: RunState, batch: LabeledBatch,
                cfg: TrainerConfig) -> StepLog:
-    sets = L.ClassIndexSets.derive(batch.labels, state.observed,
-                                   state.model.head.num_classes)
+    curr, old = L.class_masks(batch.labels, state.seen)
     x_bf, y_bf = state.buffer.sample(cfg.rehearsal_batch_size)
 
-    # drift probe: buffered samples of classes outside the incoming batch
-    old_classes = sets.c_old
+    # drift probe: buffered samples of seen classes outside the incoming batch
     n = len(state.buffer)
-    probe_x = state.buffer.x[:n][np.isin(state.buffer.y[:n], list(old_classes))]
+    probe_x = state.buffer.x[:n][old[state.buffer.y[:n]]]
     feats_before = M.probe_features(state.model, probe_x)
 
-    out = _dispatch_loss(state, batch, x_bf, y_bf, cfg, sets)
+    out = _dispatch_loss(state, batch, x_bf, y_bf, cfg, curr, old)
     loss_value = float(out.loss.data)
     if not np.isfinite(loss_value):
         raise RunAbort(state.step, cfg.loss.method, loss_value)
@@ -163,7 +160,7 @@ def train_step(state: RunState, batch: LabeledBatch,
     state.model.zero_grad()
     if out.loss.requires_grad:
         out.loss.backward()
-    grad_norm = M.old_feature_grad_norm(out.feature_records, old_classes)
+    grad_norm = M.old_feature_grad_norm(out.feature_records, old)
     sgd_update(state.model, cfg.lr)
 
     drift = M.one_step_drift(feats_before,
@@ -171,7 +168,7 @@ def train_step(state: RunState, batch: LabeledBatch,
 
     # new data enters the buffer only after being learned
     state.buffer.reservoir_update(batch.inputs, batch.labels)
-    state.observed.update(int(c) for c in sets.c_curr)
+    state.seen |= curr
 
     per_sample = net.forward_flops_per_sample(state.model)
     n_samples = len(batch.labels) + len(y_bf) + out.extra_buffer_forwards
@@ -183,18 +180,18 @@ def train_step(state: RunState, batch: LabeledBatch,
                    out.skipped_anchors, out.extra_buffer_forwards)
 
 
-def _task_test_sets(dataset: Dataset, classes_of_task):
-    sets = {}
-    for t, classes in classes_of_task.items():
-        idx = np.where(np.isin(dataset.test_y, classes))[0]
-        sets[t] = (dataset.test_x[idx], dataset.test_y[idx])
-    return sets
+def _task_test_sets(dataset: Dataset, task_ids):
+    """Each task's test split, indexed by task."""
+    row_task = task_ids[dataset.test_y]
+    return [(dataset.test_x[row_task == t], dataset.test_y[row_task == t])
+            for t in range(task_ids.max() + 1)]
 
 
 def _evaluate(state: RunState, task_tests, current_task: int, log: M.MetricsLog):
     per_sample = net.forward_flops_per_sample(state.model)
-    seen_tasks = sorted(t for t, classes in state.classes_of_task.items()
-                        if any(c in state.observed for c in classes))
+    # tasks with at least one seen class, ascending
+    seen_tasks = np.flatnonzero(np.bincount(state.task_ids,
+                                            weights=state.seen)).tolist()
     per_task = {}
     for t in seen_tasks:
         tx, ty = task_tests[t]
@@ -214,7 +211,7 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
     stream_cfg = replace(stream_cfg, seed=cfg.seed)
     stream = make_stream(dataset, stream_cfg)
     state = build_state(dataset, stream, cfg)
-    task_tests = _task_test_sets(dataset, stream.classes_of_task)
+    task_tests = _task_test_sets(dataset, state.task_ids)
     log = M.MetricsLog()
     for batch in stream:
         step_log = train_step(state, batch, cfg)
@@ -223,8 +220,8 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
         log.skipped_anchor_trace.append(step_log.skipped_anchors)
         log.extra_forward_trace.append(step_log.extra_buffer_forwards)
         if state.step % cfg.eval_every == 0 or state.step == len(stream):
-            labels, counts = np.unique(batch.labels, return_counts=True)
-            current_task = state.task_of_class[int(labels[np.argmax(counts)])]
+            # the most frequent label's task; ties go to the lowest label
+            current_task = int(state.task_ids[np.bincount(batch.labels).argmax()])
             _evaluate(state, task_tests, current_task, log)
     final = log.task_accuracy[-1] if log.task_accuracy else {}
     return RunResult(cfg, stream_cfg, log, state.ledger, final, state.model,

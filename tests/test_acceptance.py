@@ -105,8 +105,9 @@ def _fd_instance(rng):
                     ok = False
         if ok:
             break
-    sets = L.ClassIndexSets.derive(y_in, observed=range(num_classes),
-                                   num_classes=num_classes)
+    curr, old = L.class_masks(y_in, np.ones(num_classes, dtype=bool))
+    c_curr, c_old = (set(np.flatnonzero(m).tolist()) for m in (curr, old))
+    task_ids = np.array([0, 0, 1, 1])
     toc = {0: 0, 1: 0, 2: 1, 3: 1}
     cot = {0: [0, 1], 1: [2, 3]}
     pos_neg = buffer.fetch_pos_neg(x_in, y_in, L.NegativePolicy.INCOMING_ONLY,
@@ -126,14 +127,15 @@ def _fd_instance(rng):
          lambda ws, bs, wh: R.ref_er(ws, bs, wh, tau, x_in, y_in, x_bf,
                                      y_bf, num_classes)),
         ("er-ace",
-         lambda: L.er_ace_loss(model, x_in, y_in, x_bf, y_bf, sets).loss,
+         lambda: L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
+                               curr, old).loss,
          lambda ws, bs, wh: R.ref_er_ace(ws, bs, wh, tau, x_in, y_in, x_bf,
-                                         y_bf, sets.c_curr, sets.c_old)),
+                                         y_bf, c_curr, c_old)),
         ("ssil",
-         lambda: L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, sets,
-                                       toc, cot).loss,
+         lambda: L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr,
+                                       task_ids).loss,
          lambda ws, bs, wh: R.ref_ssil(ws, bs, wh, tau, x_in, y_in, x_bf,
-                                       y_bf, sets.c_curr, toc, cot)),
+                                       y_bf, c_curr, toc, cot)),
         ("aml-supcon",
          lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                                aml_cfg, buffer).loss,
@@ -181,8 +183,9 @@ def test_criterion_02_masking_soundness():
         model = net.init_params([4, 5, 3], 6, 0.1, int(rng.integers(1 << 16)))
         x_in = rng.standard_normal((5, 4)).astype(np.float32)
         y_in = rng.integers(0, 2, size=5)
-        sets = L.ClassIndexSets.derive(y_in, observed=range(4), num_classes=6)
-        outside = sorted(set(range(6)) - sets.c_curr)
+        seen = np.arange(6) < 4
+        curr, old = L.class_masks(y_in, seen)
+        outside = np.flatnonzero(~curr)
 
         def step(poke):
             if poke:
@@ -190,12 +193,13 @@ def test_criterion_02_masking_soundness():
                     (len(outside), 3)).astype(np.float32) * 100
             model.zero_grad()
             out = L.er_ace_loss(model, x_in, y_in,
-                                np.zeros((0, 4), dtype=np.float32), [], sets)
+                                np.zeros((0, 4), dtype=np.float32), [],
+                                curr, old)
             out.loss.backward()
             grads = tuple(p.grad.tobytes() if p.grad is not None else b""
                           for p in model.extractor.parameters())
             w_grad = model.head.W.grad
-            in_rows = sorted(sets.c_curr)
+            in_rows = np.flatnonzero(curr)
             return (out.loss.data.tobytes(), grads,
                     w_grad[in_rows].tobytes(),
                     w_grad[outside].tobytes())
@@ -226,11 +230,10 @@ def test_criterion_03_er_equals_er_ace_on_first_task():
             y_in = rng.integers(0, num_classes, size=6)  # universe == C_curr
         x_bf = rng.standard_normal((4, 4)).astype(np.float32)
         y_bf = rng.integers(0, num_classes, size=4)
-        sets = L.ClassIndexSets.derive(y_in, observed=[],
-                                       num_classes=num_classes)
+        curr, old = L.class_masks(y_in, np.zeros(num_classes, dtype=bool))
         er = float(L.er_loss(model, x_in, y_in, x_bf, y_bf).loss.data)
         ace = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
-                                  sets).loss.data)
+                                  curr, old).loss.data)
         worst = max(worst, abs(er - ace))
     report(3, worst <= 1e-7,
            f"max |ER - ER-ACE| over 50 first-task states = {worst:.2e} "

@@ -7,7 +7,7 @@ from asymreplay import losses as L
 from asymreplay import network as net
 from asymreplay import tensor as T
 from asymreplay.buffer import ReplayBuffer
-from asymreplay.losses import ClassIndexSets, LossConfig, Method, NegativePolicy
+from asymreplay.losses import LossConfig, Method, NegativePolicy
 
 import reference as R
 
@@ -18,6 +18,28 @@ def leaf(arr):
 
 def make_model(input_dim=4, hidden=(5, 3), num_classes=4, tau=0.1, seed=0):
     return net.init_params([input_dim, *hidden], num_classes, tau, seed)
+
+
+def mask_of(classes, num_classes):
+    """bool[num_classes], true at each of ``classes``."""
+    mask = np.zeros(num_classes, dtype=bool)
+    mask[list(classes)] = True
+    return mask
+
+
+def classes_of(mask):
+    """The class set a mask admits, for the set-based reference oracles."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def masks(y_in, seen, num_classes):
+    """A step's (curr, old) masks, derived as the trainer derives them."""
+    return L.class_masks(y_in, mask_of(seen, num_classes))
+
+
+SSIL_TASK_IDS = np.array([0, 0, 1, 1])          # library: task of each class
+SSIL_TOC = {0: 0, 1: 0, 2: 1, 3: 1}             # reference: the same maps
+SSIL_COT = {0: [0, 1], 1: [2, 3]}
 
 
 def model_arrays(model):
@@ -32,10 +54,12 @@ def model_arrays(model):
 def test_masked_ce_value_transcription(trial):
     rng = np.random.default_rng(trial)
     logits = rng.standard_normal((6, 8)).astype(np.float32)
-    class_set = sorted(rng.choice(8, size=4, replace=False))
-    labels = rng.choice(class_set, size=6)
-    got = float(L.masked_ce(T.Tensor(logits), labels, class_set).data)
-    want = R.ref_masked_ce(logits, labels, class_set)
+    # trial 0 admits a single class, trial 1 all eight, the rest four
+    size = {0: 1, 1: 8}.get(trial, 4)
+    mask = mask_of(rng.choice(8, size=size, replace=False), 8)
+    labels = rng.choice(np.flatnonzero(mask), size=6)
+    got = float(L.masked_ce(T.Tensor(logits), labels, mask).data)
+    want = R.ref_masked_ce(logits, labels, classes_of(mask))
     assert got == pytest.approx(want, rel=1e-5)
 
 
@@ -44,7 +68,7 @@ def test_masked_ce_gradient_is_softmax_minus_onehot():
     rng = np.random.default_rng(5)
     logits = leaf(rng.standard_normal((5, 4)))
     labels = rng.integers(0, 4, size=5)
-    loss = L.masked_ce(logits, labels, range(4))
+    loss = L.masked_ce(logits, labels, np.ones(4, dtype=bool))
     loss.backward()
     lg = logits.data.astype(np.float64)
     p = np.exp(lg - lg.max(axis=1, keepdims=True))
@@ -56,12 +80,12 @@ def test_masked_ce_gradient_is_softmax_minus_onehot():
 def test_masked_ce_out_of_set_bits_frozen():
     rng = np.random.default_rng(6)
     base = rng.standard_normal((4, 6)).astype(np.float32)
-    class_set = [0, 2, 5]
+    mask = mask_of([0, 2, 5], 6)
     labels = [0, 2, 5, 0]
 
     def run(arr):
         x = leaf(arr)
-        loss = L.masked_ce(x, labels, class_set)
+        loss = L.masked_ce(x, labels, mask)
         loss.backward()
         return loss.data.tobytes(), x.grad
 
@@ -75,13 +99,24 @@ def test_masked_ce_out_of_set_bits_frozen():
 
 
 def test_masked_ce_rejects_label_outside_set():
-    with pytest.raises(ValueError):
-        L.masked_ce(T.Tensor(np.zeros((1, 4))), [3], [0, 1])
+    """An excluded, a negative and a past-the-end label are each refused
+    by name, not wrapped around or left to an IndexError."""
+    for label in (3, -1, 4):
+        with pytest.raises(ValueError, match=f"target class {label} "
+                                             "outside admissible set"):
+            L.masked_ce(T.Tensor(np.zeros((2, 4))), [0, label],
+                        mask_of([0, 1], 4))
 
 
 def test_masked_ce_rejects_empty_set():
-    with pytest.raises(ValueError):
-        L.masked_ce(T.Tensor(np.zeros((1, 4))), [0], [])
+    with pytest.raises(ValueError, match="nonempty"):
+        L.masked_ce(T.Tensor(np.zeros((1, 4))), [0], np.zeros(4, dtype=bool))
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_masked_ce_rejects_mask_of_wrong_length(size):
+    with pytest.raises(ValueError, match="one mask entry per logit column"):
+        L.masked_ce(T.Tensor(np.zeros((1, 4))), [0], np.ones(size, dtype=bool))
 
 
 # SupCon / triplet -----------------------------------------------------
@@ -202,11 +237,12 @@ def test_er_value_transcription(trial):
 def test_er_ace_value_transcription(trial):
     rng = np.random.default_rng(60 + trial)
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
-    sets = ClassIndexSets.derive(y_in, observed=range(4), num_classes=4)
+    curr, old = masks(y_in, range(4), 4)
     ws, bs, wh = model_arrays(model)
-    got = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf, sets).loss.data)
+    got = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
+                              curr, old).loss.data)
     want = R.ref_er_ace(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
-                        sets.c_curr, sets.c_old)
+                        classes_of(curr), classes_of(old))
     assert got == pytest.approx(want, rel=1e-4)
 
 
@@ -214,14 +250,12 @@ def test_er_ace_value_transcription(trial):
 def test_ssil_value_transcription(trial):
     rng = np.random.default_rng(70 + trial)
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
-    sets = ClassIndexSets.derive(y_in, observed=range(4), num_classes=4)
-    task_of_class = {0: 0, 1: 0, 2: 1, 3: 1}
-    classes_of_task = {0: [0, 1], 1: [2, 3]}
+    curr, _ = masks(y_in, range(4), 4)
     ws, bs, wh = model_arrays(model)
-    got = float(L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, sets,
-                                      task_of_class, classes_of_task).loss.data)
+    got = float(L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr,
+                                      SSIL_TASK_IDS).loss.data)
     want = R.ref_ssil(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
-                      sets.c_curr, task_of_class, classes_of_task)
+                      classes_of(curr), SSIL_TOC, SSIL_COT)
     assert got == pytest.approx(want, rel=1e-4)
 
 
@@ -289,10 +323,10 @@ def test_er_equals_er_ace_on_first_task():
         y_in = np.array([0, 1, 0, 1, 0])
         x_bf = rng.standard_normal((3, 4)).astype(np.float32)
         y_bf = rng.integers(0, 2, size=3)
-        sets = ClassIndexSets.derive(y_in, observed=[], num_classes=2)
+        curr, old = masks(y_in, [], 2)
         er = float(L.er_loss(model, x_in, y_in, x_bf, y_bf).loss.data)
         ace = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
-                                  sets).loss.data)
+                                  curr, old).loss.data)
         assert abs(er - ace) <= 1e-7
 
 
@@ -301,11 +335,11 @@ def test_ssil_equals_er_ace_with_single_task():
     model, x_in, y_in, x_bf, y_bf = random_state(rng, num_classes=2, n_bf=3)
     y_in = rng.integers(0, 2, size=len(y_in))
     y_bf = rng.integers(0, 2, size=len(y_bf))
-    sets = ClassIndexSets.derive(y_in, observed=[0, 1], num_classes=2)
-    ace = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf, sets).loss.data)
+    curr, old = masks(y_in, [0, 1], 2)
+    ace = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
+                              curr, old).loss.data)
     ssil = float(L.ssil_nodistill_loss(
-        model, x_in, y_in, x_bf, y_bf, sets,
-        {0: 0, 1: 0}, {0: [0, 1]}).loss.data)
+        model, x_in, y_in, x_bf, y_bf, curr, np.array([0, 0])).loss.data)
     assert ssil == pytest.approx(ace, rel=1e-6)
 
 
@@ -313,13 +347,13 @@ def test_er_ace_prototype_grad_masked_outside_curr():
     """Prototypes of classes outside C_curr get no gradient from X_in."""
     rng = np.random.default_rng(102)
     model, x_in, y_in, _, _ = random_state(rng)
-    sets = ClassIndexSets.derive(y_in, observed=range(4), num_classes=4)
+    curr, old = masks(y_in, range(4), 4)
     out = L.er_ace_loss(model, x_in, y_in,
-                        np.zeros((0, 4), dtype=np.float32), [], sets)
+                        np.zeros((0, 4), dtype=np.float32), [], curr, old)
     model.zero_grad()
     out.loss.backward()
-    outside = sorted(set(range(4)) - sets.c_curr)
-    assert outside, "state must have classes outside C_curr"
+    outside = np.flatnonzero(~curr)
+    assert outside.size, "state must have classes outside C_curr"
     grad = model.head.W.grad
     assert np.array_equal(grad[outside], np.zeros((len(outside), 3)))
 
@@ -355,17 +389,15 @@ def test_incoming_only_gives_old_features_zero_l1_gradient():
 def test_composites_permutation_invariant():
     rng = np.random.default_rng(104)
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
-    sets = ClassIndexSets.derive(y_in, observed=range(4), num_classes=4)
+    sets = masks(y_in, range(4), 4)
     perm_in = rng.permutation(len(y_in))
     perm_bf = rng.permutation(len(y_bf))
-    sets_p = ClassIndexSets.derive(y_in[perm_in], observed=range(4),
-                                   num_classes=4)
+    sets_p = masks(y_in[perm_in], range(4), 4)
     for fn in (
         lambda xi, yi, xb, yb, s: L.er_loss(model, xi, yi, xb, yb),
-        lambda xi, yi, xb, yb, s: L.er_ace_loss(model, xi, yi, xb, yb, s),
+        lambda xi, yi, xb, yb, s: L.er_ace_loss(model, xi, yi, xb, yb, *s),
         lambda xi, yi, xb, yb, s: L.ssil_nodistill_loss(
-            model, xi, yi, xb, yb, s, {0: 0, 1: 0, 2: 1, 3: 1},
-            {0: [0, 1], 1: [2, 3]}),
+            model, xi, yi, xb, yb, s[0], SSIL_TASK_IDS),
     ):
         a = float(fn(x_in, y_in, x_bf, y_bf, sets).loss.data)
         b = float(fn(x_in[perm_in], y_in[perm_in], x_bf[perm_bf],
@@ -379,7 +411,7 @@ def test_er_aml_gamma_zero_reduces_to_buffer_ce():
     cfg = LossConfig(method=Method.ER_AML_SUPCON, gamma=0.0, tau=0.1)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     lg = net.logits(model, x_bf)
-    want = float(L.masked_ce(lg, y_bf, range(4)).data)
+    want = float(L.masked_ce(lg, y_bf, np.ones(4, dtype=bool)).data)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-6)
 
 
@@ -408,11 +440,13 @@ def test_loss_config_validation():
 
 
 def test_class_index_sets_invariants():
-    sets = ClassIndexSets.derive([2, 3, 2], observed=[0, 1, 2], num_classes=6)
-    assert sets.c_curr == {2, 3}
-    assert sets.c_old == {0, 1}
-    assert sets.c_curr & sets.c_old == set()
-    assert sets.c_curr | sets.c_old <= sets.c_all
+    """curr is the batch's classes, old the seen classes outside it: the
+    two masks are disjoint and span the class universe."""
+    curr, old = masks(np.array([2, 3, 2]), [0, 1, 2], 6)
+    assert curr.shape == old.shape == (6,)
+    assert classes_of(curr) == {2, 3}
+    assert classes_of(old) == {0, 1}
+    assert not (curr & old).any()
 
 
 # composites: gradients vs finite differences --------------------------
@@ -455,12 +489,12 @@ def test_grad_er(trial):
 def test_grad_er_ace(trial):
     rng = np.random.default_rng(310 + trial)
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
-    sets = ClassIndexSets.derive(y_in, observed=range(4), num_classes=4)
+    curr, old = masks(y_in, range(4), 4)
     composite_grad_check(
-        lambda: L.er_ace_loss(model, x_in, y_in, x_bf, y_bf, sets).loss,
+        lambda: L.er_ace_loss(model, x_in, y_in, x_bf, y_bf, curr, old).loss,
         lambda ws, bs, wh, _: R.ref_er_ace(ws, bs, wh, model.head.tau,
                                            x_in, y_in, x_bf, y_bf,
-                                           sets.c_curr, sets.c_old),
+                                           classes_of(curr), classes_of(old)),
         model, [], "er_ace_loss")
 
 
@@ -468,15 +502,13 @@ def test_grad_er_ace(trial):
 def test_grad_ssil(trial):
     rng = np.random.default_rng(320 + trial)
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
-    sets = ClassIndexSets.derive(y_in, observed=range(4), num_classes=4)
-    toc = {0: 0, 1: 0, 2: 1, 3: 1}
-    cot = {0: [0, 1], 1: [2, 3]}
+    curr, _ = masks(y_in, range(4), 4)
     composite_grad_check(
         lambda: L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf,
-                                      sets, toc, cot).loss,
+                                      curr, SSIL_TASK_IDS).loss,
         lambda ws, bs, wh, _: R.ref_ssil(ws, bs, wh, model.head.tau,
                                          x_in, y_in, x_bf, y_bf,
-                                         sets.c_curr, toc, cot),
+                                         classes_of(curr), SSIL_TOC, SSIL_COT),
         model, [], "ssil_nodistill_loss")
 
 

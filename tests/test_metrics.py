@@ -84,10 +84,11 @@ def test_old_feature_grad_norm_fixture():
     feats.data = np.zeros((3, 2), dtype=np.float32)
     feats.grad = np.array([[3, 4], [0, 0], [1, 0]], dtype=np.float32)
     records = [(feats, np.array([7, 7, 1]))]
+    old_7, old_9 = np.arange(10) == 7, np.arange(10) == 9
     # old class 7 -> rows 0 and 1, norms 5 and 0
-    assert M.old_feature_grad_norm(records, {7}) == pytest.approx(2.5)
-    assert M.old_feature_grad_norm(records, {9}) == 0.0
-    assert M.old_feature_grad_norm([], {7}) == 0.0
+    assert M.old_feature_grad_norm(records, old_7) == pytest.approx(2.5)
+    assert M.old_feature_grad_norm(records, old_9) == 0.0
+    assert M.old_feature_grad_norm([], old_7) == 0.0
 
 
 def test_old_feature_grad_norm_missing_grad_counts_as_zero():
@@ -96,7 +97,8 @@ def test_old_feature_grad_norm_missing_grad_counts_as_zero():
     feats = Rec()
     feats.data = np.ones((2, 2), dtype=np.float32)
     feats.grad = None
-    assert M.old_feature_grad_norm([(feats, np.array([4, 4]))], {4}) == 0.0
+    assert M.old_feature_grad_norm([(feats, np.array([4, 4]))],
+                                   np.arange(5) == 4) == 0.0
 
 
 # ledgers --------------------------------------------------------------

@@ -516,6 +516,22 @@ def test_cli_compare_accepts_runs_of_one_dataset_file(tmp_path, capsys):
     assert capsys.readouterr().out.count("er-ace") == 2
 
 
+def test_cli_compare_of_different_streams_is_not_a_config_error(
+        small_report, tmp_path, capsys):
+    """Reports of different streams are refused under their own prefix,
+    with exit code 1: no config was given, so it is no config error."""
+    report, out = small_report
+    other = tmp_path / "other.json"
+    report = json.loads(json.dumps(report))
+    report["config"]["num_classes"] += 2
+    other.write_text(json.dumps(report))
+    assert main(["compare", str(out / "report.json"), str(other)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot compare: reports use different streams")
+    assert "num_classes" in err and err.count("\n") == 1
+
+
 def test_cli_sweep_and_compare(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", *cli_small_args(), "--methods", "er,er-ace",

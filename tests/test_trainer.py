@@ -130,10 +130,10 @@ def test_observed_classes_and_first_seen_tasks():
     batches = list(stream)
     for batch in batches[:4]:
         TR.train_step(state, batch, tcfg)
-    assert state.observed == {0, 1}
+    assert state.seen.tolist() == [True, True, False, False]
     for batch in batches[4:]:
         TR.train_step(state, batch, tcfg)
-    assert state.observed == {0, 1, 2, 3}
+    assert state.seen.tolist() == [True, True, True, True]
 
 
 def test_drift_nan_before_old_classes_exist():
