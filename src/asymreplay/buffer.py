@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,16 +24,17 @@ _DUMP_HEADER = struct.Struct("<III")   # version, row count, input dim
 
 @dataclass
 class FetchResult:
-    """Per-anchor (positive, negative) references.
+    """Per-anchor (positive, negative) rows.
 
-    Each entry of ``pairs`` is either None (anchor skipped) or a tuple
-    ``((src, idx), (src, idx))`` where src is "in" (incoming batch row) or
-    "buf" (buffer slot).  ``buffer_slots`` lists the unique slots that must
-    be forwarded, in first-use order.
+    ``buffer_slots`` lists the unique buffer slots that must be forwarded,
+    in first-use order.  Each entry of ``pairs`` is either None (anchor
+    skipped) or a ``(positive_row, negative_row)`` pair of rows into the
+    incoming batch followed by ``buffer_slots``: row r < n is batch row r,
+    row n + k is slot ``buffer_slots[k]``.
     """
 
     pairs: list
-    buffer_slots: list = field(default_factory=list)
+    buffer_slots: list
 
 
 class ReplayBuffer:
@@ -86,7 +87,7 @@ class ReplayBuffer:
 
     def fetch_pos_neg(self, x_in, y_in, policy: NegativePolicy,
                       rng: np.random.Generator) -> FetchResult:
-        """One positive and one negative reference per incoming anchor.
+        """One (positive, negative) row pair per incoming anchor.
 
         Positives prefer an in-batch same-class partner and fall back to the
         buffer; anchors with no positive or no admissible negative are
@@ -106,13 +107,14 @@ class ReplayBuffer:
             neg_buf &= pos_buf.any(axis=0)   # slots of a class in the batch
         neg = np.concatenate([y_in[:, None] != y_in[None, :], neg_buf], axis=1)
         pairs: list = []
-        used_slots: list[int] = []
+        first_use: dict = {}   # slot -> its place among the forwarded slots
         for i in range(n):
-            # positive: in-batch first, buffer fallback
+            # positive: in-batch first, buffer fallback; like the negative,
+            # it indexes the batch rows, then the buffer slots
             if pos_in[i].any():
-                pos = ("in", int(rng.choice(np.flatnonzero(pos_in[i]))))
+                pos = int(rng.choice(np.flatnonzero(pos_in[i])))
             elif pos_buf[i].any():
-                pos = ("buf", int(rng.choice(np.flatnonzero(pos_buf[i]))))
+                pos = n + int(rng.choice(np.flatnonzero(pos_buf[i])))
             else:
                 pairs.append(None)
                 continue
@@ -121,12 +123,10 @@ class ReplayBuffer:
                 pairs.append(None)
                 continue
             j = int(cands[rng.integers(0, cands.size)])
-            neg_ref = ("in", j) if j < n else ("buf", j - n)
-            for src, idx in (pos, neg_ref):
-                if src == "buf" and idx not in used_slots:
-                    used_slots.append(idx)
-            pairs.append((pos, neg_ref))
-        return FetchResult(pairs=pairs, buffer_slots=used_slots)
+            pairs.append(tuple(r if r < n else
+                               n + first_use.setdefault(r - n, len(first_use))
+                               for r in (pos, j)))
+        return FetchResult(pairs=pairs, buffer_slots=list(first_use))
 
     def dump(self, path):
         """Versioned little-endian dump: a header, then one (label, input)

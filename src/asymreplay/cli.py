@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import traceback
 
 from .report import (FIELD_KINDS, ComparisonError, ConfigError,
                      ExperimentConfig, compare, load_report, parse_config,
-                     run_experiment)
+                     run_experiment, write_json)
 from .stream import SyntheticDatasetSpec, save_dataset
 
 EXIT_OK = 0
@@ -128,8 +127,7 @@ def _cmd_sweep(args) -> int:
                          "aaa": agg["aaa"]["mean"]})
     rows.sort(key=lambda r: (r["method"], r["buffer_capacity"]))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep_summary.json"), "w") as fh:
-        fh.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
+    write_json(os.path.join(args.out, "sweep_summary.json"), rows)
     for r in rows:
         print(f"{r['method']:<16} M={r['buffer_capacity']:<5} "
               f"final_acc={r['final_accuracy']:.4f}"
@@ -152,8 +150,7 @@ def _cmd_compare(args) -> int:
         return EXIT_CONFIG
     print(table, end="")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
+        write_json(args.out, rows)
     return EXIT_OK
 
 

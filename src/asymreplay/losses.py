@@ -199,37 +199,26 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                 cfg: LossConfig, buffer) -> LossOutput:
     """Contrastive (or triplet) incoming loss plus prototype CE on replay.
 
-    ``pos_neg`` comes from ``buffer.fetch_pos_neg``; buffered positives and
-    negatives are forwarded once as a single extra batch.
+    ``pos_neg`` comes from ``buffer.fetch_pos_neg``; its rows index the
+    incoming features followed by those of its buffer slots, which are
+    forwarded once as a single extra batch.
     """
     f_in = net.features(model, x_in)
     records = [(f_in, np.asarray(y_in))]
-    extra = 0
-
     buf_slots = pos_neg.buffer_slots
+    f_all = f_in
     if buf_slots:
         f_extra = net.features(model, buffer.x[buf_slots])
         records.append((f_extra, buffer.y[buf_slots]))
-        extra = len(buf_slots)
-        slot_row = {s: i for i, s in enumerate(buf_slots)}
-    else:
-        f_extra = None
-        slot_row = {}
-
-    n_in = f_in.data.shape[0]
-    combined = f_in if f_extra is None else T.concat_rows([f_in, f_extra])
-
-    def feat_rows(refs):
-        """Gather one feature row per (source, index) reference, in order."""
-        rows = [idx if src == "in" else n_in + slot_row[idx] for src, idx in refs]
-        return T.take_rows(combined, rows)
+        f_all = T.concat_rows([f_in, f_extra])
 
     active = [i for i, pair in enumerate(pos_neg.pairs) if pair is not None]
     skipped = len(pos_neg.pairs) - len(active)
     if active:
         anchors = T.take_rows(f_in, active)
-        positives = feat_rows([pos_neg.pairs[i][0] for i in active])
-        negatives = feat_rows([pos_neg.pairs[i][1] for i in active])
+        rows = np.array([pos_neg.pairs[i] for i in active])
+        positives = T.take_rows(f_all, rows[:, 0])
+        negatives = T.take_rows(f_all, rows[:, 1])
         if cfg.method is Method.ER_AML_TRIPLET:
             l1 = triplet_loss(anchors, positives, negatives, cfg.triplet_margin)
         else:
@@ -245,4 +234,5 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
         records.append((f_bf, np.asarray(y_bf)))
 
     return LossOutput(loss, feature_records=records,
-                      extra_buffer_forwards=extra, skipped_anchors=skipped)
+                      extra_buffer_forwards=len(buf_slots),
+                      skipped_anchors=skipped)

@@ -143,10 +143,11 @@ def old_feature_grad_norm(feature_records, old: np.ndarray) -> float:
 
 
 def buffer_holdout_alignment(model, buffer, val_inputs, val_labels,
-                             task_of_class) -> dict:
+                             task_ids) -> dict:
     """Per-task mean of each buffered sample's best same-class cosine
-    similarity against held-out features. Samples whose class is absent
-    from the validation set are skipped."""
+    similarity against held-out features, where ``task_ids`` holds each
+    class's task, indexed by label. Samples whose class is absent from the
+    validation set are skipped."""
     val_labels = np.asarray(val_labels)
     n = len(buffer)
     if not n:
@@ -159,5 +160,5 @@ def buffer_holdout_alignment(model, buffer, val_inputs, val_labels,
         if same.size == 0:
             continue
         best = float(np.max(vf[same] @ bf[i]))
-        per_task.setdefault(task_of_class[y], []).append(best)
+        per_task.setdefault(int(task_ids[y]), []).append(best)
     return {t: float(np.mean(v)) for t, v in sorted(per_task.items())}

@@ -284,16 +284,17 @@ def _none_if_nan(v):
     return None if v is None or not math.isfinite(v) else float(v)
 
 
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+def write_json(path: str, obj):
+    """``obj`` as key-sorted JSON indented by one space, newline-ended."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def write_report_files(report: dict, out_dir: str):
     """report.json plus delimited plot data: anytime-accuracy trace, drift
     trace, and the per-task accuracy matrix, one seed per column block."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report_json(report))
+    write_json(os.path.join(out_dir, "report.json"), report)
     ok = [e for e in report["seeds"] if e["error"] is None]
 
     def tsv(name, header, rows):
@@ -321,9 +322,8 @@ def write_report_files(report: dict, out_dir: str):
         tsv("accuracy_matrix.tsv",
             ["seed", "step"] + [f"task{t}" for t in tasks], rows)
     if report.get("stream_metadata") is not None:
-        with open(os.path.join(out_dir, "stream_metadata.json"), "w") as fh:
-            fh.write(json.dumps(report["stream_metadata"], sort_keys=True,
-                                indent=1) + "\n")
+        write_json(os.path.join(out_dir, "stream_metadata.json"),
+                   report["stream_metadata"])
 
 
 def load_report(path: str) -> dict:

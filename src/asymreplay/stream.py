@@ -118,12 +118,12 @@ class Stream:
     """One pass over ``dataset``'s training rows: ``order[i]`` is the row
     of the i-th streamed sample and step k's batch is
     ``order[starts[k]:starts[k + 1]]``.  Each pass gathers fresh batches,
-    so a yielded batch may be mutated without affecting the stream."""
+    so a yielded batch may be mutated without affecting the stream.
+    ``task_ids[c]`` is class c's task."""
     dataset: Dataset
     order: np.ndarray
     starts: np.ndarray
-    task_of_class: dict
-    classes_of_task: dict
+    task_ids: np.ndarray
     boundaries: list       # step indices at which a new task begins (SPLIT)
     mode: StreamMode
 
@@ -140,7 +140,8 @@ class Stream:
     def metadata(self) -> dict:
         return {
             "mode": self.mode.value,
-            "task_of_class": {str(k): v for k, v in self.task_of_class.items()},
+            "task_of_class": {str(c): t for c, t in
+                              enumerate(self.task_ids.tolist())},
             "boundaries": list(self.boundaries),
             "num_steps": len(self),
         }
@@ -181,36 +182,25 @@ def make_synthetic(spec: SyntheticDatasetSpec, seed: int) -> Dataset:
     return Dataset(tx, ty, vx, vy, sx, sy, spec.num_classes)
 
 
-def _task_maps(num_classes: int, classes_per_task: int):
-    task_of_class = {c: c // classes_per_task for c in range(num_classes)}
-    classes_of_task: dict = {}
-    for c, t in task_of_class.items():
-        classes_of_task.setdefault(t, []).append(c)
-    return task_of_class, classes_of_task
-
-
 def split_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
     """Disjoint tasks in ascending class order, one pass, shuffled within."""
     if cfg.mode is not StreamMode.SPLIT:
         raise ValueError("split_stream requires SPLIT mode")
     cfg.check_num_classes(dataset.num_classes)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
-    task_of_class, classes_of_task = _task_maps(dataset.num_classes,
-                                                cfg.classes_per_task)
+    task_ids = np.arange(dataset.num_classes) // cfg.classes_per_task
     order, starts, boundaries = [], [], []
     n_streamed = 0
-    for t in sorted(classes_of_task):
+    for t in range(task_ids[-1] + 1):
         boundaries.append(len(starts))
-        in_task = np.zeros(dataset.num_classes, dtype=bool)
-        in_task[classes_of_task[t]] = True
-        idx = np.flatnonzero(in_task[dataset.train_y])
+        idx = np.flatnonzero(task_ids[dataset.train_y] == t)
         order.append(rng.permutation(idx))
         # each task is cut into its own batches; the last one may be short
         starts.extend(range(n_streamed, n_streamed + len(idx), cfg.batch_size))
         n_streamed += len(idx)
     return Stream(dataset, np.concatenate([np.zeros(0, np.intp), *order]),
-                  np.array(starts, dtype=np.intp), task_of_class,
-                  classes_of_task, boundaries, StreamMode.SPLIT)
+                  np.array(starts, dtype=np.intp), task_ids, boundaries,
+                  StreamMode.SPLIT)
 
 
 def _schedule_log_weights(num_classes: int, per_class_samples: np.ndarray,
@@ -265,6 +255,7 @@ def calibrate_variance_scale(per_class_samples, batch_size: int,
                              target: float) -> float:
     """Find the schedule-variance multiplier whose simulated streams average
     ``target`` unique labels per batch (bisection on the log scale)."""
+    per_class_samples = np.asarray(per_class_samples)
     key = (tuple(int(n) for n in per_class_samples), batch_size, round(target, 3))
     if key in _calibration_cache:
         return _calibration_cache[key]
@@ -322,10 +313,9 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
         pool = rng.permutation(np.where(dataset.train_y == c)[0])
         order[labels == c] = pool[::-1]
     sizes = np.array([len(lb) for lb in step_labels], dtype=np.intp)
-    task_of_class, classes_of_task = _task_maps(dataset.num_classes,
-                                                cfg.classes_per_task)
     return Stream(dataset, order, np.cumsum(sizes) - sizes,
-                  task_of_class, classes_of_task, [], StreamMode.BLURRY)
+                  np.arange(dataset.num_classes) // cfg.classes_per_task, [],
+                  StreamMode.BLURRY)
 
 
 def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float) -> Stream:

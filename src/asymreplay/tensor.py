@@ -203,39 +203,27 @@ def tmean(a: Tensor) -> Tensor:
     return scale(tsum(a), 1.0 / a.data.size)
 
 
-def l2_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
-    """Divide each row by max(||row||, eps).
+def l2_normalize(x: Tensor) -> Tensor:
+    """Divide each row of ``x[n, d]`` by max(||row||, NORM_EPS).
 
-    The eps guard makes the zero vector map to itself and keeps the op
+    The guard makes the zero vector map to itself and keeps the op
     differentiable everywhere we evaluate it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     arr = x.data
-    if arr.ndim == 1:
-        arr = arr[None, :]
-        squeeze = True
-    else:
-        squeeze = False
     norms = np.sqrt(np.sum(arr.astype(np.float64) ** 2, axis=1))
-    denom = np.maximum(norms, eps).astype(np.float32)[:, None]
+    denom = np.maximum(norms, NORM_EPS).astype(np.float32)[:, None]
     out_data = arr / denom
-    if squeeze:
-        out_data = out_data[0]
 
     def backward(g):
         if not x.requires_grad:
             return
-        g2 = g[None, :] if squeeze else g
-        clipped = norms < eps
+        clipped = norms < NORM_EPS
         inv = 1.0 / denom
-        # d(x/||x||)/dx = (I - y y^T) / ||x||;  below eps the denominator
-        # is constant so the jacobian is just 1/eps on the diagonal.
-        dot = np.sum(g2 * out_data, axis=1, dtype=np.float64)[:, None].astype(np.float32)
-        gx = (g2 - out_data * dot) * inv
-        gx[clipped] = g2[clipped] * inv[clipped]
-        if squeeze:
-            gx = gx[0]
+        # d(x/||x||)/dx = (I - y y^T) / ||x||;  a clipped row's denominator
+        # is constant so its jacobian is just 1/NORM_EPS on the diagonal.
+        dot = np.sum(g * out_data, axis=1, dtype=np.float64)[:, None].astype(np.float32)
+        gx = (g - out_data * dot) * inv
+        gx[clipped] = g[clipped] * inv[clipped]
         x._accumulate(gx)
 
     return _make(out_data, (x,), backward)

@@ -119,9 +119,7 @@ def build_state(dataset: Dataset, stream: Stream, cfg: TrainerConfig) -> RunStat
                           rng=np.random.default_rng(
                               np.random.SeedSequence([cfg.seed, 0xB0FF])))
     fetch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xFE7C]))
-    task_ids = np.array([stream.task_of_class[c]
-                         for c in range(dataset.num_classes)])
-    return RunState(model, buffer, fetch_rng, task_ids)
+    return RunState(model, buffer, fetch_rng, stream.task_ids)
 
 
 def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,

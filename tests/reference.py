@@ -116,22 +116,18 @@ def ref_ssil(weights, biases, w_head, tau, x_in, y_in, x_bf, y_bf,
 def ref_er_aml(weights, biases, w_head, tau_head, x_in, y_in, x_bf, y_bf,
                pairs, buffer_x, gamma, tau_supcon, num_classes,
                triplet_margin=None):
-    """pairs: per-anchor ((src, idx), (src, idx)) or None, src in {in, buf}."""
-    f_in = ref_forward(weights, biases, x_in)
-    f_buf = (ref_forward(weights, biases, buffer_x)
-             if len(buffer_x) else np.zeros((0, f_in.shape[1])))
-
-    def feat(ref):
-        src, idx = ref
-        return f_in[idx] if src == "in" else f_buf[idx]
-
+    """pairs: per anchor None or (positive_row, negative_row), rows into
+    ``x_in`` followed by ``buffer_x``."""
+    feats = ref_forward(weights, biases,
+                        np.concatenate([x_in, buffer_x]) if len(buffer_x)
+                        else x_in)
     anchors, pos, neg = [], [], []
     for i, pair in enumerate(pairs):
         if pair is None:
             continue
-        anchors.append(f_in[i])
-        pos.append(feat(pair[0]))
-        neg.append(feat(pair[1]))
+        anchors.append(feats[i])
+        pos.append(feats[pair[0]])
+        neg.append(feats[pair[1]])
     total = 0.0
     if anchors:
         if triplet_margin is not None:
@@ -194,9 +190,10 @@ def ref_split_batches(dataset, cfg):
     """(inputs, labels, step) per step of a split stream, each batch copied
     out of the dataset up front: tasks in ascending class order, one
     permutation of each task's training rows, cut into batches."""
-    from asymreplay.stream import _task_maps
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
-    _, classes_of_task = _task_maps(dataset.num_classes, cfg.classes_per_task)
+    classes_of_task = {}
+    for c in range(dataset.num_classes):
+        classes_of_task.setdefault(c // cfg.classes_per_task, []).append(c)
     batches = []
     for t in sorted(classes_of_task):
         idx = np.where(np.isin(dataset.train_y, classes_of_task[t]))[0]
@@ -310,3 +307,14 @@ class RefReservoir:
             for x, y in self.slots:
                 fh.write(struct.pack("<i", y))
                 fh.write(x.astype("<f4").tobytes())
+
+
+def tagged_to_rows(pairs, slots, n):
+    """``RefReservoir.fetch_pos_neg``'s tagged pairs as the library's row
+    pairs: ("in", i) is row i, ("buf", s) is row n + its place in
+    ``slots``."""
+    def row(src, idx):
+        return idx if src == "in" else n + slots.index(idx)
+
+    return [None if p is None else tuple(row(*ref) for ref in p)
+            for p in pairs]

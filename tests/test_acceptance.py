@@ -112,10 +112,6 @@ def _fd_instance(rng):
     cot = {0: [0, 1], 1: [2, 3]}
     pos_neg = buffer.fetch_pos_neg(x_in, y_in, L.NegativePolicy.INCOMING_ONLY,
                                    np.random.default_rng(rng.integers(1 << 16)))
-    slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
-    pairs = [None if p is None else tuple(
-        (src, idx if src == "in" else slot_row[idx]) for src, idx in p)
-        for p in pos_neg.pairs]
     bsel = buffer.x[pos_neg.buffer_slots]
     aml_cfg = L.LossConfig(method=L.Method.ER_AML_SUPCON, gamma=1.2, tau=0.2)
     tri_cfg = L.LossConfig(method=L.Method.ER_AML_TRIPLET, gamma=1.2,
@@ -140,14 +136,15 @@ def _fd_instance(rng):
          lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                                aml_cfg, buffer).loss,
          lambda ws, bs, wh: R.ref_er_aml(ws, bs, wh, tau, x_in, y_in, x_bf,
-                                         y_bf, pairs, bsel, aml_cfg.gamma,
-                                         aml_cfg.tau, num_classes)),
+                                         y_bf, pos_neg.pairs, bsel,
+                                         aml_cfg.gamma, aml_cfg.tau,
+                                         num_classes)),
         ("aml-triplet",
          lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                                tri_cfg, buffer).loss,
          lambda ws, bs, wh: R.ref_er_aml(ws, bs, wh, tau, x_in, y_in, x_bf,
-                                         y_bf, pairs, bsel, tri_cfg.gamma,
-                                         None, num_classes,
+                                         y_bf, pos_neg.pairs, bsel,
+                                         tri_cfg.gamma, None, num_classes,
                                          triplet_margin=tri_cfg.triplet_margin)),
     ]
     params = model.parameters()

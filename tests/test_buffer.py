@@ -9,7 +9,7 @@ import pytest
 from asymreplay.buffer import BUFFER_DUMP_MAGIC, ReplayBuffer, load_buffer_dump
 from asymreplay.losses import NegativePolicy
 
-from reference import RefReservoir
+from reference import RefReservoir, tagged_to_rows
 
 
 def filled_buffer(capacity, n, seed=0):
@@ -103,17 +103,24 @@ def fetch(buf, y_in, policy, seed=0, x_in=None):
     return buf.fetch_pos_neg(x_in, y_in, policy, np.random.default_rng(seed))
 
 
+def row_labels(buf, y_in, res):
+    """The label of each row a fetch's pairs index: the batch's rows, then
+    its buffer slots."""
+    return np.concatenate([y_in, buf.y[res.buffer_slots]])
+
+
 def test_fetch_prefers_in_batch_positive():
     buf = ReplayBuffer(4)
     buf.reservoir_update(np.zeros((2, 1), dtype=np.float32), [0, 1])
     res = fetch(buf, [0, 0, 1], NegativePolicy.INCOMING_ONLY)
+    labels = row_labels(buf, [0, 0, 1], res)
     for i, pair in enumerate(res.pairs):
         assert pair is not None
-        (psrc, pidx), _ = pair
+        pos, _ = pair
         if i in (0, 1):  # class 0 has an in-batch partner
-            assert psrc == "in" and pidx in (0, 1) and pidx != i
+            assert pos in (0, 1) and pos != i
         else:            # class 1 is alone in-batch, falls back to buffer
-            assert psrc == "buf" and buf.y[pidx] == 1
+            assert pos >= 3 and labels[pos] == 1
 
 
 def test_fetch_skips_anchor_without_positive():
@@ -130,10 +137,10 @@ def test_fetch_incoming_only_restricts_negative_classes():
         res = fetch(buf, [0, 0, 1, 1], NegativePolicy.INCOMING_ONLY,
                     seed=seed)
         y_in = [0, 0, 1, 1]
+        labels = row_labels(buf, y_in, res)
         for i, pair in enumerate(res.pairs):
             assert pair is not None
-            _, (nsrc, nidx) = pair
-            c = y_in[nidx] if nsrc == "in" else buf.y[nidx]
+            c = labels[pair[1]]
             assert c in (0, 1) and c != y_in[i]
 
 
@@ -143,9 +150,9 @@ def test_fetch_all_classes_reaches_old_negatives():
     hit_old = False
     for seed in range(50):
         res = fetch(buf, [0, 0], NegativePolicy.ALL_CLASSES, seed=seed)
-        for pair in res.pairs:
-            _, (nsrc, nidx) = pair
-            if nsrc == "buf" and buf.y[nidx] == 5:
+        labels = row_labels(buf, [0, 0], res)
+        for _, neg in res.pairs:
+            if neg >= 2 and labels[neg] == 5:
                 hit_old = True
     assert hit_old
 
@@ -154,11 +161,12 @@ def test_fetch_single_class_batch_all_classes_negative_from_buffer():
     buf = ReplayBuffer(4)
     buf.reservoir_update(np.zeros((2, 1), dtype=np.float32), [3, 3])
     res = fetch(buf, [0, 0], NegativePolicy.ALL_CLASSES)
+    labels = row_labels(buf, [0, 0], res)
     for pair in res.pairs:
         assert pair is not None
-        (psrc, _), (nsrc, nidx) = pair
-        assert psrc == "in"
-        assert nsrc == "buf" and buf.y[nidx] == 3
+        pos, neg = pair
+        assert pos < 2
+        assert neg >= 2 and labels[neg] == 3
     # under INCOMING_ONLY the same batch has no admissible negative
     res2 = fetch(buf, [0, 0], NegativePolicy.INCOMING_ONLY)
     assert sum(p is None for p in res2.pairs) == 2
@@ -170,13 +178,45 @@ def test_fetch_buffer_slots_unique_first_use_order():
                          [2, 2, 3, 3, 4, 4])
     res = fetch(buf, [2, 3, 4], NegativePolicy.ALL_CLASSES, seed=7)
     assert len(res.buffer_slots) == len(set(res.buffer_slots))
-    referenced = [idx for pair in res.pairs if pair
-                  for src, idx in pair if src == "buf"]
-    seen = []
-    for s in referenced:
-        if s not in seen:
-            seen.append(s)
-    assert res.buffer_slots == seen
+    # buffer rows follow the 3 batch rows, numbered by first use
+    first_use = []
+    for r in (r for pair in res.pairs if pair for r in pair):
+        if r >= 3 and r not in first_use:
+            first_use.append(r)
+    assert first_use == list(range(3, 3 + len(res.buffer_slots)))
+
+
+@pytest.mark.parametrize("policy", list(NegativePolicy))
+def test_fetch_rows_hold_positive_and_negative_classes(policy):
+    """Over random batches and buffers: a positive row has the anchor's
+    class and is not the anchor, a negative row has another class (under
+    INCOMING_ONLY one in the batch), and an anchor is skipped exactly when
+    it has no positive or no admissible negative."""
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        buf = ReplayBuffer(8, seed=trial)
+        n_old = rng.integers(0, 12)
+        buf.reservoir_update(np.zeros((n_old, 1), dtype=np.float32),
+                             rng.integers(0, 6, size=n_old))
+        y_in = rng.choice(rng.choice(6, size=rng.integers(1, 4)),
+                          size=rng.integers(1, 8))
+        res = fetch(buf, y_in, policy, seed=trial)
+        labels = row_labels(buf, y_in, res)
+        everyone = np.concatenate([y_in, buf.y[:len(buf)]])
+        for i, pair in enumerate(res.pairs):
+            c = y_in[i]
+            admissible = everyone != c
+            if policy is NegativePolicy.INCOMING_ONLY:
+                admissible &= np.isin(everyone, y_in)
+            has_pos = np.count_nonzero(everyone == c) > 1
+            assert (pair is None) == (not has_pos or not admissible.any())
+            if pair is None:
+                continue
+            pos, neg = pair
+            assert pos != i and labels[pos] == c
+            assert labels[neg] != c
+            if policy is NegativePolicy.INCOMING_ONLY:
+                assert labels[neg] in y_in
 
 
 def test_fetch_does_not_touch_reservoir_rng():
@@ -309,9 +349,10 @@ def test_matches_list_of_slots_oracle(capacity, longer, seed, tmp_path):
         for policy in NegativePolicy:
             got = buf.fetch_pos_neg(x_in, y_in, policy,
                                     np.random.default_rng(lo))
-            want = ref.fetch_pos_neg(x_in, y_in, policy,
-                                     np.random.default_rng(lo))
-            assert (got.pairs, got.buffer_slots) == want
+            pairs, slots = ref.fetch_pos_neg(x_in, y_in, policy,
+                                             np.random.default_rng(lo))
+            assert got.pairs == tagged_to_rows(pairs, slots, len(y_in))
+            assert got.buffer_slots == slots
         buf.reservoir_update(x_in, y_in)
         ref.reservoir_update(x_in, y_in)
         assert (len(buf), buf.n_seen) == (len(ref), ref.n_seen)

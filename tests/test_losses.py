@@ -284,13 +284,8 @@ def test_er_aml_value_transcription(trial, policy):
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
-    # reference indexes buffer-sourced features by their first-use order
-    slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
-    pairs = [None if p is None else tuple(
-        (src, idx if src == "in" else slot_row[idx]) for src, idx in p)
-        for p in pos_neg.pairs]
     want = R.ref_er_aml(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
-                        pairs, bx, cfg.gamma, cfg.tau, 4)
+                        pos_neg.pairs, bx, cfg.gamma, cfg.tau, 4)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-4)
 
 
@@ -302,12 +297,8 @@ def test_er_aml_triplet_value_transcription():
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
-    slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
-    pairs = [None if p is None else tuple(
-        (src, idx if src == "in" else slot_row[idx]) for src, idx in p)
-        for p in pos_neg.pairs]
     want = R.ref_er_aml(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
-                        pairs, bx, cfg.gamma, None, 4,
+                        pos_neg.pairs, bx, cfg.gamma, None, 4,
                         triplet_margin=cfg.triplet_margin)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-4)
 
@@ -519,16 +510,13 @@ def test_grad_er_aml(trial, method):
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = LossConfig(method=method, gamma=1.1, tau=0.2, triplet_margin=0.3)
     bx = buffer.x[pos_neg.buffer_slots]
-    slot_row = {s: i for i, s in enumerate(pos_neg.buffer_slots)}
-    pairs = [None if p is None else tuple(
-        (src, idx if src == "in" else slot_row[idx]) for src, idx in p)
-        for p in pos_neg.pairs]
     margin = cfg.triplet_margin if method is Method.ER_AML_TRIPLET else None
     composite_grad_check(
         lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                               cfg, buffer).loss,
         lambda ws, bs, wh, _: R.ref_er_aml(ws, bs, wh, model.head.tau,
-                                           x_in, y_in, x_bf, y_bf, pairs, bx,
+                                           x_in, y_in, x_bf, y_bf,
+                                           pos_neg.pairs, bx,
                                            cfg.gamma, cfg.tau, 4,
                                            triplet_margin=margin),
         model, [], f"er_aml_loss[{method.value}]")

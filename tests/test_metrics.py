@@ -133,11 +133,11 @@ def test_buffer_holdout_alignment_perfect_match():
     buf = ReplayBuffer(4)
     buf.reservoir_update(np.array([[1, 0], [0, 1]], dtype=np.float32), [0, 1])
     val_x = np.array([[2, 0], [0, 5]], dtype=np.float32)
-    out = M.buffer_holdout_alignment(model, buf, val_x, [0, 1], {0: 0, 1: 1})
+    out = M.buffer_holdout_alignment(model, buf, val_x, [0, 1], np.array([0, 1]))
     assert out[0] == pytest.approx(1.0, abs=1e-6)
     assert out[1] == pytest.approx(1.0, abs=1e-6)
     # class absent from the holdout is skipped; empty buffer yields {}
-    out2 = M.buffer_holdout_alignment(model, buf, val_x[:1], [0], {0: 0, 1: 1})
+    out2 = M.buffer_holdout_alignment(model, buf, val_x[:1], [0], np.array([0, 1]))
     assert list(out2) == [0]
     assert M.buffer_holdout_alignment(model, ReplayBuffer(2), val_x, [0, 1],
-                                      {0: 0, 1: 1}) == {}
+                                      np.array([0, 1])) == {}

@@ -408,7 +408,7 @@ def test_dataset_file_sets_the_class_count(tmp_path, monkeypatch):
     n_train = len(load_dataset(str(ds_path)).train_y)
     assert n_train == 200
     assert sorted(stream.order.tolist()) == list(range(n_train))
-    assert len(stream.classes_of_task) == 5
+    assert stream.task_ids.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):

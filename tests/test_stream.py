@@ -109,7 +109,7 @@ def test_split_stream_task_order_and_boundaries():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.split_stream(ds, split_cfg())
     batches = list(st)
-    assert len(st.classes_of_task) == 2
+    assert st.task_ids.tolist() == [0, 0, 1, 1]
     assert st.boundaries == [0, 6]           # 60 samples per task / 10
     assert len(st) == len(batches) == 12
     for b in batches[:6]:
@@ -210,10 +210,9 @@ def test_split_requires_divisible_classes():
 def test_task_maps_consistent():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.split_stream(ds, split_cfg())
-    assert st.classes_of_task == {0: [0, 1], 1: [2, 3]}
-    for c, t in st.task_of_class.items():
-        assert c in st.classes_of_task[t]
+    assert st.task_ids.tolist() == [0, 0, 1, 1]
     meta = st.metadata()
+    assert meta["task_of_class"] == {"0": 0, "1": 0, "2": 1, "3": 1}
     assert meta["mode"] == "split" and meta["num_steps"] == len(st)
 
 
@@ -255,6 +254,14 @@ def test_calibration_hits_target_unique_labels():
     scale = S.calibrate_variance_scale(per_class, 10, 2.0)
     measured = S._mean_unique_labels(per_class, 10, scale)
     assert measured == pytest.approx(2.0, abs=0.3)
+
+
+def test_calibration_takes_a_list_of_counts(monkeypatch):
+    scales = []
+    for counts in ([6, 6, 6], np.array([6, 6, 6])):
+        monkeypatch.setattr(S, "_calibration_cache", {})   # no cached answer
+        scales.append(S.calibrate_variance_scale(counts, 2, 1.5))
+    assert scales[0] == scales[1]
 
 
 def test_calibration_rejects_unattainable_target():
