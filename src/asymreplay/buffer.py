@@ -8,18 +8,12 @@ methods which never call it do not perturb the reservoir state.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .losses import NegativePolicy
-
-BUFFER_DUMP_MAGIC = b"ARBF"
-BUFFER_DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<III")   # version, row count, input dim
 
 
 @dataclass
@@ -127,48 +121,3 @@ class ReplayBuffer:
                                n + first_use.setdefault(r - n, len(first_use))
                                for r in (pos, j)))
         return FetchResult(pairs=pairs, buffer_slots=list(first_use))
-
-    def dump(self, path):
-        """Versioned little-endian dump: a header, then one (label, input)
-        row per filled slot."""
-        n = len(self)
-        rows = np.empty(n, dtype=_dump_row(self.x.shape[1]))
-        rows["y"] = self.y[:n]
-        rows["x"] = self.x[:n]
-        with open(path, "wb") as fh:
-            fh.write(BUFFER_DUMP_MAGIC)
-            fh.write(_DUMP_HEADER.pack(BUFFER_DUMP_VERSION, n,
-                                       self.x.shape[1] if n else 0))
-            fh.write(rows.tobytes())
-
-
-def _dump_row(dim: int) -> np.dtype:
-    """One dump row: an int32 label, then ``dim`` float32 inputs."""
-    return np.dtype([("y", "<i4"), ("x", "<f4", (dim,))])
-
-
-def load_buffer_dump(path):
-    """Returns (inputs, labels) from a buffer dump file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BUFFER_DUMP_MAGIC:
-            raise ValueError(f"bad buffer dump magic {magic!r}")
-        header = fh.read(_DUMP_HEADER.size)
-        if len(header) != _DUMP_HEADER.size:
-            raise ValueError("truncated buffer dump header")
-        version, count, dim = _DUMP_HEADER.unpack(header)
-        if version != BUFFER_DUMP_VERSION:
-            raise ValueError(f"unsupported buffer dump version {version}")
-        if 4 * dim + 4 >= 2**31:   # numpy dtypes stay under 2 GiB
-            raise ValueError(f"buffer dump input dim {dim} too large")
-        size = count * 4 * (1 + dim)
-        # checked before reading, so a header claiming more than the file
-        # holds never allocates it
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > remaining:
-            raise ValueError("truncated buffer dump payload")
-        if size < remaining:
-            raise ValueError("trailing bytes after buffer dump payload")
-        raw = fh.read(size)
-    rows = np.frombuffer(raw, dtype=_dump_row(dim), count=count)
-    return rows["x"].astype(np.float32), rows["y"].astype(np.intp)

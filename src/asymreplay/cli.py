@@ -1,7 +1,8 @@
 """Command-line front door: run experiments, sweep method/buffer grids,
 compare reports, and generate dataset files.
 
-Exit codes: 0 success, 1 bad config or compare input, 2 a run that failed.
+Exit codes: 0 success, 1 bad config or compare input, 2 a run that failed
+or an output that could not be written.
 """
 
 from __future__ import annotations
@@ -86,16 +87,28 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _cannot_write(path, exc) -> int:
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_RUN
+
+
 def _sweep_worker(payload):
     cfg_dict, out_dir, timestamp = payload
     cfg = parse_config(overrides=cfg_dict)
-    report = run_experiment(cfg, out_dir=out_dir, now=timestamp)
-    return cfg.method, cfg.buffer_capacity, out_dir, report["aggregates"]
+    agg = run_experiment(cfg, out_dir=out_dir, now=timestamp)["aggregates"]
+    return {"method": cfg.method, "buffer_capacity": cfg.buffer_capacity,
+            "report_dir": out_dir,
+            "final_accuracy": agg["final_accuracy"]["mean"],
+            "final_accuracy_stderr": agg["final_accuracy"]["stderr"],
+            "aaa": agg["aaa"]["mean"]}
 
 
 def _cmd_sweep(args) -> int:
     import concurrent.futures   # only sweep pays for the pool's imports
+    import multiprocessing
 
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     base = parse_config(args.config, _overrides(args))
     methods = args.methods or [base.method]
     capacities = args.buffer_capacities or [base.buffer_capacity]
@@ -108,31 +121,40 @@ def _cmd_sweep(args) -> int:
             parse_config(overrides=d)  # validate before scheduling
             out_dir = os.path.join(args.out, f"{method}-M{cap}")
             jobs.append((d, out_dir, args.timestamp))
-    failures = 0
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     rows = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as ex:
-        futures = {ex.submit(_sweep_worker, job): job for job in jobs}
-        for fut in concurrent.futures.as_completed(futures):
-            d, out_dir, _ = futures[fut]
-            try:
-                method, cap, out_dir, agg = fut.result()
-            except Exception as exc:
-                print(f"sweep job {out_dir} failed: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            rows.append({"method": method, "buffer_capacity": cap,
-                         "report_dir": out_dir,
-                         "final_accuracy": agg["final_accuracy"]["mean"],
-                         "final_accuracy_stderr": agg["final_accuracy"]["stderr"],
-                         "aaa": agg["aaa"]["mean"]})
+    # the workers share the cores, so each one's BLAS gets one thread; a
+    # spawned worker reads the variable when it loads numpy
+    pin = "OPENBLAS_NUM_THREADS" not in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.workers,
+                mp_context=multiprocessing.get_context("spawn")) as ex:
+            futures = {ex.submit(_sweep_worker, job): job[1] for job in jobs}
+            for fut in concurrent.futures.as_completed(futures):
+                try:
+                    rows.append(fut.result())
+                except Exception as exc:
+                    print(f"sweep job {futures[fut]} failed: {exc}",
+                          file=sys.stderr)
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     rows.sort(key=lambda r: (r["method"], r["buffer_capacity"]))
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "sweep_summary.json"), rows)
+    summary = os.path.join(args.out, "sweep_summary.json")
+    try:
+        write_json(summary, rows)
+    except OSError as exc:
+        return _cannot_write(summary, exc)
     for r in rows:
         print(f"{r['method']:<16} M={r['buffer_capacity']:<5} "
               f"final_acc={r['final_accuracy']:.4f}"
               f"±{r['final_accuracy_stderr']:.4f} AAA={r['aaa']:.4f}")
-    return EXIT_RUN if failures else EXIT_OK
+    return EXIT_RUN if len(rows) < len(jobs) else EXIT_OK
 
 
 def _cmd_compare(args) -> int:
@@ -150,7 +172,10 @@ def _cmd_compare(args) -> int:
         return EXIT_CONFIG
     print(table, end="")
     if args.out:
-        write_json(args.out, rows)
+        try:
+            write_json(args.out, rows)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     return EXIT_OK
 
 
@@ -161,8 +186,7 @@ def _cmd_gen_dataset(args) -> int:
     try:
         save_dataset(dataset, args.out)
     except OSError as exc:
-        print(f"cannot write dataset: {exc}", file=sys.stderr)
-        return EXIT_RUN
+        return _cannot_write(args.out, exc)
     print(f"wrote {args.out}: {len(dataset.train_y)} train / "
           f"{len(dataset.val_y)} val / {len(dataset.test_y)} test samples, "
           f"dim {dataset.input_dim}, {dataset.num_classes} classes")

@@ -1,6 +1,5 @@
 """Measurement machinery: anytime accuracy, forgetting, representation
-drift, old-feature gradient norms, buffer-holdout alignment, and the
-FLOPs/memory ledgers.
+drift, old-feature gradient norms, and the FLOPs/memory ledgers.
 
 FLOPs are analytic, counted from layer shapes (see
 ``network.forward_flops_per_sample``), never measured: a training step
@@ -140,25 +139,3 @@ def old_feature_grad_norm(feature_records, old: np.ndarray) -> float:
         g = feats.grad if feats.grad is not None else np.zeros_like(feats.data)
         norms += [float(np.linalg.norm(g[i])) for i in np.flatnonzero(old[labels])]
     return float(np.mean(norms)) if norms else 0.0
-
-
-def buffer_holdout_alignment(model, buffer, val_inputs, val_labels,
-                             task_ids) -> dict:
-    """Per-task mean of each buffered sample's best same-class cosine
-    similarity against held-out features, where ``task_ids`` holds each
-    class's task, indexed by label. Samples whose class is absent from the
-    validation set are skipped."""
-    val_labels = np.asarray(val_labels)
-    n = len(buffer)
-    if not n:
-        return {}
-    vf = probe_features(model, val_inputs)
-    bf = probe_features(model, buffer.x[:n])
-    per_task: dict = {}
-    for i, y in enumerate(buffer.y[:n].tolist()):
-        same = np.where(val_labels == y)[0]
-        if same.size == 0:
-            continue
-        best = float(np.max(vf[same] @ bf[i]))
-        per_task.setdefault(int(task_ids[y]), []).append(best)
-    return {t: float(np.mean(v)) for t, v in sorted(per_task.items())}

@@ -34,10 +34,6 @@ class FeatureExtractor:
     def input_dim(self) -> int:
         return self.sizes[0]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.sizes[-1]
-
     def forward(self, x: Tensor) -> Tensor:
         h = x
         last = len(self.weights) - 1
@@ -97,7 +93,7 @@ def init_params(sizes: Sequence[int], num_classes: int, tau: float,
 
 
 def features(model: ModelParams, x) -> Tensor:
-    x = T.as_tensor(np.asarray(x, dtype=np.float32))
+    x = Tensor(x)
     if x.data.ndim != 2 or x.data.shape[1] != model.extractor.input_dim:
         raise ValueError(
             f"input width {x.data.shape} does not match "

@@ -47,32 +47,35 @@ class ExperimentConfig:
     input_dim: int = 16
     num_classes: int = 10
     samples_per_class: int = 1000
-    noise_sigma: float = 0.5
-    mean_radius: float = 1.0
-    val_fraction: float = 0.05
-    test_fraction: float = 0.25
+    noise_sigma: float = SyntheticDatasetSpec.noise_sigma
+    mean_radius: float = SyntheticDatasetSpec.mean_radius
+    val_fraction: float = SyntheticDatasetSpec.val_fraction
+    test_fraction: float = SyntheticDatasetSpec.test_fraction
     dataset_seed: int = 0
     # stream
     classes_per_task: int = 2
-    batch_size: int = 10
-    stream_mode: str = field(default="split", metadata={"choices": StreamMode})
-    target_unique_labels: Optional[float] = 2.0
-    variance_scale: Optional[float] = None
+    batch_size: int = StreamConfig.batch_size
+    stream_mode: str = field(default=StreamConfig.mode.value,
+                             metadata={"choices": StreamMode})
+    target_unique_labels: Optional[float] = StreamConfig.target_unique_labels
+    variance_scale: Optional[float] = StreamConfig.variance_scale
     # method / loss
-    method: str = field(default="er-ace", metadata={"choices": Method})
-    gamma: float = 1.0
-    tau: float = 0.1
-    negative_policy: str = field(default="incoming-only",
+    method: str = field(default=LossConfig.method.value,
+                        metadata={"choices": Method})
+    gamma: float = LossConfig.gamma
+    tau: float = LossConfig.tau
+    negative_policy: str = field(default=LossConfig.negative_policy.value,
                                  metadata={"choices": NegativePolicy})
-    triplet_margin: float = 0.2
+    triplet_margin: float = LossConfig.triplet_margin
     # trainer
-    lr: float = 0.05
-    rehearsal_batch_size: int = 10
-    eval_every: int = 10
-    buffer_capacity: int = 20
+    lr: float = TrainerConfig.lr
+    rehearsal_batch_size: int = TrainerConfig.rehearsal_batch_size
+    eval_every: int = TrainerConfig.eval_every
+    buffer_capacity: int = TrainerConfig.buffer_capacity
     hidden_sizes: tuple[int, ...] = field(
-        default=(128, 128, 64), metadata={"help": "comma-separated layer widths"})
-    head_tau: Optional[float] = None
+        default=TrainerConfig.hidden_sizes,
+        metadata={"help": "comma-separated layer widths"})
+    head_tau: Optional[float] = TrainerConfig.head_tau
     # seeds
     seeds: tuple[int, ...] = field(default=(0,),
                                    metadata={"help": "comma-separated seeds"})
@@ -240,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         entry.update({
             "final_accuracy": result.final_accuracy,
             "aaa": result.aaa,
-            "forgetting": _none_if_nan(result.forgetting),
+            "forgetting": _nan_to_none([result.forgetting])[0],
             "eval_steps": list(log.eval_steps),
             "aa_trace": [float(v) for v in log.aa_trace],
             "current_task_accuracy": _nan_to_none(log.current_task_accuracy),
@@ -278,10 +281,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 def _nan_to_none(values):
     return [None if (v is None or not math.isfinite(v)) else float(v)
             for v in values]
-
-
-def _none_if_nan(v):
-    return None if v is None or not math.isfinite(v) else float(v)
 
 
 def write_json(path: str, obj):
@@ -327,6 +326,8 @@ def write_report_files(report: dict, out_dir: str):
 
 
 def load_report(path: str) -> dict:
+    """A report file, refused by name unless its config holds every key
+    ``compare`` reads and each aggregate has a mean and a stderr."""
     with open(path) as fh:
         report = json.load(fh)
     version = report.get("schema_version") if isinstance(report, dict) else None
@@ -335,6 +336,14 @@ def load_report(path: str) -> dict:
     for key in ("config", "aggregates"):
         if not isinstance(report.get(key), dict):
             raise ValueError(f"report has no {key!r} object")
+    for key in (*_STREAM_KEYS, *_SYNTHETIC_KEYS, *_BLURRY_KEYS, "method",
+                "buffer_capacity"):
+        if key not in report["config"]:
+            raise ValueError(f"report config has no {key!r}")
+    for key in _AGGREGATE_KEYS:
+        agg = report["aggregates"].get(key)
+        if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()):
+            raise ValueError(f"report aggregate {key!r} lacks mean or stderr")
     return report
 
 

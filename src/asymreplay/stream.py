@@ -65,7 +65,7 @@ class SyntheticDatasetSpec:
     input_dim: int
     num_classes: int
     samples_per_class: int          # training samples per class
-    noise_sigma: float = 0.25
+    noise_sigma: float = 0.5
     mean_radius: float = 1.0
     val_fraction: float = 0.05
     test_fraction: float = 0.25
@@ -82,7 +82,6 @@ class SyntheticDatasetSpec:
 class LabeledBatch:
     inputs: np.ndarray
     labels: np.ndarray
-    step: int
 
 
 @dataclass
@@ -130,9 +129,9 @@ class Stream:
     def __iter__(self):
         x, y = self.dataset.train_x, self.dataset.train_y
         ends = [*self.starts[1:].tolist(), len(self.order)]
-        for step, (lo, hi) in enumerate(zip(self.starts.tolist(), ends)):
+        for lo, hi in zip(self.starts.tolist(), ends):
             sel = self.order[lo:hi]
-            yield LabeledBatch(x[sel], y[sel], step)
+            yield LabeledBatch(x[sel], y[sel])
 
     def __len__(self):
         return len(self.starts)

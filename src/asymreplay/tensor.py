@@ -95,10 +95,6 @@ def _make(data, parents, backward):
     return out
 
 
-def as_tensor(x, requires_grad=False):
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(

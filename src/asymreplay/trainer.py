@@ -58,16 +58,6 @@ class RunAbort(RuntimeError):
         self.value = value
 
 
-@dataclass
-class StepLog:
-    step: int
-    loss: float
-    drift: float
-    old_grad_norm: float
-    skipped_anchors: int
-    extra_buffer_forwards: int
-
-
 class RunState:
     def __init__(self, model: net.ModelParams, buffer: ReplayBuffer,
                  fetch_rng: np.random.Generator, task_ids: np.ndarray):
@@ -78,6 +68,7 @@ class RunState:
         self.seen = np.zeros(len(task_ids), dtype=bool)   # classes trained on
         self.step = 0
         self.ledger = M.ResourceLedger()
+        self.log = M.MetricsLog()
 
 
 @dataclass
@@ -140,8 +131,8 @@ def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
                          pos_neg, cfg.loss, state.buffer)
 
 
-def train_step(state: RunState, batch: LabeledBatch,
-               cfg: TrainerConfig) -> StepLog:
+def train_step(state: RunState, batch: LabeledBatch, cfg: TrainerConfig):
+    """One update; appends the step's traces to ``state.log``."""
     curr, old = L.class_masks(batch.labels, state.seen)
     x_bf, y_bf = state.buffer.sample(cfg.rehearsal_batch_size)
 
@@ -174,8 +165,10 @@ def train_step(state: RunState, batch: LabeledBatch,
     state.ledger.note_memory(state.model.num_params(), len(state.buffer),
                              batch.inputs.shape[1])
     state.step += 1
-    return StepLog(state.step - 1, loss_value, drift, grad_norm,
-                   out.skipped_anchors, out.extra_buffer_forwards)
+    state.log.drift_trace.append(drift)
+    state.log.grad_norm_trace.append(grad_norm)
+    state.log.skipped_anchor_trace.append(out.skipped_anchors)
+    state.log.extra_forward_trace.append(out.extra_buffer_forwards)
 
 
 def _task_test_sets(dataset: Dataset, task_ids):
@@ -185,7 +178,7 @@ def _task_test_sets(dataset: Dataset, task_ids):
             for t in range(task_ids.max() + 1)]
 
 
-def _evaluate(state: RunState, task_tests, current_task: int, log: M.MetricsLog):
+def _evaluate(state: RunState, task_tests, current_task: int):
     per_sample = net.forward_flops_per_sample(state.model)
     # tasks with at least one seen class, ascending
     seen_tasks = np.flatnonzero(np.bincount(state.task_ids,
@@ -195,7 +188,7 @@ def _evaluate(state: RunState, task_tests, current_task: int, log: M.MetricsLog)
         tx, ty = task_tests[t]
         per_task[t] = M.accuracy(state.model, tx, ty)
         state.ledger.charge_eval(len(ty), per_sample)
-    log.record_eval(state.step, per_task, current_task)
+    state.log.record_eval(state.step, per_task, current_task)
 
 
 def run(dataset: Dataset, stream_cfg: StreamConfig,
@@ -210,17 +203,12 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
     stream = make_stream(dataset, stream_cfg)
     state = build_state(dataset, stream, cfg)
     task_tests = _task_test_sets(dataset, state.task_ids)
-    log = M.MetricsLog()
     for batch in stream:
-        step_log = train_step(state, batch, cfg)
-        log.drift_trace.append(step_log.drift)
-        log.grad_norm_trace.append(step_log.old_grad_norm)
-        log.skipped_anchor_trace.append(step_log.skipped_anchors)
-        log.extra_forward_trace.append(step_log.extra_buffer_forwards)
+        train_step(state, batch, cfg)
         if state.step % cfg.eval_every == 0 or state.step == len(stream):
             # the most frequent label's task; ties go to the lowest label
             current_task = int(state.task_ids[np.bincount(batch.labels).argmax()])
-            _evaluate(state, task_tests, current_task, log)
-    final = log.task_accuracy[-1] if log.task_accuracy else {}
-    return RunResult(cfg, stream_cfg, log, state.ledger, final, state.model,
-                     stream.metadata())
+            _evaluate(state, task_tests, current_task)
+    final = state.log.task_accuracy[-1] if state.log.task_accuracy else {}
+    return RunResult(cfg, stream_cfg, state.log, state.ledger, final,
+                     state.model, stream.metadata())

@@ -12,8 +12,6 @@ against.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 EPS = 1e-8
@@ -187,7 +185,7 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, context=""):
 
 
 def ref_split_batches(dataset, cfg):
-    """(inputs, labels, step) per step of a split stream, each batch copied
+    """(inputs, labels) per step of a split stream, each batch copied
     out of the dataset up front: tasks in ascending class order, one
     permutation of each task's training rows, cut into batches."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
@@ -201,12 +199,12 @@ def ref_split_batches(dataset, cfg):
         for lo in range(0, len(idx), cfg.batch_size):
             sel = idx[lo:lo + cfg.batch_size]
             batches.append((dataset.train_x[sel].copy(),
-                            dataset.train_y[sel].copy(), len(batches)))
+                            dataset.train_y[sel].copy()))
     return batches
 
 
 def ref_blurry_batches(dataset, cfg, variance_scale):
-    """(inputs, labels, step) per step of a blurry stream at a given
+    """(inputs, labels) per step of a blurry stream at a given
     schedule variance: labels from the library's schedule draw, inputs
     popped one by one from per-class shuffled pools."""
     from asymreplay.stream import _draw_blurry_labels
@@ -216,10 +214,10 @@ def ref_blurry_batches(dataset, cfg, variance_scale):
     pools = {c: list(rng.permutation(np.where(dataset.train_y == c)[0]))
              for c in range(dataset.num_classes)}
     batches = []
-    for step, labels in enumerate(step_labels):
+    for labels in step_labels:
         idx = np.array([pools[int(c)].pop() for c in labels], dtype=np.intp)
         batches.append((dataset.train_x[idx].copy(),
-                        dataset.train_y[idx].copy(), step))
+                        dataset.train_y[idx].copy()))
     return batches
 
 
@@ -296,17 +294,6 @@ class RefReservoir:
                     used.append(idx)
             pairs.append((pos, neg))
         return pairs, used
-
-    def dump(self, path):
-        """Magic, version, count and dim, then per slot an int32 label
-        followed by the float32 input, written row by row."""
-        dim = self.slots[0][0].size if self.slots else 0
-        with open(path, "wb") as fh:
-            fh.write(b"ARBF")
-            fh.write(struct.pack("<III", 1, len(self.slots), dim))
-            for x, y in self.slots:
-                fh.write(struct.pack("<i", y))
-                fh.write(x.astype("<f4").tobytes())
 
 
 def tagged_to_rows(pairs, slots, n):

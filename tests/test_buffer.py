@@ -1,12 +1,9 @@
-"""Reservoir memory: retention statistics, sampling, pair fetching, dumps."""
-
-import struct
-import tracemalloc
+"""Reservoir memory: retention statistics, sampling, pair fetching."""
 
 import numpy as np
 import pytest
 
-from asymreplay.buffer import BUFFER_DUMP_MAGIC, ReplayBuffer, load_buffer_dump
+from asymreplay.buffer import ReplayBuffer
 from asymreplay.losses import NegativePolicy
 
 from reference import RefReservoir, tagged_to_rows
@@ -231,89 +228,6 @@ def test_fetch_does_not_touch_reservoir_rng():
                for xa, xb in zip(a.x[:len(a)], b.x[:len(b)]))
 
 
-# dump / load ----------------------------------------------------------
-
-def test_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    buf = ReplayBuffer(6, seed=5)
-    buf.reservoir_update(rng.standard_normal((6, 3)).astype(np.float32),
-                         [4, 1, 0, 2, 2, 3])
-    path = tmp_path / "buf.bin"
-    buf.dump(path)
-    xs, ys = load_buffer_dump(path)
-    assert ys.tolist() == buf.y[:len(buf)].tolist()
-    for row, x in zip(xs, buf.x[:len(buf)]):
-        assert row.tobytes() == x.tobytes()
-
-
-def test_dump_empty_buffer(tmp_path):
-    buf = ReplayBuffer(3)
-    path = tmp_path / "empty.bin"
-    buf.dump(path)
-    xs, ys = load_buffer_dump(path)
-    assert xs.shape[0] == 0 and ys.shape[0] == 0
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXX" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        load_buffer_dump(path)
-
-
-def test_load_rejects_truncated_payload(tmp_path):
-    buf = ReplayBuffer(3)
-    buf.reservoir_update(np.ones((2, 4), dtype=np.float32), [0, 1])
-    path = tmp_path / "trunc.bin"
-    buf.dump(path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-5])
-    with pytest.raises(ValueError):
-        load_buffer_dump(path)
-
-
-def test_load_rejects_truncated_header(tmp_path):
-    path = tmp_path / "short.bin"
-    path.write_bytes(BUFFER_DUMP_MAGIC + struct.pack("<II", 1, 2))
-    with pytest.raises(ValueError, match="truncated buffer dump header"):
-        load_buffer_dump(path)
-
-
-def test_load_rejects_trailing_bytes(tmp_path):
-    buf = ReplayBuffer(3)
-    buf.reservoir_update(np.ones((2, 4), dtype=np.float32), [0, 1])
-    path = tmp_path / "long.bin"
-    buf.dump(path)
-    path.write_bytes(path.read_bytes() + b"\x00" * 7)
-    with pytest.raises(ValueError, match="trailing bytes"):
-        load_buffer_dump(path)
-
-
-def test_load_rejects_input_dim_too_large_for_a_row(tmp_path):
-    """A row of 2**30 inputs would pass 2 GiB; the header is refused by name
-    before a row dtype is built, even with no rows."""
-    path = tmp_path / "wide.bin"
-    path.write_bytes(BUFFER_DUMP_MAGIC + struct.pack("<III", 1, 0, 2**30))
-    with pytest.raises(ValueError, match="input dim 1073741824 too large"):
-        load_buffer_dump(path)
-
-
-def test_load_rejects_row_count_beyond_the_file(tmp_path):
-    """A header claiming 2**24 rows of dim 2**16 (4 TiB) is refused without
-    allocating more than the file holds."""
-    path = tmp_path / "huge.bin"
-    path.write_bytes(BUFFER_DUMP_MAGIC + struct.pack("<III", 1, 2**24, 2**16)
-                     + b"\x00" * 64)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="truncated buffer dump payload"):
-            load_buffer_dump(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 # equivalence with the list-of-slots reservoir ---------------------------
 
 def contents(buf):
@@ -328,9 +242,8 @@ def ref_contents(ref):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("longer", [False, True])
 @pytest.mark.parametrize("capacity", [1, 5, 20, 500])
-def test_matches_list_of_slots_oracle(capacity, longer, seed, tmp_path):
-    """Contents, n_seen, sample draws, pos/neg fetches and dump bytes equal
-    the oracle's, bit for bit, after every batch of a stream shorter or
+def test_matches_list_of_slots_oracle(capacity, longer, seed):
+    """Contents, n_seen, sample draws and pos/neg fetches equal the oracle's, bit for bit, after every batch of a stream shorter or
     longer than the capacity."""
     rng = np.random.default_rng(seed)
     n = 3 * capacity + 7 if longer else capacity // 2
@@ -357,6 +270,3 @@ def test_matches_list_of_slots_oracle(capacity, longer, seed, tmp_path):
         ref.reservoir_update(x_in, y_in)
         assert (len(buf), buf.n_seen) == (len(ref), ref.n_seen)
         assert contents(buf) == ref_contents(ref)
-    buf.dump(tmp_path / "buf.bin")
-    ref.dump(tmp_path / "ref.bin")
-    assert (tmp_path / "buf.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()

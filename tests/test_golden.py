@@ -5,7 +5,8 @@ Each run covers a method (plus ER-AML under the all-classes negative
 policy and one blurry ER-AML run) on a small synthetic config at M=20 with
 two seeds, so the buffer is full and ER-AML fetches positives and
 negatives from it.  The digests pin ``report.json``, the TSV plot files,
-``stream_metadata.json`` and each seed's final ``ReplayBuffer.dump``.
+``stream_metadata.json`` and each seed's final buffer contents (the filled
+slots' inputs, then their labels).
 
 The digests belong to the numpy/BLAS build they were recorded with: float
 rounding can differ on another build even when the code is unchanged.  A
@@ -55,10 +56,10 @@ GOLDEN = {
             '4323b47cdd91fc62f9d9a66e6a422a6aa7b9b6bc5f1adaf950bbe74a2bdc3697',
         'stream_metadata.json':
             '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
-        'buffer_seed0.bin':
-            'e5803afe6e1b14561ab206455fa6913f6795e0ff5040f2f62465ecf3becfcfc4',
-        'buffer_seed1.bin':
-            '339ade4d7ede8eca1a1f32d4e27b2284c331c2f836da706b427eaa2534c50178',
+        'buffer_seed0':
+            '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
+        'buffer_seed1':
+            'c77d481a2ceeb875dd62abc92e3903d427399ba1f47f604328afc0894cc5175b',
     },
     'er-ace': {
         'report.json':
@@ -71,10 +72,10 @@ GOLDEN = {
             'd4a7b7dac5d8478500ce86fc3fbfe9fae5e7ed4c752d67bbd44ba367c5854e87',
         'stream_metadata.json':
             '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
-        'buffer_seed0.bin':
-            'e5803afe6e1b14561ab206455fa6913f6795e0ff5040f2f62465ecf3becfcfc4',
-        'buffer_seed1.bin':
-            '339ade4d7ede8eca1a1f32d4e27b2284c331c2f836da706b427eaa2534c50178',
+        'buffer_seed0':
+            '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
+        'buffer_seed1':
+            'c77d481a2ceeb875dd62abc92e3903d427399ba1f47f604328afc0894cc5175b',
     },
     'ssil-nodistill': {
         'report.json':
@@ -87,10 +88,10 @@ GOLDEN = {
             'ba789cf4dac553d45f5a97abb82721d3efa3c1d0da0c5766217b262d430dd15f',
         'stream_metadata.json':
             '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
-        'buffer_seed0.bin':
-            'e5803afe6e1b14561ab206455fa6913f6795e0ff5040f2f62465ecf3becfcfc4',
-        'buffer_seed1.bin':
-            '339ade4d7ede8eca1a1f32d4e27b2284c331c2f836da706b427eaa2534c50178',
+        'buffer_seed0':
+            '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
+        'buffer_seed1':
+            'c77d481a2ceeb875dd62abc92e3903d427399ba1f47f604328afc0894cc5175b',
     },
     'er-aml': {
         'report.json':
@@ -103,10 +104,10 @@ GOLDEN = {
             '64ed6db3c7670b1a4dfb63265eca5fd9ec82499010be14aded17216e74add191',
         'stream_metadata.json':
             '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
-        'buffer_seed0.bin':
-            'e5803afe6e1b14561ab206455fa6913f6795e0ff5040f2f62465ecf3becfcfc4',
-        'buffer_seed1.bin':
-            '339ade4d7ede8eca1a1f32d4e27b2284c331c2f836da706b427eaa2534c50178',
+        'buffer_seed0':
+            '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
+        'buffer_seed1':
+            'c77d481a2ceeb875dd62abc92e3903d427399ba1f47f604328afc0894cc5175b',
     },
     'er-aml-triplet': {
         'report.json':
@@ -119,10 +120,10 @@ GOLDEN = {
             '5e085399989caebb25e14094d7a1fbb7f22c14299eb6fcdbb3071a690e235b2a',
         'stream_metadata.json':
             '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
-        'buffer_seed0.bin':
-            'e5803afe6e1b14561ab206455fa6913f6795e0ff5040f2f62465ecf3becfcfc4',
-        'buffer_seed1.bin':
-            '339ade4d7ede8eca1a1f32d4e27b2284c331c2f836da706b427eaa2534c50178',
+        'buffer_seed0':
+            '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
+        'buffer_seed1':
+            'c77d481a2ceeb875dd62abc92e3903d427399ba1f47f604328afc0894cc5175b',
     },
     'er-aml-all-classes': {
         'report.json':
@@ -135,10 +136,10 @@ GOLDEN = {
             '1eb996e20a08c15b708a7d717ddba146ac4e94b7cc6dbb12e931239eb34ecb61',
         'stream_metadata.json':
             '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
-        'buffer_seed0.bin':
-            'e5803afe6e1b14561ab206455fa6913f6795e0ff5040f2f62465ecf3becfcfc4',
-        'buffer_seed1.bin':
-            '339ade4d7ede8eca1a1f32d4e27b2284c331c2f836da706b427eaa2534c50178',
+        'buffer_seed0':
+            '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
+        'buffer_seed1':
+            'c77d481a2ceeb875dd62abc92e3903d427399ba1f47f604328afc0894cc5175b',
     },
     'er-aml-blurry': {
         'report.json':
@@ -151,17 +152,17 @@ GOLDEN = {
             '255cc5442e3769b0a45792754a8e7385d4f9be95f4834537902e0af1db770c3c',
         'stream_metadata.json':
             'd65efedfe78f91ac2aa88e8172aa66fbc2ebe4a0b51b90f71cadc190ce284775',
-        'buffer_seed0.bin':
-            '93a71429ce3017faa81dcc6943c9510c54caec1c05b4f15ff27691d973428e2a',
-        'buffer_seed1.bin':
-            '7b394799a6a88e127044076f6d859d05c9eab2556b8c967de8984a3ef1e1b1f7',
+        'buffer_seed0':
+            'e61f240d0c0dee33fdd6a4b56ce36c2a4ecc68d5fc4c8b3cdc56e6097a4e1e75',
+        'buffer_seed1':
+            '9f7ee7c2623b2d51aa31e88584271552e39e5f74406644ea175186c90207cfeb',
     },
 }
 
 
 def run_digests(name, out_dir):
-    """sha256 of each output file of run ``name`` and of each seed's final
-    buffer dump, keyed by file name."""
+    """sha256 of each output file of run ``name``, keyed by file name, and
+    of each seed's final buffer contents, keyed ``buffer_seed{s}``."""
     states = []
     real_build_state = trainer.build_state
 
@@ -175,13 +176,14 @@ def run_digests(name, out_dir):
             assert cli.main(["run", *BASE, *RUNS[name], "--out", out_dir]) == 0
     finally:
         trainer.build_state = real_build_state
-    for seed, state in enumerate(states):
-        state.buffer.dump(os.path.join(out_dir, f"buffer_seed{seed}.bin"))
-    names = [*OUTPUTS, *(f"buffer_seed{s}.bin" for s in range(len(states)))]
     digests = {}
-    for fname in names:
+    for fname in OUTPUTS:
         with open(os.path.join(out_dir, fname), "rb") as fh:
             digests[fname] = hashlib.sha256(fh.read()).hexdigest()
+    for seed, state in enumerate(states):
+        buf, n = state.buffer, len(state.buffer)
+        digests[f"buffer_seed{seed}"] = hashlib.sha256(
+            buf.x[:n].tobytes() + buf.y[:n].tobytes()).hexdigest()
     return digests
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from asymreplay import metrics as M
 from asymreplay import network as net
-from asymreplay.buffer import ReplayBuffer
 
 
 def test_anytime_accuracy_unweighted_mean():
@@ -125,19 +124,3 @@ def test_memory_ledger_mean():
     want = (10 * M.BYTES_PER_FLOAT * 2 + (2 + 4) * per_slot) / 2
     assert led.mean_memory_bytes == pytest.approx(want)
     assert M.ResourceLedger().mean_memory_bytes == 0.0
-
-
-def test_buffer_holdout_alignment_perfect_match():
-    model = net.init_params([2, 2], 2, 0.1, seed=0)
-    model.extractor.weights[0].data[...] = np.eye(2, dtype=np.float32)
-    buf = ReplayBuffer(4)
-    buf.reservoir_update(np.array([[1, 0], [0, 1]], dtype=np.float32), [0, 1])
-    val_x = np.array([[2, 0], [0, 5]], dtype=np.float32)
-    out = M.buffer_holdout_alignment(model, buf, val_x, [0, 1], np.array([0, 1]))
-    assert out[0] == pytest.approx(1.0, abs=1e-6)
-    assert out[1] == pytest.approx(1.0, abs=1e-6)
-    # class absent from the holdout is skipped; empty buffer yields {}
-    out2 = M.buffer_holdout_alignment(model, buf, val_x[:1], [0], np.array([0, 1]))
-    assert list(out2) == [0]
-    assert M.buffer_holdout_alignment(model, ReplayBuffer(2), val_x, [0, 1],
-                                      np.array([0, 1])) == {}

@@ -1,9 +1,11 @@
 """Config parsing, experiment reports, comparisons, CLI commands."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment)
-from asymreplay.stream import load_dataset
+from asymreplay.stream import (StreamConfig, SyntheticDatasetSpec,
+                               load_dataset)
+from asymreplay.trainer import TrainerConfig
 
 SMALL = {
     "input_dim": 4, "num_classes": 4, "samples_per_class": 20,
@@ -93,6 +97,17 @@ def test_config_to_trainer_and_stream():
     assert tcfg.seed == 7 and tcfg.loss.gamma == 1.5
     scfg = cfg.stream_config(seed=7)
     assert scfg.seed == 7
+
+
+def test_default_config_is_the_library_defaults():
+    """Every default shared with a library config is that config's: the
+    default experiment builds the library's default dataset, stream and
+    trainer, plus the values only the experiment sets."""
+    cfg = ExperimentConfig()
+    assert cfg._synthetic_spec() == SyntheticDatasetSpec(
+        input_dim=16, num_classes=10, samples_per_class=1000)
+    assert cfg.stream_config(0) == StreamConfig(classes_per_task=2)
+    assert cfg.trainer_config(0) == TrainerConfig()
 
 
 def test_invalid_enum_value_rejected_by_name(tmp_path):
@@ -266,6 +281,29 @@ def test_load_report_rejects_wrong_schema(tmp_path):
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(ValueError):
         load_report(str(path))
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda r: r.update(config={}, aggregates={}), "'dataset_path'"),
+    (lambda r: r["config"].pop("buffer_capacity"), "'buffer_capacity'"),
+    (lambda r: r["aggregates"]["aaa"].pop("stderr"), "'aaa'"),
+    (lambda r: r["aggregates"].pop("train_flops"), "'train_flops'"),
+], ids=["empty", "no-config-key", "no-stderr", "no-aggregate"])
+def test_cli_compare_refuses_incomplete_report_by_name(edit, named,
+                                                       small_report, tmp_path,
+                                                       capsys):
+    """A report lacking a config key or an aggregate's mean or stderr is
+    refused by name (exit 1), not with a KeyError traceback."""
+    report, out = small_report
+    report = json.loads(json.dumps(report))
+    edit(report)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    assert main(["compare", str(out / "report.json"), str(bad)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read report {bad}:") and named in err
+    assert err.count("\n") == 1
 
 
 def test_experiment_from_dataset_file(tmp_path):
@@ -562,3 +600,73 @@ def test_cli_compare_rejects_mismatched_streams(tmp_path, capsys):
     code = main(["compare", str(a / "report.json"), str(b / "report.json")])
     assert code == EXIT_CONFIG
     assert "different streams" in capsys.readouterr().err
+
+
+def test_cli_compare_unwritable_out_exits_2(small_report, tmp_path, capsys):
+    """The table is printed, then the unwritable ``--out`` is named."""
+    _, out = small_report
+    target = tmp_path / "missing_dir" / "x.json"
+    report = str(out / "report.json")
+    assert main(["compare", report, report, "--out", str(target)]) == EXIT_RUN
+    captured = capsys.readouterr()
+    assert "er-ace" in captured.out
+    assert captured.err.startswith(f"cannot write {target}:")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_sweep_unwritable_out_exits_2_before_any_job(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sweep"
+    assert main(["sweep", *cli_small_args(), "--workers", "1",
+                 "--out", str(out)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}:") and err.count("\n") == 1
+
+
+def test_cli_sweep_refuses_zero_workers(tmp_path, capsys):
+    assert main(["sweep", *cli_small_args(), "--workers", "0",
+                 "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --workers must be >= 1")
+    assert not (tmp_path / "sweep").exists()
+
+
+class InlinePool:
+    """Stands in for the sweep's process pool: runs each job in-process and
+    notes the start method and the BLAS thread variable at submit time."""
+    submitted = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.method = mp_context.get_start_method() if mp_context else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted.append((self.method,
+                               os.environ.get("OPENBLAS_NUM_THREADS")))
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_sweep_workers_are_spawned_with_one_blas_thread(preset, monkeypatch,
+                                                        tmp_path, capsys):
+    """Workers start from a spawn context with OPENBLAS_NUM_THREADS=1 unless
+    the caller set it, and the caller's environment is left as it was."""
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "submitted", [])
+    before = dict(os.environ)
+    assert main(["sweep", *cli_small_args(), "--methods", "er,er-ace",
+                 "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert InlinePool.submitted == [("spawn", preset or "1")] * 2
+    assert dict(os.environ) == before

@@ -131,20 +131,25 @@ def test_split_stream_single_pass_over_training_data():
 
 def test_split_stream_steps_sequential_and_shuffled():
     ds = S.make_synthetic(spec(), seed=0)
-    batches = list(S.split_stream(ds, split_cfg(seed=5)))
-    assert [b.step for b in batches] == list(range(len(batches)))
+    st = S.split_stream(ds, split_cfg(seed=5))
+    batches = list(st)
+    assert len(batches) == len(st)
+    # one task per batch, tasks in ascending order
+    tasks = [np.unique(st.task_ids[b.labels]).tolist() for b in batches]
+    assert all(len(t) == 1 for t in tasks)
+    assert [t[0] for t in tasks] == sorted(t[0] for t in tasks)
     first_task = np.concatenate([b.labels for b in batches[:6]])
     assert not np.array_equal(first_task, np.sort(first_task))
 
 
 def batch_tuples(stream):
     return [(b.inputs.tobytes(), b.inputs.dtype, b.inputs.shape,
-             b.labels.tolist(), b.labels.dtype, b.step) for b in stream]
+             b.labels.tolist(), b.labels.dtype) for b in stream]
 
 
 def ref_tuples(batches):
-    return [(x.tobytes(), x.dtype, x.shape, y.tolist(), y.dtype, step)
-            for x, y, step in batches]
+    return [(x.tobytes(), x.dtype, x.shape, y.tolist(), y.dtype)
+            for x, y in batches]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
