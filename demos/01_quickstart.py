@@ -18,7 +18,7 @@ dataset = make_synthetic(
                          noise_sigma=0.3),
     seed=0)
 
-stream_cfg = StreamConfig(classes_per_task=2, batch_size=10, seed=0)
+stream_cfg = StreamConfig(classes_per_task=2, batch_size=10)
 
 trainer_cfg = TrainerConfig(
     loss=LossConfig(method=Method.ER_ACE, tau=0.1),

@@ -17,7 +17,7 @@ incoming batch is allowed to touch:
 All methods share the same stream order, buffer contents, and rehearsal
 draws per seed, so differences come from the loss alone.
 
-Run:  python3 demos/02_method_comparison.py          (~2 min)
+Run:  python3 demos/02_method_comparison.py          (~9 s)
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ dataset = make_synthetic(
     SyntheticDatasetSpec(input_dim=16, num_classes=10, samples_per_class=NPC,
                          noise_sigma=0.5),
     seed=0)
-stream_cfg = StreamConfig(classes_per_task=2, batch_size=10, seed=0)
+stream_cfg = StreamConfig(classes_per_task=2, batch_size=10)
 
 METHODS = [
     ("er", Method.ER, NegativePolicy.INCOMING_ONLY),

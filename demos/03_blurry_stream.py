@@ -20,9 +20,9 @@ dataset = make_synthetic(
     seed=0)
 
 cfg = StreamConfig(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY,
-                   seed=0, target_unique_labels=2.0)
+                   target_unique_labels=2.0)
 
-batches = list(make_stream(dataset, cfg))
+batches = list(make_stream(dataset, cfg, seed=0))
 uniques = [len(np.unique(b.labels)) for b in batches]
 print(f"default blurry stream: {len(batches)} steps, "
       f"mean unique labels/batch = {np.mean(uniques):.3f} (target 2.0)")
@@ -41,6 +41,6 @@ for c in range(10):
 print()
 print("sweeping the blurriness level:")
 for level in (1.0, 2.0, 3.0, 4.0, 5.0):
-    st = blurriness_sweep(dataset, cfg, level)
+    st = blurriness_sweep(dataset, cfg, level, seed=0)
     measured = np.mean([len(np.unique(b.labels)) for b in st])
     print(f"  requested {level:.0f}  measured {measured:.3f}")

@@ -8,7 +8,7 @@ catches up and the gap narrows.
 This demo drives the same `asymreplay sweep` command you would run in a
 shell, then reads the machine-readable summary it wrote.
 
-Run:  python3 demos/05_buffer_size_sweep.py          (~2 min)
+Run:  python3 demos/05_buffer_size_sweep.py          (~5 s)
 """
 
 import json

@@ -136,11 +136,6 @@ def triplet_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
     return T.tsum(hinge)
 
 
-def _forward_with_logits(model, inputs):
-    f = net.features(model, inputs)
-    return f, net.cosine_logits(model.head, f)
-
-
 def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
     """Plain replay: cross-entropy over the union, all classes admissible.
 
@@ -148,12 +143,12 @@ def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
     loss is identical either way) so that on a first task the computation
     coincides float-for-float with the asymmetric variant.
     """
-    c_all = np.ones(model.head.num_classes, dtype=bool)
-    f_in, lg_in = _forward_with_logits(model, x_in)
+    c_all = np.ones(model.num_classes, dtype=bool)
+    f_in, lg_in = net.forward(model, x_in)
     loss = masked_ce(lg_in, y_in, c_all)
     records = [(f_in, np.asarray(y_in))]
     if len(y_bf):
-        f_bf, lg_bf = _forward_with_logits(model, x_bf)
+        f_bf, lg_bf = net.forward(model, x_bf)
         loss = T.add(loss, masked_ce(lg_bf, y_bf, c_all))
         records.append((f_bf, np.asarray(y_bf)))
     return LossOutput(loss, feature_records=records)
@@ -162,11 +157,11 @@ def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
 def er_ace_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
                 old: np.ndarray) -> LossOutput:
     """Incoming CE over ``curr``; rehearsal CE over ``curr | old``."""
-    f_in, lg_in = _forward_with_logits(model, x_in)
+    f_in, lg_in = net.forward(model, x_in)
     loss = masked_ce(lg_in, y_in, curr)
     records = [(f_in, np.asarray(y_in))]
     if len(y_bf):
-        f_bf, lg_bf = _forward_with_logits(model, x_bf)
+        f_bf, lg_bf = net.forward(model, x_bf)
         loss = T.add(loss, masked_ce(lg_bf, y_bf, curr | old))
         records.append((f_bf, np.asarray(y_bf)))
     return LossOutput(loss, feature_records=records)
@@ -180,11 +175,11 @@ def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
     No loss term ever compares classes across tasks, which is the defining
     pathology of this ablation in the single-head setting.
     """
-    f_in, lg_in = _forward_with_logits(model, x_in)
+    f_in, lg_in = net.forward(model, x_in)
     loss = masked_ce(lg_in, y_in, curr)
     records = [(f_in, np.asarray(y_in))]
     if len(y_bf):
-        f_bf, lg_bf = _forward_with_logits(model, x_bf)
+        f_bf, lg_bf = net.forward(model, x_bf)
         y_bf = np.asarray(y_bf)
         records.append((f_bf, y_bf))
         tasks = task_ids[y_bf]
@@ -228,9 +223,9 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
         loss = Tensor(0.0)
 
     if len(y_bf):
-        f_bf, lg_bf = _forward_with_logits(model, x_bf)
+        f_bf, lg_bf = net.forward(model, x_bf)
         loss = T.add(loss, masked_ce(lg_bf, y_bf,
-                                     np.ones(model.head.num_classes, dtype=bool)))
+                                     np.ones(model.num_classes, dtype=bool)))
         records.append((f_bf, np.asarray(y_bf)))
 
     return LossOutput(loss, feature_records=records,

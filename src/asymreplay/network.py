@@ -15,12 +15,21 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-class FeatureExtractor:
-    """Fully connected net with relu between layers, none after the last."""
 
-    def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
+class ModelParams:
+    """An MLP feature extractor (relu between layers, none after the last)
+    plus one prototype row per class; logit = cos(feature, prototype) / tau.
+
+    ``sizes`` runs from the input width to the feature width.  The layer
+    weights are drawn from ``rng`` first, then the prototypes ``W``.
+    """
+
+    def __init__(self, sizes: Sequence[int], num_classes: int, tau: float,
+                 rng: np.random.Generator):
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
+        if tau <= 0:
+            raise ValueError("tau must be positive")
         self.sizes = list(sizes)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
@@ -29,33 +38,8 @@ class FeatureExtractor:
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-
-    @property
-    def input_dim(self) -> int:
-        return self.sizes[0]
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.add(T.matmul(h, w), b)
-            if i != last:
-                h = T.relu(h)
-        return h
-
-    def parameters(self) -> list[Tensor]:
-        return [*self.weights, *self.biases]
-
-
-class PrototypeHead:
-    """One prototype row per class; logit = cos(feature, prototype) / tau."""
-
-    def __init__(self, num_classes: int, feature_dim: int, tau: float,
-                 rng: np.random.Generator):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        limit = np.sqrt(6.0 / (num_classes + feature_dim))
-        self.W = Tensor(rng.uniform(-limit, limit, size=(num_classes, feature_dim)),
+        limit = np.sqrt(6.0 / (num_classes + sizes[-1]))
+        self.W = Tensor(rng.uniform(-limit, limit, size=(num_classes, sizes[-1])),
                         requires_grad=True)
         self.tau = float(tau)
 
@@ -64,16 +48,7 @@ class PrototypeHead:
         return self.W.data.shape[0]
 
     def parameters(self) -> list[Tensor]:
-        return [self.W]
-
-
-class ModelParams:
-    def __init__(self, extractor: FeatureExtractor, head: PrototypeHead):
-        self.extractor = extractor
-        self.head = head
-
-    def parameters(self) -> list[Tensor]:
-        return self.extractor.parameters() + self.head.parameters()
+        return [*self.weights, *self.biases, self.W]
 
     def zero_grad(self):
         for p in self.parameters():
@@ -86,36 +61,39 @@ class ModelParams:
 def init_params(sizes: Sequence[int], num_classes: int, tau: float,
                 seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    extractor = FeatureExtractor(sizes, rng)
-    head = PrototypeHead(num_classes, sizes[-1], tau, rng)
-    return ModelParams(extractor, head)
+    return ModelParams(sizes, num_classes, tau,
+                       np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def features(model: ModelParams, x) -> Tensor:
-    x = Tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != model.extractor.input_dim:
-        raise ValueError(
-            f"input width {x.data.shape} does not match "
-            f"input_dim {model.extractor.input_dim}"
-        )
-    return model.extractor.forward(x)
+    h = Tensor(x)
+    if h.data.ndim != 2 or h.data.shape[1] != model.sizes[0]:
+        raise ValueError(f"input width {h.data.shape} does not match "
+                         f"input_dim {model.sizes[0]}")
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = T.add(T.matmul(h, w), b)
+        if i != last:
+            h = T.relu(h)
+    return h
 
 
-def cosine_logits(head: PrototypeHead, f: Tensor) -> Tensor:
+def cosine_logits(model: ModelParams, f: Tensor) -> Tensor:
     fn = T.l2_normalize(f)
-    wn = T.l2_normalize(head.W)
-    return T.scale(T.matmul(fn, T.transpose(wn)), 1.0 / head.tau)
+    wn = T.l2_normalize(model.W)
+    return T.scale(T.matmul(fn, T.transpose(wn)), 1.0 / model.tau)
 
 
-def logits(model: ModelParams, x) -> Tensor:
-    return cosine_logits(model.head, features(model, x))
+def forward(model: ModelParams, x) -> tuple[Tensor, Tensor]:
+    """(features, logits) of ``x``."""
+    f = features(model, x)
+    return f, cosine_logits(model, f)
 
 
 def predict(model: ModelParams, x) -> np.ndarray:
     """Argmax over all class logits; ties break toward the lowest index."""
     with T.no_grad():
-        lg = logits(model, x)
+        _, lg = forward(model, x)
     return np.argmax(lg.data, axis=1)
 
 
@@ -128,14 +106,14 @@ def forward_flops_per_sample(model: ModelParams, with_head: bool = True) -> int:
     scaling; prototype-row normalization is amortized and not charged.
     """
     total = 0
-    sizes = model.extractor.sizes
+    sizes = model.sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         total += 2 * fan_in * fan_out + fan_out
     for fan_out in sizes[1:-1]:
         total += fan_out  # relu
     if with_head:
         d = sizes[-1]
-        c = model.head.num_classes
+        c = model.num_classes
         total += 3 * d + 1          # feature normalization
         total += 2 * d * c + c      # prototype matmul + temperature scale
     return total

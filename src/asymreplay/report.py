@@ -93,7 +93,7 @@ class ExperimentConfig:
         if self.dataset_seed < 0:
             raise ConfigError("config key 'dataset_seed' must be >= 0")
         try:
-            stream = self.stream_config(0)
+            stream = self.stream_config()
             self.trainer_config(0)
             if self.dataset_path is None:
                 stream.check_num_classes(self._synthetic_spec().num_classes)
@@ -114,11 +114,11 @@ class ExperimentConfig:
             return load_dataset(self.dataset_path)
         return make_synthetic(self._synthetic_spec(), self.dataset_seed)
 
-    def stream_config(self, seed: int) -> StreamConfig:
+    def stream_config(self) -> StreamConfig:
         return StreamConfig(
             classes_per_task=self.classes_per_task,
             batch_size=self.batch_size,
-            mode=StreamMode(self.stream_mode), seed=seed,
+            mode=StreamMode(self.stream_mode),
             target_unique_labels=self.target_unique_labels,
             variance_scale=self.variance_scale)
 
@@ -231,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     for seed in cfg.seeds:
         entry: dict = {"seed": seed, "error": None}
         try:
-            result = run(dataset, cfg.stream_config(seed), cfg.trainer_config(seed))
+            result = run(dataset, cfg.stream_config(), cfg.trainer_config(seed))
         except RunAbort as exc:
             entry["error"] = str(exc)
             per_seed.append(entry)
@@ -327,7 +327,8 @@ def write_report_files(report: dict, out_dir: str):
 
 def load_report(path: str) -> dict:
     """A report file, refused by name unless its config holds every key
-    ``compare`` reads and each aggregate has a mean and a stderr."""
+    ``compare`` reads, each of its config type, and each aggregate has a
+    numeric mean and stderr."""
     with open(path) as fh:
         report = json.load(fh)
     version = report.get("schema_version") if isinstance(report, dict) else None
@@ -340,10 +341,13 @@ def load_report(path: str) -> dict:
                 "buffer_capacity"):
         if key not in report["config"]:
             raise ValueError(f"report config has no {key!r}")
+        _coerce(key, report["config"][key])
     for key in _AGGREGATE_KEYS:
         agg = report["aggregates"].get(key)
-        if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()):
-            raise ValueError(f"report aggregate {key!r} lacks mean or stderr")
+        if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()
+                and _is_a(float, agg["mean"]) and _is_a(float, agg["stderr"])):
+            raise ValueError(f"report aggregate {key!r} lacks a numeric mean "
+                             "or stderr")
     return report
 
 

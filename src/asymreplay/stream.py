@@ -34,7 +34,6 @@ class StreamConfig:
     classes_per_task: int
     batch_size: int = 10
     mode: StreamMode = StreamMode.SPLIT
-    seed: int = 0
     # blurry mode only: calibrate the schedule variance so batches average
     # this many distinct labels; None runs the raw schedule.
     target_unique_labels: Optional[float] = 2.0
@@ -181,12 +180,12 @@ def make_synthetic(spec: SyntheticDatasetSpec, seed: int) -> Dataset:
     return Dataset(tx, ty, vx, vy, sx, sy, spec.num_classes)
 
 
-def split_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
+def split_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
     """Disjoint tasks in ascending class order, one pass, shuffled within."""
     if cfg.mode is not StreamMode.SPLIT:
         raise ValueError("split_stream requires SPLIT mode")
     cfg.check_num_classes(dataset.num_classes)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
     task_ids = np.arange(dataset.num_classes) // cfg.classes_per_task
     order, starts, boundaries = [], [], []
     n_streamed = 0
@@ -285,7 +284,7 @@ def calibrate_variance_scale(per_class_samples, batch_size: int,
     return scale
 
 
-def blurry_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
+def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
     """Classes phase in and out under per-class Gaussian schedules.
 
     Labels are drawn categorically from the normalized schedule weights;
@@ -302,7 +301,7 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
                                          cfg.target_unique_labels)
     else:
         scale = 1.0
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB1E5]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB1E5]))
     step_labels = _draw_blurry_labels(per_class, cfg.batch_size, scale, rng)
     labels = np.concatenate([np.zeros(0, np.intp), *step_labels])
     # each class's training rows are shuffled into a pool that is popped
@@ -317,17 +316,18 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
                   StreamMode.BLURRY)
 
 
-def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float) -> Stream:
+def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float,
+                     seed: int) -> Stream:
     """Blurry stream calibrated to a requested unique-labels-per-batch level."""
     return blurry_stream(dataset, replace(cfg, mode=StreamMode.BLURRY,
                                           target_unique_labels=float(level),
-                                          variance_scale=None))
+                                          variance_scale=None), seed)
 
 
-def make_stream(dataset: Dataset, cfg: StreamConfig) -> Stream:
+def make_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
     if cfg.mode is StreamMode.SPLIT:
-        return split_stream(dataset, cfg)
-    return blurry_stream(dataset, cfg)
+        return split_stream(dataset, cfg, seed)
+    return blurry_stream(dataset, cfg, seed)
 
 
 # dataset file format ----------------------------------------------------

@@ -139,13 +139,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def _unbroadcast(g, shape):
     if g.shape == shape:
         return g
-    # bias-style broadcast: reduce leading axes added by numpy
+    # bias-style broadcast: reduce leading axes added by numpy; any other
+    # shape mismatch makes the reshape raise
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)), dtype=np.float64)
-    for i, n in enumerate(shape):
-        if n == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True, dtype=np.float64)
     return g.reshape(shape)
 
 

@@ -9,7 +9,7 @@ which skip it leave the shared state untouched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -196,11 +196,10 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
     """Single-pass online run; evaluates every ``eval_every`` updates on the
     test sets of every distribution seen so far.
 
-    The stream is rebuilt with the trainer seed so that one seed pins the
-    whole run (stream order, init, buffer, rehearsal draws).
+    The trainer seed pins the whole run (stream order, init, buffer,
+    rehearsal draws).
     """
-    stream_cfg = replace(stream_cfg, seed=cfg.seed)
-    stream = make_stream(dataset, stream_cfg)
+    stream = make_stream(dataset, stream_cfg, cfg.seed)
     state = build_state(dataset, stream, cfg)
     task_tests = _task_test_sets(dataset, state.task_ids)
     for batch in stream:

@@ -184,11 +184,11 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, context=""):
         f"max relative error {worst:.3e} > {rtol}")
 
 
-def ref_split_batches(dataset, cfg):
+def ref_split_batches(dataset, cfg, seed):
     """(inputs, labels) per step of a split stream, each batch copied
     out of the dataset up front: tasks in ascending class order, one
     permutation of each task's training rows, cut into batches."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B117]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
     classes_of_task = {}
     for c in range(dataset.num_classes):
         classes_of_task.setdefault(c // cfg.classes_per_task, []).append(c)
@@ -203,12 +203,12 @@ def ref_split_batches(dataset, cfg):
     return batches
 
 
-def ref_blurry_batches(dataset, cfg, variance_scale):
+def ref_blurry_batches(dataset, cfg, seed, variance_scale):
     """(inputs, labels) per step of a blurry stream at a given
     schedule variance: labels from the library's schedule draw, inputs
     popped one by one from per-class shuffled pools."""
     from asymreplay.stream import _draw_blurry_labels
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB1E5]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB1E5]))
     step_labels = _draw_blurry_labels(dataset.train_count_per_class(),
                                       cfg.batch_size, variance_scale, rng)
     pools = {c: list(rng.permutation(np.where(dataset.train_y == c)[0]))

@@ -42,7 +42,7 @@ def _bench_dataset(num_classes):
 def _bench_run(dataset, method, seed, capacity=20,
                policy=L.NegativePolicy.INCOMING_ONLY,
                hidden=(64, 32), lr=0.05, gamma=2.0):
-    scfg = S.StreamConfig(classes_per_task=2, batch_size=10, seed=seed)
+    scfg = S.StreamConfig(classes_per_task=2, batch_size=10)
     tcfg = TR.TrainerConfig(
         loss=L.LossConfig(method=method, gamma=gamma, tau=0.2,
                           negative_policy=policy),
@@ -116,7 +116,7 @@ def _fd_instance(rng):
     aml_cfg = L.LossConfig(method=L.Method.ER_AML_SUPCON, gamma=1.2, tau=0.2)
     tri_cfg = L.LossConfig(method=L.Method.ER_AML_TRIPLET, gamma=1.2,
                            triplet_margin=0.3)
-    tau = model.head.tau
+    tau = model.tau
     cases = [
         ("er",
          lambda: L.er_loss(model, x_in, y_in, x_bf, y_bf).loss,
@@ -148,7 +148,7 @@ def _fd_instance(rng):
                                          triplet_margin=tri_cfg.triplet_margin)),
     ]
     params = model.parameters()
-    nw = len(model.extractor.weights)
+    nw = len(model.weights)
     for name, build, ref in cases:
         model.zero_grad()
         loss = build()
@@ -186,7 +186,7 @@ def test_criterion_02_masking_soundness():
 
         def step(poke):
             if poke:
-                model.head.W.data[outside] += rng.standard_normal(
+                model.W.data[outside] += rng.standard_normal(
                     (len(outside), 3)).astype(np.float32) * 100
             model.zero_grad()
             out = L.er_ace_loss(model, x_in, y_in,
@@ -194,8 +194,8 @@ def test_criterion_02_masking_soundness():
                                 curr, old)
             out.loss.backward()
             grads = tuple(p.grad.tobytes() if p.grad is not None else b""
-                          for p in model.extractor.parameters())
-            w_grad = model.head.W.grad
+                          for p in (*model.weights, *model.biases))
+            w_grad = model.W.grad
             in_rows = np.flatnonzero(curr)
             return (out.loss.data.tobytes(), grads,
                     w_grad[in_rows].tobytes(),
@@ -351,7 +351,7 @@ def test_criterion_09_blurry_calibration():
         for seed in (0, 1, 2):
             st = S.make_stream(ds, S.StreamConfig(
                 classes_per_task=2, batch_size=10, mode=S.StreamMode.BLURRY,
-                seed=seed, target_unique_labels=cfg))
+                target_unique_labels=cfg), seed)
             vals.extend(len(np.unique(b.labels)) for b in st)
         return float(np.mean(vals))
 
@@ -382,13 +382,13 @@ def test_criterion_10_metric_arithmetic():
         S.SyntheticDatasetSpec(input_dim=4, num_classes=4,
                                samples_per_class=50, noise_sigma=0.3),
         seed=0)
-    scfg = S.StreamConfig(classes_per_task=2, batch_size=5, seed=0)
+    scfg = S.StreamConfig(classes_per_task=2, batch_size=5)
     tcfg = TR.TrainerConfig(loss=L.LossConfig(method=L.Method.ER), lr=0.05,
                             rehearsal_batch_size=5, eval_every=10,
                             buffer_capacity=8, hidden_sizes=(8, 4), seed=0)
     er = TR.run(ds, scfg, tcfg)
     per_sample = net.forward_flops_per_sample(er.model)
-    stream = S.make_stream(ds, scfg)
+    stream = S.make_stream(ds, scfg, tcfg.seed)
     state = TR.build_state(ds, stream, tcfg)
     total = 0
     for batch in stream:

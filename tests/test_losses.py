@@ -43,9 +43,9 @@ SSIL_COT = {0: [0, 1], 1: [2, 3]}
 
 
 def model_arrays(model):
-    return ([w.data for w in model.extractor.weights],
-            [b.data for b in model.extractor.biases],
-            model.head.W.data)
+    return ([w.data for w in model.weights],
+            [b.data for b in model.biases],
+            model.W.data)
 
 
 # masked cross-entropy -------------------------------------------------
@@ -229,7 +229,7 @@ def test_er_value_transcription(trial):
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
     ws, bs, wh = model_arrays(model)
     got = float(L.er_loss(model, x_in, y_in, x_bf, y_bf).loss.data)
-    want = R.ref_er(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf, 4)
+    want = R.ref_er(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf, 4)
     assert got == pytest.approx(want, rel=1e-4)
 
 
@@ -241,7 +241,7 @@ def test_er_ace_value_transcription(trial):
     ws, bs, wh = model_arrays(model)
     got = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
                               curr, old).loss.data)
-    want = R.ref_er_ace(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
+    want = R.ref_er_ace(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
                         classes_of(curr), classes_of(old))
     assert got == pytest.approx(want, rel=1e-4)
 
@@ -254,7 +254,7 @@ def test_ssil_value_transcription(trial):
     ws, bs, wh = model_arrays(model)
     got = float(L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr,
                                       SSIL_TASK_IDS).loss.data)
-    want = R.ref_ssil(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
+    want = R.ref_ssil(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
                       classes_of(curr), SSIL_TOC, SSIL_COT)
     assert got == pytest.approx(want, rel=1e-4)
 
@@ -284,7 +284,7 @@ def test_er_aml_value_transcription(trial, policy):
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
-    want = R.ref_er_aml(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
+    want = R.ref_er_aml(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
                         pos_neg.pairs, bx, cfg.gamma, cfg.tau, 4)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-4)
 
@@ -297,7 +297,7 @@ def test_er_aml_triplet_value_transcription():
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
-    want = R.ref_er_aml(ws, bs, wh, model.head.tau, x_in, y_in, x_bf, y_bf,
+    want = R.ref_er_aml(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
                         pos_neg.pairs, bx, cfg.gamma, None, 4,
                         triplet_margin=cfg.triplet_margin)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-4)
@@ -345,7 +345,7 @@ def test_er_ace_prototype_grad_masked_outside_curr():
     out.loss.backward()
     outside = np.flatnonzero(~curr)
     assert outside.size, "state must have classes outside C_curr"
-    grad = model.head.W.grad
+    grad = model.W.grad
     assert np.array_equal(grad[outside], np.zeros((len(outside), 3)))
 
 
@@ -401,7 +401,7 @@ def test_er_aml_gamma_zero_reduces_to_buffer_ce():
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = LossConfig(method=Method.ER_AML_SUPCON, gamma=0.0, tau=0.1)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
-    lg = net.logits(model, x_bf)
+    lg = net.forward(model, x_bf)[1]
     want = float(L.masked_ce(lg, y_bf, np.ones(4, dtype=bool)).data)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-6)
 
@@ -418,7 +418,7 @@ def test_er_aml_empty_buffer_batch_is_pure_supcon():
     model.zero_grad()
     if out.loss.requires_grad:
         out.loss.backward()
-    assert model.head.W.grad is None
+    assert model.W.grad is None
 
 
 def test_loss_config_validation():
@@ -450,8 +450,8 @@ def composite_grad_check(build, ref_fn, model, extra_arrays, context):
     n_params = len(params)
 
     def ref(arrs):
-        ws = arrs[:len(model.extractor.weights)]
-        bs = arrs[len(model.extractor.weights):n_params - 1]
+        ws = arrs[:len(model.weights)]
+        bs = arrs[len(model.weights):n_params - 1]
         wh = arrs[n_params - 1]
         return ref_fn(ws, bs, wh, arrs[n_params:])
 
@@ -471,7 +471,7 @@ def test_grad_er(trial):
     model, x_in, y_in, x_bf, y_bf = random_state(rng)
     composite_grad_check(
         lambda: L.er_loss(model, x_in, y_in, x_bf, y_bf).loss,
-        lambda ws, bs, wh, _: R.ref_er(ws, bs, wh, model.head.tau,
+        lambda ws, bs, wh, _: R.ref_er(ws, bs, wh, model.tau,
                                        x_in, y_in, x_bf, y_bf, 4),
         model, [], "er_loss")
 
@@ -483,7 +483,7 @@ def test_grad_er_ace(trial):
     curr, old = masks(y_in, range(4), 4)
     composite_grad_check(
         lambda: L.er_ace_loss(model, x_in, y_in, x_bf, y_bf, curr, old).loss,
-        lambda ws, bs, wh, _: R.ref_er_ace(ws, bs, wh, model.head.tau,
+        lambda ws, bs, wh, _: R.ref_er_ace(ws, bs, wh, model.tau,
                                            x_in, y_in, x_bf, y_bf,
                                            classes_of(curr), classes_of(old)),
         model, [], "er_ace_loss")
@@ -497,7 +497,7 @@ def test_grad_ssil(trial):
     composite_grad_check(
         lambda: L.ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf,
                                       curr, SSIL_TASK_IDS).loss,
-        lambda ws, bs, wh, _: R.ref_ssil(ws, bs, wh, model.head.tau,
+        lambda ws, bs, wh, _: R.ref_ssil(ws, bs, wh, model.tau,
                                          x_in, y_in, x_bf, y_bf,
                                          classes_of(curr), SSIL_TOC, SSIL_COT),
         model, [], "ssil_nodistill_loss")
@@ -514,7 +514,7 @@ def test_grad_er_aml(trial, method):
     composite_grad_check(
         lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                               cfg, buffer).loss,
-        lambda ws, bs, wh, _: R.ref_er_aml(ws, bs, wh, model.head.tau,
+        lambda ws, bs, wh, _: R.ref_er_aml(ws, bs, wh, model.tau,
                                            x_in, y_in, x_bf, y_bf,
                                            pos_neg.pairs, bx,
                                            cfg.gamma, cfg.tau, 4,

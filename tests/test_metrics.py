@@ -53,8 +53,8 @@ def test_accuracy_matrix_nan_before_first_seen():
 
 def test_accuracy_function():
     model = net.init_params([2, 2], 2, 0.1, seed=0)
-    model.extractor.weights[0].data[...] = np.eye(2, dtype=np.float32)
-    model.head.W.data[...] = np.eye(2, dtype=np.float32)
+    model.weights[0].data[...] = np.eye(2, dtype=np.float32)
+    model.W.data[...] = np.eye(2, dtype=np.float32)
     x = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32)
     assert M.accuracy(model, x, [0, 1, 1]) == pytest.approx(2 / 3)
     assert np.isnan(M.accuracy(model, np.zeros((0, 2), dtype=np.float32), []))
@@ -64,9 +64,9 @@ def test_one_step_drift_orthogonal_features_sqrt2():
     """Unit features rotated to an orthogonal direction drift by sqrt(2)."""
     before = net.init_params([2, 2], 2, 0.1, seed=0)
     after = net.init_params([2, 2], 2, 0.1, seed=0)
-    before.extractor.weights[0].data[...] = np.eye(2, dtype=np.float32)
-    after.extractor.weights[0].data[...] = np.array([[0, 1], [-1, 0]],
-                                                    dtype=np.float32)
+    before.weights[0].data[...] = np.eye(2, dtype=np.float32)
+    after.weights[0].data[...] = np.array([[0, 1], [-1, 0]],
+                                          dtype=np.float32)
     probe = np.array([[3.0, 0.0]], dtype=np.float32)
     assert M.one_step_drift(M.probe_features(before, probe),
                             M.probe_features(after, probe)) == pytest.approx(

@@ -1,4 +1,4 @@
-"""Feature extractor, cosine-prototype head, FLOPs counts."""
+"""The model's features, cosine-prototype logits, FLOPs counts."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ def small_model(sizes=(4, 3), num_classes=3, tau=0.1, seed=0):
 
 def test_zero_weights_give_zero_features():
     model = small_model()
-    for p in model.extractor.parameters():
+    for p in (*model.weights, *model.biases):
         p.data[...] = 0.0
     f = net.features(model, np.ones((2, 4), dtype=np.float32))
     assert np.array_equal(f.data, np.zeros((2, 3), dtype=np.float32))
@@ -21,8 +21,8 @@ def test_zero_weights_give_zero_features():
 
 def test_identity_single_layer_passes_input_through():
     model = small_model(sizes=(4, 4))
-    model.extractor.weights[0].data[...] = np.eye(4, dtype=np.float32)
-    model.extractor.biases[0].data[...] = 0.0
+    model.weights[0].data[...] = np.eye(4, dtype=np.float32)
+    model.biases[0].data[...] = 0.0
     x = np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32)
     assert np.array_equal(net.features(model, x).data, x)
 
@@ -34,31 +34,31 @@ def test_input_width_mismatch_rejected():
 
 
 def test_cosine_logit_hand_values():
-    head = net.PrototypeHead(2, 2, tau=0.1, rng=np.random.default_rng(0))
-    head.W.data[...] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.float32)
+    model = net.init_params([2, 2], 2, 0.1, 0)
+    model.W.data[...] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.float32)
     f = T.Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
-    lg = net.cosine_logits(head, f).data
+    lg = net.cosine_logits(model, f).data
     assert lg[0, 0] == pytest.approx((1 / np.sqrt(2)) / 0.1, rel=1e-6)
     assert lg[0, 1] == pytest.approx(0.0, abs=1e-6)
-    head.tau = 1.0
-    head.W.data[0] = [2.0, 0.0]  # same direction as f
-    lg = net.cosine_logits(head, f).data
+    model.tau = 1.0
+    model.W.data[0] = [2.0, 0.0]  # same direction as f
+    lg = net.cosine_logits(model, f).data
     assert lg[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_prototype_scale_invariance():
     model = small_model(seed=3)
     x = np.random.default_rng(1).standard_normal((5, 4)).astype(np.float32)
-    base = net.logits(model, x).data.copy()
+    base = net.forward(model, x)[1].data.copy()
     pred = net.predict(model, x)
-    model.head.W.data[1] *= 37.5
-    assert np.allclose(net.logits(model, x).data, base, atol=1e-5)
+    model.W.data[1] *= 37.5
+    assert np.allclose(net.forward(model, x)[1].data, base, atol=1e-5)
     assert np.array_equal(net.predict(model, x), pred)
 
 
 def test_predict_tie_breaks_to_lowest_index():
     model = small_model(num_classes=2)
-    model.head.W.data[0] = model.head.W.data[1]
+    model.W.data[0] = model.W.data[1]
     x = np.random.default_rng(2).standard_normal((4, 4)).astype(np.float32)
     assert np.array_equal(net.predict(model, x), np.zeros(4, dtype=np.intp))
 
@@ -67,7 +67,7 @@ def test_predict_matches_argmax_of_logits():
     model = small_model(num_classes=5, seed=7)
     x = np.random.default_rng(3).standard_normal((10, 4)).astype(np.float32)
     with T.no_grad():
-        lg = net.logits(model, x).data
+        lg = net.forward(model, x)[1].data
     assert np.array_equal(net.predict(model, x), np.argmax(lg, axis=1))
 
 
@@ -78,13 +78,12 @@ def test_restricted_softmax_matches_similarity_ratio():
     with T.no_grad():
         f = net.features(model, x).data
     fn = f / np.linalg.norm(f, axis=1, keepdims=True)
-    wn = model.head.W.data / np.linalg.norm(model.head.W.data, axis=1,
-                                            keepdims=True)
+    wn = model.W.data / np.linalg.norm(model.W.data, axis=1, keepdims=True)
     sub = [1, 3, 4]
-    sims = np.exp(fn @ wn.T / model.head.tau)[:, sub]
+    sims = np.exp(fn @ wn.T / model.tau)[:, sub]
     expected = sims / sims.sum(axis=1, keepdims=True)
     with T.no_grad():
-        lg = net.logits(model, x).data[:, sub].astype(np.float64)
+        lg = net.forward(model, x)[1].data[:, sub].astype(np.float64)
     soft = np.exp(lg - lg.max(axis=1, keepdims=True))
     soft /= soft.sum(axis=1, keepdims=True)
     assert np.allclose(soft, expected, rtol=1e-6)
@@ -98,10 +97,10 @@ def test_init_bounds_and_determinism():
         assert np.array_equal(pa.data, pb.data)
     assert any(not np.array_equal(pa.data, pc.data)
                for pa, pc in zip(a.parameters(), c.parameters()))
-    for w, (fan_in, fan_out) in zip(a.extractor.weights, [(6, 5), (5, 4)]):
+    for w, (fan_in, fan_out) in zip(a.weights, [(6, 5), (5, 4)]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.all(np.abs(w.data) <= limit)
-    for bias in a.extractor.biases:
+    for bias in a.biases:
         assert np.array_equal(bias.data, np.zeros_like(bias.data))
 
 
@@ -111,7 +110,7 @@ def test_invalid_sizes_rejected():
     with pytest.raises(ValueError):
         net.init_params([4, 0], 3, 0.1, 0)
     with pytest.raises(ValueError):
-        net.PrototypeHead(3, 4, tau=0.0, rng=np.random.default_rng(0))
+        net.init_params([4, 3], 3, 0.0, 0)
 
 
 def test_forward_flops_single_layer_convention():

@@ -95,8 +95,9 @@ def test_config_to_trainer_and_stream():
     cfg = small_cfg(method="er-aml", gamma=1.5)
     tcfg = cfg.trainer_config(seed=7)
     assert tcfg.seed == 7 and tcfg.loss.gamma == 1.5
-    scfg = cfg.stream_config(seed=7)
-    assert scfg.seed == 7
+    scfg = cfg.stream_config()
+    assert (scfg.classes_per_task, scfg.batch_size) == (cfg.classes_per_task,
+                                                         cfg.batch_size)
 
 
 def test_default_config_is_the_library_defaults():
@@ -106,7 +107,7 @@ def test_default_config_is_the_library_defaults():
     cfg = ExperimentConfig()
     assert cfg._synthetic_spec() == SyntheticDatasetSpec(
         input_dim=16, num_classes=10, samples_per_class=1000)
-    assert cfg.stream_config(0) == StreamConfig(classes_per_task=2)
+    assert cfg.stream_config() == StreamConfig(classes_per_task=2)
     assert cfg.trainer_config(0) == TrainerConfig()
 
 
@@ -254,9 +255,9 @@ def test_one_stream_built_per_seed(monkeypatch):
     built = []
     make_stream = S.make_stream
 
-    def counting_make_stream(dataset, cfg):
-        built.append(cfg.seed)
-        return make_stream(dataset, cfg)
+    def counting_make_stream(dataset, cfg, seed):
+        built.append(seed)
+        return make_stream(dataset, cfg, seed)
 
     # every module that could build a stream during a run
     for module in (S, TR, RP):
@@ -265,7 +266,7 @@ def test_one_stream_built_per_seed(monkeypatch):
     report = run_experiment(small_cfg(seeds=[0, 1, 2]), now="T0")
     assert built == [0, 1, 2]
     assert report["stream_metadata"] == make_stream(
-        small_cfg().dataset(), small_cfg().stream_config(0)).metadata()
+        small_cfg().dataset(), small_cfg().stream_config(), 0).metadata()
 
 
 def test_report_byte_identical_with_fixed_timestamp(tmp_path):
@@ -294,6 +295,30 @@ def test_cli_compare_refuses_incomplete_report_by_name(edit, named,
                                                        capsys):
     """A report lacking a config key or an aggregate's mean or stderr is
     refused by name (exit 1), not with a KeyError traceback."""
+    report, out = small_report
+    report = json.loads(json.dumps(report))
+    edit(report)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    assert main(["compare", str(out / "report.json"), str(bad)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read report {bad}:") and named in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda r: r["aggregates"]["aaa"].update(mean="x"), "'aaa'"),
+    (lambda r: r["aggregates"]["final_accuracy"].update(stderr=None),
+     "'final_accuracy'"),
+    (lambda r: r["config"].update(method=None), "'method'"),
+    (lambda r: r["config"].update(buffer_capacity=None), "'buffer_capacity'"),
+], ids=["string-mean", "null-stderr", "null-method", "null-capacity"])
+def test_cli_compare_refuses_mistyped_report_by_name(edit, named,
+                                                     small_report, tmp_path,
+                                                     capsys):
+    """A report value of the wrong type is refused by name (exit 1), not
+    with a TypeError traceback from the comparison table."""
     report, out = small_report
     report = json.loads(json.dumps(report))
     edit(report)
@@ -433,8 +458,8 @@ def test_dataset_file_sets_the_class_count(tmp_path, monkeypatch):
     streams = []
     make_stream = TR.make_stream
 
-    def recording_make_stream(dataset, cfg):
-        streams.append(make_stream(dataset, cfg))
+    def recording_make_stream(dataset, cfg, seed):
+        streams.append(make_stream(dataset, cfg, seed))
         return streams[-1]
 
     monkeypatch.setattr(TR, "make_stream", recording_make_stream)

@@ -21,15 +21,13 @@ def spec(**kw):
 
 
 def split_cfg(**kw):
-    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.SPLIT,
-                seed=0)
+    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.SPLIT)
     base.update(kw)
     return StreamConfig(**base)
 
 
 def blurry_cfg(**kw):
-    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY,
-                seed=0)
+    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY)
     base.update(kw)
     return StreamConfig(**base)
 
@@ -107,7 +105,7 @@ def test_low_noise_clusters_linearly_separable():
 
 def test_split_stream_task_order_and_boundaries():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.split_stream(ds, split_cfg())
+    st = S.split_stream(ds, split_cfg(), 0)
     batches = list(st)
     assert st.task_ids.tolist() == [0, 0, 1, 1]
     assert st.boundaries == [0, 6]           # 60 samples per task / 10
@@ -120,7 +118,7 @@ def test_split_stream_task_order_and_boundaries():
 
 def test_split_stream_single_pass_over_training_data():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.split_stream(ds, split_cfg())
+    st = S.split_stream(ds, split_cfg(), 0)
     streamed = np.concatenate([b.inputs for b in st])
     assert streamed.shape[0] == len(ds.train_y)
     # every training row appears exactly once
@@ -131,7 +129,7 @@ def test_split_stream_single_pass_over_training_data():
 
 def test_split_stream_steps_sequential_and_shuffled():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.split_stream(ds, split_cfg(seed=5))
+    st = S.split_stream(ds, split_cfg(), 5)
     batches = list(st)
     assert len(batches) == len(st)
     # one task per batch, tasks in ascending order
@@ -160,9 +158,9 @@ def test_split_stream_matches_copying_reference(seed, samples_per_class,
     """Bit-identical batches to the copy-per-batch builder, including tasks
     whose size batch_size does not divide (a short last batch per task)."""
     ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
-    cfg = split_cfg(batch_size=batch_size, seed=seed)
-    st = S.split_stream(ds, cfg)
-    want = ref_tuples(R.ref_split_batches(ds, cfg))
+    cfg = split_cfg(batch_size=batch_size)
+    st = S.split_stream(ds, cfg, seed)
+    want = ref_tuples(R.ref_split_batches(ds, cfg, seed))
     assert batch_tuples(st) == want
     assert len(st) == len(want)
 
@@ -173,31 +171,31 @@ def test_split_stream_matches_copying_reference(seed, samples_per_class,
 def test_blurry_stream_matches_copying_reference(seed, samples_per_class,
                                                  batch_size, scale):
     ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
-    cfg = blurry_cfg(batch_size=batch_size, seed=seed,
-                     target_unique_labels=None, variance_scale=scale)
-    st = S.blurry_stream(ds, cfg)
-    want = ref_tuples(R.ref_blurry_batches(ds, cfg, scale))
+    cfg = blurry_cfg(batch_size=batch_size, target_unique_labels=None,
+                     variance_scale=scale)
+    st = S.blurry_stream(ds, cfg, seed)
+    want = ref_tuples(R.ref_blurry_batches(ds, cfg, seed, scale))
     assert batch_tuples(st) == want
     assert len(st) == len(want)
 
 
 def test_calibrated_blurry_stream_matches_copying_reference():
     ds = S.make_synthetic(spec(samples_per_class=27), seed=2)
-    cfg = blurry_cfg(seed=2)
+    cfg = blurry_cfg()
     scale = S.calibrate_variance_scale(ds.train_count_per_class(),
                                        cfg.batch_size, cfg.target_unique_labels)
-    want = ref_tuples(R.ref_blurry_batches(ds, cfg, scale))
-    assert batch_tuples(S.blurry_stream(ds, cfg)) == want
+    want = ref_tuples(R.ref_blurry_batches(ds, cfg, 2, scale))
+    assert batch_tuples(S.blurry_stream(ds, cfg, 2)) == want
 
 
 @pytest.mark.parametrize("make,cfg", [
-    (S.split_stream, split_cfg(seed=3)),
-    (S.blurry_stream, blurry_cfg(seed=3, target_unique_labels=None,
+    (S.split_stream, split_cfg()),
+    (S.blurry_stream, blurry_cfg(target_unique_labels=None,
                                  variance_scale=1.0))])
 def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     ds = S.make_synthetic(spec(samples_per_class=27), seed=0)
     train_x = ds.train_x.copy()
-    st = make(ds, cfg)
+    st = make(ds, cfg, 3)
     first = batch_tuples(st)
     for b in st:
         b.inputs[...] = -1.0
@@ -209,12 +207,12 @@ def test_stream_passes_repeat_and_batches_are_private(make, cfg):
 def test_split_requires_divisible_classes():
     ds = S.make_synthetic(spec(num_classes=5), seed=0)
     with pytest.raises(ValueError):
-        S.split_stream(ds, split_cfg(classes_per_task=2))
+        S.split_stream(ds, split_cfg(classes_per_task=2), 0)
 
 
 def test_task_maps_consistent():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.split_stream(ds, split_cfg())
+    st = S.split_stream(ds, split_cfg(), 0)
     assert st.task_ids.tolist() == [0, 0, 1, 1]
     meta = st.metadata()
     assert meta["task_of_class"] == {"0": 0, "1": 0, "2": 1, "3": 1}
@@ -225,7 +223,7 @@ def test_task_maps_consistent():
 
 def test_blurry_stream_single_pass():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.blurry_stream(ds, blurry_cfg())
+    st = S.blurry_stream(ds, blurry_cfg(), 0)
     labels = np.concatenate([b.labels for b in st])
     assert np.all(np.bincount(labels, minlength=4) == 30)
     streamed = np.concatenate([b.inputs for b in st])
@@ -237,7 +235,7 @@ def test_blurry_low_variance_approaches_sharp_order():
     class and classes appear in index order."""
     ds = S.make_synthetic(spec(), seed=0)
     st = S.blurry_stream(ds, blurry_cfg(target_unique_labels=None,
-                                        variance_scale=1e-6))
+                                        variance_scale=1e-6), 0)
     uniques = [len(np.unique(b.labels)) for b in st]
     assert np.mean(uniques) <= 1.01
     firsts = [int(b.labels[0]) for b in st]
@@ -247,7 +245,7 @@ def test_blurry_low_variance_approaches_sharp_order():
 def test_blurry_high_variance_mixes_classes():
     ds = S.make_synthetic(spec(), seed=0)
     st = S.blurry_stream(ds, blurry_cfg(target_unique_labels=None,
-                                        variance_scale=1e6))
+                                        variance_scale=1e6), 0)
     uniques = [len(np.unique(b.labels)) for b in st]
     assert np.mean(uniques) > 2.0
 
@@ -281,22 +279,22 @@ def test_blurriness_sweep_levels():
                                samples_per_class=50), seed=0)
     cfg = blurry_cfg()
     for level in (1.0, 3.0):
-        st = S.blurriness_sweep(ds, cfg, level)
+        st = S.blurriness_sweep(ds, cfg, level, 0)
         uniques = [len(np.unique(b.labels)) for b in st]
         assert np.mean(uniques) == pytest.approx(level, abs=0.3)
 
 
 def test_make_stream_dispatches_on_mode():
     ds = S.make_synthetic(spec(), seed=0)
-    assert S.make_stream(ds, split_cfg()).mode is StreamMode.SPLIT
-    assert S.make_stream(ds, blurry_cfg()).mode is StreamMode.BLURRY
+    assert S.make_stream(ds, split_cfg(), 0).mode is StreamMode.SPLIT
+    assert S.make_stream(ds, blurry_cfg(), 0).mode is StreamMode.BLURRY
 
 
 def test_stream_determinism_per_seed():
     ds = S.make_synthetic(spec(), seed=0)
-    for make, cfg in ((S.split_stream, split_cfg(seed=4)),
-                      (S.blurry_stream, blurry_cfg(seed=4))):
-        a, b = make(ds, cfg), make(ds, cfg)
+    for make, cfg in ((S.split_stream, split_cfg()),
+                      (S.blurry_stream, blurry_cfg())):
+        a, b = make(ds, cfg, 4), make(ds, cfg, 4)
         assert all(np.array_equal(x.labels, y.labels)
                    and x.inputs.tobytes() == y.inputs.tobytes()
                    for x, y in zip(a, b))

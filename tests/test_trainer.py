@@ -1,7 +1,5 @@
 """Training loop: update rule, scheduling, determinism, shared data path."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ def tiny_setup(method=L.Method.ER_ACE, seed=0, **trainer_kw):
                                              samples_per_class=20,
                                              noise_sigma=0.3), seed=0)
     scfg = StreamConfig(classes_per_task=2, batch_size=5,
-                        mode=StreamMode.SPLIT, seed=seed)
+                        mode=StreamMode.SPLIT)
     kw = dict(loss=L.LossConfig(method=method), lr=0.05,
               rehearsal_batch_size=5, eval_every=4, buffer_capacity=8,
               hidden_sizes=(8, 4), seed=seed)
@@ -100,7 +98,7 @@ def ref_slots_of(result):
     # rebuild the buffer by replaying the data path with a throwaway model
     ds, scfg, cfg = tiny_setup(method=result.trainer_config.loss.method,
                                seed=result.trainer_config.seed)
-    stream = make_stream(ds, replace(scfg, seed=cfg.seed))
+    stream = make_stream(ds, scfg, cfg.seed)
     state = TR.build_state(ds, stream, cfg)
     for batch in stream:
         state.buffer.sample(cfg.rehearsal_batch_size)
@@ -114,7 +112,7 @@ def test_buffer_update_happens_after_learning():
     """The very first step rehearses from an empty buffer: the incoming
     batch must not be able to rehearse itself."""
     ds, scfg, tcfg = tiny_setup()
-    stream = make_stream(ds, replace(scfg, seed=tcfg.seed))
+    stream = make_stream(ds, scfg, tcfg.seed)
     state = TR.build_state(ds, stream, tcfg)
     x_bf, _ = state.buffer.sample(tcfg.rehearsal_batch_size)
     assert x_bf.shape[0] == 0
@@ -125,7 +123,7 @@ def test_buffer_update_happens_after_learning():
 
 def test_observed_classes_and_first_seen_tasks():
     ds, scfg, tcfg = tiny_setup()
-    stream = make_stream(ds, replace(scfg, seed=tcfg.seed))
+    stream = make_stream(ds, scfg, tcfg.seed)
     state = TR.build_state(ds, stream, tcfg)
     batches = list(stream)
     for batch in batches[:4]:
@@ -147,9 +145,9 @@ def test_drift_nan_before_old_classes_exist():
 
 def test_run_abort_on_non_finite_loss():
     ds, scfg, tcfg = tiny_setup()
-    stream = make_stream(ds, replace(scfg, seed=tcfg.seed))
+    stream = make_stream(ds, scfg, tcfg.seed)
     state = TR.build_state(ds, stream, tcfg)
-    state.model.extractor.weights[0].data[...] = np.nan
+    state.model.weights[0].data[...] = np.nan
     with pytest.raises(TR.RunAbort) as exc:
         TR.train_step(state, next(iter(stream)), tcfg)
     assert exc.value.step == 0
@@ -162,7 +160,7 @@ def test_train_flops_match_closed_form():
     per_sample = net.forward_flops_per_sample(result.model)
     total = 0
     # replay the data path: batch + rehearsal sizes are seed-determined
-    stream = make_stream(ds, replace(scfg, seed=tcfg.seed))
+    stream = make_stream(ds, scfg, tcfg.seed)
     state = TR.build_state(ds, stream, tcfg)
     for batch in stream:
         _, y_bf = state.buffer.sample(tcfg.rehearsal_batch_size)
@@ -208,7 +206,7 @@ def test_run_learns_separable_data():
                                              samples_per_class=200,
                                              noise_sigma=0.3), seed=0)
     scfg = StreamConfig(classes_per_task=2, batch_size=5,
-                        mode=StreamMode.SPLIT, seed=0)
+                        mode=StreamMode.SPLIT)
     tcfg = TR.TrainerConfig(loss=L.LossConfig(method=L.Method.ER_ACE),
                             lr=0.05, rehearsal_batch_size=5, eval_every=20,
                             buffer_capacity=8, hidden_sizes=(8, 4), seed=0)
