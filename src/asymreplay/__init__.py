@@ -17,7 +17,7 @@ from .stream import (Dataset, LabeledBatch, Stream, StreamConfig, StreamMode,
                      load_dataset, make_stream, make_synthetic, save_dataset,
                      split_stream)
 from .tensor import Tensor, no_grad
-from .trainer import RunResult, TrainerConfig, run, train_step
+from .trainer import RunState, TrainerConfig, run, train_step
 from .report import (ComparisonError, ConfigError, ExperimentConfig, compare,
                      load_report, parse_config, run_experiment)
 
@@ -27,7 +27,7 @@ __all__ = [
     "Stream", "StreamConfig", "StreamMode", "SyntheticDatasetSpec",
     "blurriness_sweep", "blurry_stream", "load_dataset", "make_stream",
     "make_synthetic", "save_dataset", "split_stream", "Tensor", "no_grad",
-    "RunResult", "TrainerConfig", "run", "train_step", "ComparisonError",
+    "RunState", "TrainerConfig", "run", "train_step", "ComparisonError",
     "ConfigError", "ExperimentConfig", "compare", "load_report",
     "parse_config", "run_experiment", "__version__",
 ]

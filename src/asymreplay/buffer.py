@@ -9,7 +9,6 @@ methods which never call it do not perturb the reservoir state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,15 +35,14 @@ class ReplayBuffer:
     ``len(self)`` slots are filled.  Both arrays are allocated at full
     capacity by the first ``reservoir_update``."""
 
-    def __init__(self, capacity: int, seed: int = 0,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.x = np.zeros((0, 0), dtype=np.float32)
         self.y = np.zeros(0, dtype=np.intp)
         self.n_seen = 0
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = rng
 
     def __len__(self):
         return min(self.n_seen, self.capacity)

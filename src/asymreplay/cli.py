@@ -61,6 +61,10 @@ def _overrides(args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
+def _num(mean) -> str:   # a null mean (no finite value) prints as nan
+    return f"{float('nan') if mean is None else mean:.4f}"
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     try:
@@ -79,9 +83,9 @@ def _cmd_run(args) -> int:
     agg = report["aggregates"]
     print(f"method={cfg.method} M={cfg.buffer_capacity} "
           f"seeds={len(cfg.seeds)} "
-          f"final_acc={agg['final_accuracy']['mean']:.4f}"
+          f"final_acc={_num(agg['final_accuracy']['mean'])}"
           f"±{agg['final_accuracy']['stderr']:.4f} "
-          f"AAA={agg['aaa']['mean']:.4f}±{agg['aaa']['stderr']:.4f}")
+          f"AAA={_num(agg['aaa']['mean'])}±{agg['aaa']['stderr']:.4f}")
     if args.out:
         print(f"report written to {os.path.join(args.out, 'report.json')}")
     return EXIT_OK
@@ -95,7 +99,10 @@ def _cannot_write(path, exc) -> int:
 def _sweep_worker(payload):
     cfg_dict, out_dir, timestamp = payload
     cfg = parse_config(overrides=cfg_dict)
-    agg = run_experiment(cfg, out_dir=out_dir, now=timestamp)["aggregates"]
+    report = run_experiment(cfg, out_dir=out_dir, now=timestamp)
+    if all(e["error"] is not None for e in report["seeds"]):
+        raise RuntimeError("all seeds failed")
+    agg = report["aggregates"]
     return {"method": cfg.method, "buffer_capacity": cfg.buffer_capacity,
             "report_dir": out_dir,
             "final_accuracy": agg["final_accuracy"]["mean"],
@@ -152,8 +159,8 @@ def _cmd_sweep(args) -> int:
         return _cannot_write(summary, exc)
     for r in rows:
         print(f"{r['method']:<16} M={r['buffer_capacity']:<5} "
-              f"final_acc={r['final_accuracy']:.4f}"
-              f"±{r['final_accuracy_stderr']:.4f} AAA={r['aaa']:.4f}")
+              f"final_acc={_num(r['final_accuracy'])}"
+              f"±{r['final_accuracy_stderr']:.4f} AAA={_num(r['aaa'])}")
     return EXIT_RUN if len(rows) < len(jobs) else EXIT_OK
 
 

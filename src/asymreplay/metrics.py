@@ -53,8 +53,8 @@ class MetricsLog:
     current_task_accuracy: list = field(default_factory=list)
     drift_trace: list = field(default_factory=list)       # per training step
     grad_norm_trace: list = field(default_factory=list)   # per training step
-    skipped_anchor_trace: list = field(default_factory=list)
-    extra_forward_trace: list = field(default_factory=list)
+    skipped_anchors: int = 0   # running totals over training steps
+    extra_forwards: int = 0
 
     def record_eval(self, step: int, per_task: dict, current_task: int):
         self.eval_steps.append(step)

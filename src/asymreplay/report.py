@@ -104,10 +104,14 @@ class ExperimentConfig:
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in dataclasses.asdict(self).items()}
 
+    def _build(self, cls, **explicit):
+        """A ``cls`` whose fields besides ``explicit`` are copied by name."""
+        return cls(**explicit, **{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(cls)
+                                  if f.name not in explicit})
+
     def _synthetic_spec(self) -> SyntheticDatasetSpec:
-        return SyntheticDatasetSpec(**{
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(SyntheticDatasetSpec)})
+        return self._build(SyntheticDatasetSpec)
 
     def dataset(self) -> Dataset:
         if self.dataset_path is not None:
@@ -115,24 +119,13 @@ class ExperimentConfig:
         return make_synthetic(self._synthetic_spec(), self.dataset_seed)
 
     def stream_config(self) -> StreamConfig:
-        return StreamConfig(
-            classes_per_task=self.classes_per_task,
-            batch_size=self.batch_size,
-            mode=StreamMode(self.stream_mode),
-            target_unique_labels=self.target_unique_labels,
-            variance_scale=self.variance_scale)
+        return self._build(StreamConfig, mode=StreamMode(self.stream_mode))
 
     def trainer_config(self, seed: int) -> TrainerConfig:
-        loss = LossConfig(method=Method(self.method), gamma=self.gamma,
-                          tau=self.tau,
-                          negative_policy=NegativePolicy(self.negative_policy),
-                          triplet_margin=self.triplet_margin)
-        return TrainerConfig(loss=loss, lr=self.lr,
-                             rehearsal_batch_size=self.rehearsal_batch_size,
-                             eval_every=self.eval_every,
-                             buffer_capacity=self.buffer_capacity,
-                             hidden_sizes=tuple(self.hidden_sizes),
-                             head_tau=self.head_tau, seed=seed)
+        loss = self._build(LossConfig, method=Method(self.method),
+                           negative_policy=NegativePolicy(self.negative_policy))
+        return self._build(TrainerConfig, loss=loss, seed=seed,
+                           hidden_sizes=tuple(self.hidden_sizes))
 
 
 def _kind(hint):
@@ -198,18 +191,6 @@ def parse_config(path: Optional[str] = None,
     return ExperimentConfig(**{k: _coerce(k, v) for k, v in merged.items()})
 
 
-def _stderr(values) -> float:
-    values = [v for v in values if v is not None and math.isfinite(v)]
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def _mean(values) -> float:
-    values = [v for v in values if v is not None and math.isfinite(v)]
-    return float(np.mean(values)) if values else float("nan")
-
-
 _AGGREGATE_KEYS = ("final_accuracy", "aaa", "forgetting", "train_flops",
                    "eval_flops", "mean_memory_bytes")
 
@@ -241,20 +222,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         log = result.log
         mat, tasks = log.accuracy_matrix()
         entry.update({
-            "final_accuracy": result.final_accuracy,
-            "aaa": result.aaa,
-            "forgetting": _nan_to_none([result.forgetting])[0],
+            "final_accuracy": _finite(result.final_accuracy),
+            "aaa": _finite(result.aaa),
+            "forgetting": _finite(result.forgetting),
             "eval_steps": list(log.eval_steps),
-            "aa_trace": [float(v) for v in log.aa_trace],
+            "aa_trace": _nan_to_none(log.aa_trace),
             "current_task_accuracy": _nan_to_none(log.current_task_accuracy),
-            "final_task_accuracy": {str(t): v for t, v in
+            "final_task_accuracy": {str(t): _finite(v) for t, v in
                                     sorted(result.final_task_accuracy.items())},
             "accuracy_matrix": [_nan_to_none(row) for row in mat.tolist()],
             "tasks": [int(t) for t in tasks],
             "drift_trace": _nan_to_none(log.drift_trace),
             "grad_norm_trace": list(log.grad_norm_trace),
-            "skipped_anchors_total": int(sum(log.skipped_anchor_trace)),
-            "extra_forwards_total": int(sum(log.extra_forward_trace)),
+            "skipped_anchors_total": log.skipped_anchors,
+            "extra_forwards_total": log.extra_forwards,
             "train_flops": result.ledger.train_flops,
             "eval_flops": result.ledger.eval_flops,
             "mean_memory_bytes": result.ledger.mean_memory_bytes,
@@ -262,8 +243,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         per_seed.append(entry)
     aggregates = {}
     for key in _AGGREGATE_KEYS:
-        vals = [e.get(key) for e in per_seed if e["error"] is None]
-        aggregates[key] = {"mean": _mean(vals), "stderr": _stderr(vals)}
+        # per-seed values are finite or None; no finite value means null
+        vals = [e[key] for e in per_seed if e.get(key) is not None]
+        aggregates[key] = {
+            "mean": float(np.mean(vals)) if vals else None,
+            "stderr": (float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+                       if len(vals) > 1 else 0.0)}
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "library_version": __version__,
@@ -278,15 +263,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     return report
 
 
+def _finite(v):
+    """``v`` as a float, or None (JSON null) when missing or not finite."""
+    return None if (v is None or not math.isfinite(v)) else float(v)
+
+
 def _nan_to_none(values):
-    return [None if (v is None or not math.isfinite(v)) else float(v)
-            for v in values]
+    return [_finite(v) for v in values]
 
 
 def write_json(path: str, obj):
     """``obj`` as key-sorted JSON indented by one space, newline-ended."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+                 + "\n")
 
 
 def write_report_files(report: dict, out_dir: str):
@@ -328,7 +318,7 @@ def write_report_files(report: dict, out_dir: str):
 def load_report(path: str) -> dict:
     """A report file, refused by name unless its config holds every key
     ``compare`` reads, each of its config type, and each aggregate has a
-    numeric mean and stderr."""
+    numeric mean and stderr (a one-task run's forgetting mean is null)."""
     with open(path) as fh:
         report = json.load(fh)
     version = report.get("schema_version") if isinstance(report, dict) else None
@@ -345,7 +335,9 @@ def load_report(path: str) -> dict:
     for key in _AGGREGATE_KEYS:
         agg = report["aggregates"].get(key)
         if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()
-                and _is_a(float, agg["mean"]) and _is_a(float, agg["stderr"])):
+                and (_is_a(float, agg["mean"])
+                     or (key == "forgetting" and agg["mean"] is None))
+                and _is_a(float, agg["stderr"])):
             raise ValueError(f"report aggregate {key!r} lacks a numeric mean "
                              "or stderr")
     return report

@@ -246,46 +246,32 @@ def log_sum_exp(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def _take(x: Tensor, key) -> Tensor:
+    """``x.data[key]``; the backward scatters back through ``key``, summing
+    the gradients of repeated indices."""
+    def backward(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, key, g)
+            x._accumulate(gx)
+
+    return _make(x.data[key], (x,), backward)
+
+
 def take_per_row(x: Tensor, idx) -> Tensor:
     """Row i of the output is ``x[i, idx[i]]``: ``idx`` is ``[n]`` (one
     column per row, output ``[n]``) or ``[n, k]`` (k columns, ``[n, k]``)."""
     idx = np.asarray(idx, dtype=np.intp)
     rows = np.arange(x.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
-    out_data = x.data[rows, idx]
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (rows, idx), g)
-            x._accumulate(gx)
-
-    return _make(out_data, (x,), backward)
+    return _take(x, (rows, idx))
 
 
 def take_rows(x: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    out_data = x.data[idx]
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
-
-    return _make(out_data, (x,), backward)
+    return _take(x, np.asarray(idx, dtype=np.intp))
 
 
 def take_columns(x: Tensor, cols) -> Tensor:
-    cols = np.asarray(cols, dtype=np.intp)
-    out_data = x.data[:, cols]
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx.T, cols, g.T)
-            x._accumulate(gx)
-
-    return _make(out_data, (x,), backward)
+    return _take(x, (slice(None), np.asarray(cols, dtype=np.intp)))
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -60,26 +60,20 @@ class RunAbort(RuntimeError):
 
 class RunState:
     def __init__(self, model: net.ModelParams, buffer: ReplayBuffer,
-                 fetch_rng: np.random.Generator, task_ids: np.ndarray):
+                 fetch_rng: np.random.Generator, stream: Stream):
         self.model = model
         self.buffer = buffer
         self.fetch_rng = fetch_rng
-        self.task_ids = task_ids   # each class's task, indexed by label
-        self.seen = np.zeros(len(task_ids), dtype=bool)   # classes trained on
+        self.task_ids = stream.task_ids   # each class's task, indexed by label
+        self.stream_metadata = stream.metadata()
+        self.seen = np.zeros(len(stream.task_ids), dtype=bool)   # classes trained on
         self.step = 0
         self.ledger = M.ResourceLedger()
         self.log = M.MetricsLog()
 
-
-@dataclass
-class RunResult:
-    trainer_config: TrainerConfig
-    stream_config: StreamConfig
-    log: M.MetricsLog
-    ledger: M.ResourceLedger
-    final_task_accuracy: dict
-    model: net.ModelParams
-    stream_metadata: dict
+    @property
+    def final_task_accuracy(self) -> dict:
+        return self.log.task_accuracy[-1] if self.log.task_accuracy else {}
 
     @property
     def final_accuracy(self) -> float:
@@ -106,11 +100,10 @@ def build_state(dataset: Dataset, stream: Stream, cfg: TrainerConfig) -> RunStat
     sizes = [dataset.input_dim, *cfg.hidden_sizes]
     tau = cfg.head_tau if cfg.head_tau is not None else cfg.loss.tau
     model = net.init_params(sizes, dataset.num_classes, tau, cfg.seed)
-    buffer = ReplayBuffer(cfg.buffer_capacity,
-                          rng=np.random.default_rng(
-                              np.random.SeedSequence([cfg.seed, 0xB0FF])))
+    buffer = ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, 0xB0FF])))
     fetch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xFE7C]))
-    return RunState(model, buffer, fetch_rng, stream.task_ids)
+    return RunState(model, buffer, fetch_rng, stream)
 
 
 def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
@@ -167,8 +160,8 @@ def train_step(state: RunState, batch: LabeledBatch, cfg: TrainerConfig):
     state.step += 1
     state.log.drift_trace.append(drift)
     state.log.grad_norm_trace.append(grad_norm)
-    state.log.skipped_anchor_trace.append(out.skipped_anchors)
-    state.log.extra_forward_trace.append(out.extra_buffer_forwards)
+    state.log.skipped_anchors += out.skipped_anchors
+    state.log.extra_forwards += out.extra_buffer_forwards
 
 
 def _task_test_sets(dataset: Dataset, task_ids):
@@ -192,9 +185,9 @@ def _evaluate(state: RunState, task_tests, current_task: int):
 
 
 def run(dataset: Dataset, stream_cfg: StreamConfig,
-        cfg: TrainerConfig) -> RunResult:
+        cfg: TrainerConfig) -> RunState:
     """Single-pass online run; evaluates every ``eval_every`` updates on the
-    test sets of every distribution seen so far.
+    test sets of every distribution seen so far.  Returns the trained state.
 
     The trainer seed pins the whole run (stream order, init, buffer,
     rehearsal draws).
@@ -208,6 +201,4 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
             # the most frequent label's task; ties go to the lowest label
             current_task = int(state.task_ids[np.bincount(batch.labels).argmax()])
             _evaluate(state, task_tests, current_task)
-    final = state.log.task_accuracy[-1] if state.log.task_accuracy else {}
-    return RunResult(cfg, stream_cfg, state.log, state.ledger, final,
-                     state.model, stream.metadata())
+    return state

@@ -10,7 +10,7 @@ from reference import RefReservoir, tagged_to_rows
 
 
 def filled_buffer(capacity, n, seed=0):
-    buf = ReplayBuffer(capacity, seed=seed)
+    buf = ReplayBuffer(capacity, rng=np.random.default_rng(seed))
     xs = np.arange(n, dtype=np.float32)[:, None]
     buf.reservoir_update(xs, np.arange(n))
     return buf
@@ -18,7 +18,7 @@ def filled_buffer(capacity, n, seed=0):
 
 def test_capacity_validation():
     with pytest.raises(ValueError):
-        ReplayBuffer(0)
+        ReplayBuffer(0, rng=np.random.default_rng(0))
 
 
 def test_fills_then_caps():
@@ -29,7 +29,7 @@ def test_fills_then_caps():
 
 
 def test_buffer_stores_copies():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, rng=np.random.default_rng(0))
     xs = np.ones((2, 3), dtype=np.float32)
     buf.reservoir_update(xs, [0, 1])
     xs[...] = -1.0
@@ -71,7 +71,7 @@ def test_sample_without_replacement_when_full_enough():
 
 
 def test_sample_empty_buffer_yields_empty_batch():
-    buf = ReplayBuffer(5)
+    buf = ReplayBuffer(5, rng=np.random.default_rng(0))
     xs, ys = buf.sample(4)
     assert xs.shape[0] == 0 and ys.shape[0] == 0
 
@@ -107,7 +107,7 @@ def row_labels(buf, y_in, res):
 
 
 def test_fetch_prefers_in_batch_positive():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, rng=np.random.default_rng(0))
     buf.reservoir_update(np.zeros((2, 1), dtype=np.float32), [0, 1])
     res = fetch(buf, [0, 0, 1], NegativePolicy.INCOMING_ONLY)
     labels = row_labels(buf, [0, 0, 1], res)
@@ -121,13 +121,14 @@ def test_fetch_prefers_in_batch_positive():
 
 
 def test_fetch_skips_anchor_without_positive():
-    buf = ReplayBuffer(4)  # empty: no buffer fallback
+    # empty: no buffer fallback
+    buf = ReplayBuffer(4, rng=np.random.default_rng(0))
     res = fetch(buf, [0, 1], NegativePolicy.INCOMING_ONLY)
     assert res.pairs == [None, None]
 
 
 def test_fetch_incoming_only_restricts_negative_classes():
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, rng=np.random.default_rng(0))
     buf.reservoir_update(np.zeros((6, 1), dtype=np.float32),
                          [0, 0, 1, 1, 5, 5])
     for seed in range(30):
@@ -142,7 +143,7 @@ def test_fetch_incoming_only_restricts_negative_classes():
 
 
 def test_fetch_all_classes_reaches_old_negatives():
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, rng=np.random.default_rng(0))
     buf.reservoir_update(np.zeros((4, 1), dtype=np.float32), [5, 5, 5, 5])
     hit_old = False
     for seed in range(50):
@@ -155,7 +156,7 @@ def test_fetch_all_classes_reaches_old_negatives():
 
 
 def test_fetch_single_class_batch_all_classes_negative_from_buffer():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, rng=np.random.default_rng(0))
     buf.reservoir_update(np.zeros((2, 1), dtype=np.float32), [3, 3])
     res = fetch(buf, [0, 0], NegativePolicy.ALL_CLASSES)
     labels = row_labels(buf, [0, 0], res)
@@ -170,7 +171,7 @@ def test_fetch_single_class_batch_all_classes_negative_from_buffer():
 
 
 def test_fetch_buffer_slots_unique_first_use_order():
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, rng=np.random.default_rng(0))
     buf.reservoir_update(np.zeros((6, 1), dtype=np.float32),
                          [2, 2, 3, 3, 4, 4])
     res = fetch(buf, [2, 3, 4], NegativePolicy.ALL_CLASSES, seed=7)
@@ -191,7 +192,7 @@ def test_fetch_rows_hold_positive_and_negative_classes(policy):
     it has no positive or no admissible negative."""
     rng = np.random.default_rng(17)
     for trial in range(40):
-        buf = ReplayBuffer(8, seed=trial)
+        buf = ReplayBuffer(8, rng=np.random.default_rng(trial))
         n_old = rng.integers(0, 12)
         buf.reservoir_update(np.zeros((n_old, 1), dtype=np.float32),
                              rng.integers(0, 6, size=n_old))
@@ -252,7 +253,8 @@ def test_matches_list_of_slots_oracle(capacity, longer, seed):
     steps = range(0, max(n, 1), 10)
     ys = np.concatenate([rng.choice(rng.choice(8, size=rng.integers(1, 4)), 10)
                          for _ in steps])[:n]
-    buf, ref = ReplayBuffer(capacity, seed=seed), RefReservoir(capacity, seed=seed)
+    buf = ReplayBuffer(capacity, rng=np.random.default_rng(seed))
+    ref = RefReservoir(capacity, seed=seed)
     for lo in steps:
         x_in, y_in = xs[lo:lo + 10], ys[lo:lo + 10]
         for k in (4, 10):

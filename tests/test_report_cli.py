@@ -14,9 +14,9 @@ from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
                             build_parser, main)
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
-                               run_experiment)
+                               run_experiment, write_json)
 from asymreplay.stream import (StreamConfig, SyntheticDatasetSpec,
-                               load_dataset)
+                               load_dataset, make_synthetic, save_dataset)
 from asymreplay.trainer import TrainerConfig
 
 SMALL = {
@@ -98,6 +98,21 @@ def test_config_to_trainer_and_stream():
     scfg = cfg.stream_config()
     assert (scfg.classes_per_task, scfg.batch_size) == (cfg.classes_per_task,
                                                          cfg.batch_size)
+
+
+def test_sub_config_field_missing_from_experiment_config_fails(monkeypatch):
+    """Sub-configs are filled by field name, so a sub-config field without
+    an experiment field of that name fails construction by name instead of
+    silently keeping its default."""
+    from asymreplay import report
+
+    @dataclasses.dataclass(frozen=True)
+    class WiderStream(StreamConfig):
+        window: int = 3
+
+    monkeypatch.setattr(report, "StreamConfig", WiderStream)
+    with pytest.raises(AttributeError, match="window"):
+        small_cfg()
 
 
 def test_default_config_is_the_library_defaults():
@@ -309,11 +324,13 @@ def test_cli_compare_refuses_incomplete_report_by_name(edit, named,
 
 @pytest.mark.parametrize("edit,named", [
     (lambda r: r["aggregates"]["aaa"].update(mean="x"), "'aaa'"),
+    (lambda r: r["aggregates"]["aaa"].update(mean=None), "'aaa'"),
     (lambda r: r["aggregates"]["final_accuracy"].update(stderr=None),
      "'final_accuracy'"),
     (lambda r: r["config"].update(method=None), "'method'"),
     (lambda r: r["config"].update(buffer_capacity=None), "'buffer_capacity'"),
-], ids=["string-mean", "null-stderr", "null-method", "null-capacity"])
+], ids=["string-mean", "null-mean", "null-stderr", "null-method",
+        "null-capacity"])
 def test_cli_compare_refuses_mistyped_report_by_name(edit, named,
                                                      small_report, tmp_path,
                                                      capsys):
@@ -658,8 +675,9 @@ def test_cli_sweep_refuses_zero_workers(tmp_path, capsys):
 
 
 class InlinePool:
-    """Stands in for the sweep's process pool: runs each job in-process and
-    notes the start method and the BLAS thread variable at submit time."""
+    """Stands in for the sweep's process pool: runs each job in-process,
+    keeping what it raises on its future as a pool does, and notes the start
+    method and the BLAS thread variable at submit time."""
     submitted = []
 
     def __init__(self, max_workers=None, mp_context=None):
@@ -675,7 +693,10 @@ class InlinePool:
         self.submitted.append((self.method,
                                os.environ.get("OPENBLAS_NUM_THREADS")))
         fut = concurrent.futures.Future()
-        fut.set_result(fn(*args))
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
         return fut
 
 
@@ -695,3 +716,63 @@ def test_sweep_workers_are_spawned_with_one_blas_thread(preset, monkeypatch,
                  "--out", str(tmp_path / "sweep")]) == EXIT_OK
     assert InlinePool.submitted == [("spawn", preset or "1")] * 2
     assert dict(os.environ) == before
+
+
+def test_sweep_job_whose_seeds_all_abort_fails(monkeypatch, tmp_path, capsys):
+    """A job whose every seed aborts is a failed job, as in ``run``: it is
+    named, gets no summary row, and the sweep exits 2."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    out = tmp_path / "sweep"
+    assert main(["sweep", *cli_small_args(), "--lr", "1e38",
+                 "--methods", "er,er-ace", "--out", str(out)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    for job in ("er-M8", "er-ace-M8"):
+        assert f"sweep job {out / job} failed: all seeds failed" in err
+    assert json.loads((out / "sweep_summary.json").read_text()) == []
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_one_task_report_is_strict_json(tmp_path, capsys):
+    """A one-task run has no forgetting: its mean is null, not NaN, so the
+    file parses as strict JSON, loads, and compares."""
+    out = tmp_path / "one"
+    args = [*cli_small_args(), "--num-classes", "2", "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    path = out / "report.json"
+    strict = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert strict["aggregates"]["forgetting"] == {"mean": None, "stderr": 0.0}
+    assert strict["seeds"][0]["forgetting"] is None
+    assert load_report(str(path)) == strict
+    capsys.readouterr()
+    assert main(["compare", str(path), str(path)]) == EXIT_OK
+    assert "er-ace" in capsys.readouterr().out
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "x.json"), {"v": float("nan")})
+
+
+def test_task_without_test_rows_reports_null_accuracy(tmp_path, capsys):
+    """A file whose last task has no test rows makes every anytime accuracy
+    after that task is seen non-finite: the report holds null there and
+    stays strict JSON, and the summary line reads nan."""
+    ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
+                                             samples_per_class=20), 0)
+    keep = ds.test_y < 2
+    ds_path = tmp_path / "ds.bin"
+    save_dataset(dataclasses.replace(ds, test_x=ds.test_x[keep],
+                                     test_y=ds.test_y[keep]), str(ds_path))
+    out = tmp_path / "run"
+    assert main(["run", *cli_small_args(), "--dataset-path", str(ds_path),
+                 "--out", str(out)]) == EXIT_OK
+    assert "final_acc=nan" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_refuse_constant)
+    (seed,) = report["seeds"]
+    assert seed["final_accuracy"] is None and seed["aa_trace"][-1] is None
+    assert seed["final_task_accuracy"]["1"] is None
+    assert report["aggregates"]["final_accuracy"]["mean"] is None
