@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import traceback
@@ -200,6 +201,9 @@ def _cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
+# built once: a parser's reference cycles would otherwise outlive each
+# in-process ``main`` call until a full garbage collection
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymreplay",

@@ -226,13 +226,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             "aaa": _finite(result.aaa),
             "forgetting": _finite(result.forgetting),
             "eval_steps": list(log.eval_steps),
-            "aa_trace": _nan_to_none(log.aa_trace),
-            "current_task_accuracy": _nan_to_none(log.current_task_accuracy),
+            "aa_trace": list(map(_finite, log.aa_trace)),
+            "current_task_accuracy": list(map(_finite, log.current_task_accuracy)),
             "final_task_accuracy": {str(t): _finite(v) for t, v in
                                     sorted(result.final_task_accuracy.items())},
-            "accuracy_matrix": [_nan_to_none(row) for row in mat.tolist()],
+            "accuracy_matrix": [list(map(_finite, row)) for row in mat.tolist()],
             "tasks": [int(t) for t in tasks],
-            "drift_trace": _nan_to_none(log.drift_trace),
+            "drift_trace": list(map(_finite, log.drift_trace)),
             "grad_norm_trace": list(log.grad_norm_trace),
             "skipped_anchors_total": log.skipped_anchors,
             "extra_forwards_total": log.extra_forwards,
@@ -266,10 +266,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 def _finite(v):
     """``v`` as a float, or None (JSON null) when missing or not finite."""
     return None if (v is None or not math.isfinite(v)) else float(v)
-
-
-def _nan_to_none(values):
-    return [_finite(v) for v in values]
 
 
 def write_json(path: str, obj):
