@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import os
 import sys
 import traceback
@@ -62,8 +61,9 @@ def _overrides(args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _num(mean) -> str:   # a null mean (no finite value) prints as nan
-    return f"{float('nan') if mean is None else mean:.4f}"
+def _aborted(report) -> list:
+    """The seed entries of ``report`` whose run aborted."""
+    return [e for e in report["seeds"] if e["error"] is not None]
 
 
 def _cmd_run(args) -> int:
@@ -75,7 +75,7 @@ def _cmd_run(args) -> int:
             traceback.print_exc()   # an unexpected kind of fault: show where
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-    failed = [e for e in report["seeds"] if e["error"] is not None]
+    failed = _aborted(report)
     for e in failed:
         print(f"seed {e['seed']} aborted: {e['error']}", file=sys.stderr)
     if len(failed) == len(report["seeds"]):
@@ -84,9 +84,9 @@ def _cmd_run(args) -> int:
     agg = report["aggregates"]
     print(f"method={cfg.method} M={cfg.buffer_capacity} "
           f"seeds={len(cfg.seeds)} "
-          f"final_acc={_num(agg['final_accuracy']['mean'])}"
+          f"final_acc={agg['final_accuracy']['mean']:.4f}"
           f"±{agg['final_accuracy']['stderr']:.4f} "
-          f"AAA={_num(agg['aaa']['mean'])}±{agg['aaa']['stderr']:.4f}")
+          f"AAA={agg['aaa']['mean']:.4f}±{agg['aaa']['stderr']:.4f}")
     if args.out:
         print(f"report written to {os.path.join(args.out, 'report.json')}")
     return EXIT_OK
@@ -101,8 +101,9 @@ def _sweep_worker(payload):
     cfg_dict, out_dir, timestamp = payload
     cfg = parse_config(overrides=cfg_dict)
     report = run_experiment(cfg, out_dir=out_dir, now=timestamp)
-    if all(e["error"] is not None for e in report["seeds"]):
-        raise RuntimeError("all seeds failed")
+    failed = _aborted(report)
+    if len(failed) == len(report["seeds"]):
+        raise RuntimeError(f"all seeds failed ({failed[0]['error']})")
     agg = report["aggregates"]
     return {"method": cfg.method, "buffer_capacity": cfg.buffer_capacity,
             "report_dir": out_dir,
@@ -160,8 +161,8 @@ def _cmd_sweep(args) -> int:
         return _cannot_write(summary, exc)
     for r in rows:
         print(f"{r['method']:<16} M={r['buffer_capacity']:<5} "
-              f"final_acc={_num(r['final_accuracy'])}"
-              f"±{r['final_accuracy_stderr']:.4f} AAA={_num(r['aaa'])}")
+              f"final_acc={r['final_accuracy']:.4f}"
+              f"±{r['final_accuracy_stderr']:.4f} AAA={r['aaa']:.4f}")
     return EXIT_RUN if len(rows) < len(jobs) else EXIT_OK
 
 
@@ -201,9 +202,6 @@ def _cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-# built once: a parser's reference cycles would otherwise outlive each
-# in-process ``main`` call until a full garbage collection
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymreplay",

@@ -165,8 +165,11 @@ def train_step(state: RunState, batch: LabeledBatch, cfg: TrainerConfig):
 
 
 def _task_test_sets(dataset: Dataset, task_ids):
-    """Each task's test split, indexed by task."""
+    """Each task's test split, indexed by task; none may be empty."""
     row_task = task_ids[dataset.test_y]
+    n_rows = np.bincount(row_task, minlength=task_ids.max() + 1)
+    if n_rows.min() == 0:   # an empty test split has no accuracy
+        raise ValueError(f"task {n_rows.argmin()} has no test rows")
     return [(dataset.test_x[row_task == t], dataset.test_y[row_task == t])
             for t in range(task_ids.max() + 1)]
 

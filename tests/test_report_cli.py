@@ -728,6 +728,7 @@ def test_sweep_job_whose_seeds_all_abort_fails(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     for job in ("er-M8", "er-ace-M8"):
         assert f"sweep job {out / job} failed: all seeds failed" in err
+    assert err.count("non-finite loss") == 2   # each job says why
     assert json.loads((out / "sweep_summary.json").read_text()) == []
 
 
@@ -756,10 +757,9 @@ def test_write_json_refuses_non_finite(tmp_path):
         write_json(str(tmp_path / "x.json"), {"v": float("nan")})
 
 
-def test_task_without_test_rows_reports_null_accuracy(tmp_path, capsys):
-    """A file whose last task has no test rows makes every anytime accuracy
-    after that task is seen non-finite: the report holds null there and
-    stays strict JSON, and the summary line reads nan."""
+def test_task_without_test_rows_is_refused(tmp_path, capsys):
+    """A file whose last task has no test rows gives that task no accuracy,
+    so the run is refused before training and writes no report."""
     ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
                                              samples_per_class=20), 0)
     keep = ds.test_y < 2
@@ -768,11 +768,6 @@ def test_task_without_test_rows_reports_null_accuracy(tmp_path, capsys):
                                      test_y=ds.test_y[keep]), str(ds_path))
     out = tmp_path / "run"
     assert main(["run", *cli_small_args(), "--dataset-path", str(ds_path),
-                 "--out", str(out)]) == EXIT_OK
-    assert "final_acc=nan" in capsys.readouterr().out
-    report = json.loads((out / "report.json").read_text(),
-                        parse_constant=_refuse_constant)
-    (seed,) = report["seeds"]
-    assert seed["final_accuracy"] is None and seed["aa_trace"][-1] is None
-    assert seed["final_task_accuracy"]["1"] is None
-    assert report["aggregates"]["final_accuracy"]["mean"] is None
+                 "--out", str(out)]) == EXIT_RUN
+    assert "run failed: task 1 has no test rows" in capsys.readouterr().err
+    assert not out.exists()
