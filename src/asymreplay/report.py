@@ -25,7 +25,7 @@ from .stream import (Dataset, StreamConfig, StreamMode, SyntheticDatasetSpec,
                      load_dataset, make_synthetic)
 from .trainer import RunAbort, TrainerConfig, run
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -312,19 +312,18 @@ def write_report_files(report: dict, out_dir: str):
 
 
 def load_report(path: str) -> dict:
-    """A report file, refused by name unless its config holds every key
-    ``compare`` reads, each of its config type, and each aggregate has a
-    numeric mean and stderr (a one-task run's forgetting mean is null)."""
+    """A report file, refused by name unless it holds a stream metadata
+    object, the config keys ``compare`` reads, each of its config type, and
+    aggregates with numeric means and stderrs (forgetting's may be null)."""
     with open(path) as fh:
         report = json.load(fh)
     version = report.get("schema_version") if isinstance(report, dict) else None
     if version != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version {version}")
-    for key in ("config", "aggregates"):
+    for key in ("config", "stream_metadata", "aggregates"):
         if not isinstance(report.get(key), dict):
             raise ValueError(f"report has no {key!r} object")
-    for key in (*_STREAM_KEYS, *_SYNTHETIC_KEYS, *_BLURRY_KEYS, "method",
-                "buffer_capacity"):
+    for key in ("method", "buffer_capacity"):
         if key not in report["config"]:
             raise ValueError(f"report config has no {key!r}")
         _coerce(key, report["config"][key])
@@ -339,29 +338,20 @@ def load_report(path: str) -> dict:
     return report
 
 
-_STREAM_KEYS = ("dataset_path", "classes_per_task", "batch_size", "stream_mode")
-# the synthetic dataset; a dataset_path run ignores these keys
-_SYNTHETIC_KEYS = (*(f.name for f in dataclasses.fields(SyntheticDatasetSpec)),
-                   "dataset_seed")
-# the schedule of a blurry stream; split streams ignore these keys
-_BLURRY_KEYS = ("target_unique_labels", "variance_scale")
-
-
 def compare(reports: Sequence[dict]):
     """Method-by-metric comparison of ≥2 reports over one stream.
 
     Returns (text_table, machine_rows).  Accuracy cells within one
     standard error of the best are starred; FLOPs and memory are
-    informational.  Reports whose stream configs differ are refused.
+    informational.  Reports whose ``stream_metadata`` differs are refused.
     """
     if len(reports) < 2:
         raise ComparisonError("need at least two reports to compare")
-    base = reports[0]["config"]
-    keys = (_STREAM_KEYS
-            + (_SYNTHETIC_KEYS if base["dataset_path"] is None else ())
-            + (_BLURRY_KEYS if base["stream_mode"] == "blurry" else ()))
+    base = reports[0]["stream_metadata"]
     for rep in reports[1:]:
-        diffs = [k for k in keys if rep["config"][k] != base[k]]
+        meta = rep["stream_metadata"]
+        diffs = sorted(k for k in base.keys() | meta.keys()
+                       if base.get(k) != meta.get(k))
         if diffs:
             raise ComparisonError(
                 "reports use different streams (keys differ: "

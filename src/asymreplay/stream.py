@@ -3,15 +3,17 @@ gradually blurred class schedules.
 
 A stream is a view over its dataset: one array of training-row indices in
 stream order plus each step's start offset, so a step's batch is gathered
-from the dataset only when the stream is iterated.  It also carries
-metadata (class-to-task map, boundary step indices).  The learner never
-sees the metadata; it exists for evaluation and for the doubly-masked
-ablation's task partition.
+from the dataset only when the stream is iterated.  Its metadata (the
+class-to-task map, boundaries, dataset digest, schedule scale) is never
+seen by the learner; it serves evaluation, the doubly-masked ablation's
+task partition and ``compare``'s check that two reports share a stream.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import hashlib
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -110,6 +112,15 @@ class Dataset:
     def train_count_per_class(self) -> np.ndarray:
         return np.bincount(self.train_y, minlength=self.num_classes)
 
+    def sha256(self) -> str:
+        """Digest of the class count and each split, in the file format's
+        dtypes: a dataset and its saved file digest alike."""
+        h = hashlib.sha256(struct.pack("<I", self.num_classes))
+        for split in ("train", "val", "test"):
+            h.update(np.ascontiguousarray(getattr(self, f"{split}_x"), "<f4"))
+            h.update(np.ascontiguousarray(getattr(self, f"{split}_y"), "<i4"))
+        return h.hexdigest()
+
 
 @dataclass
 class Stream:
@@ -124,6 +135,7 @@ class Stream:
     task_ids: np.ndarray
     boundaries: list       # step indices at which a new task begins (SPLIT)
     mode: StreamMode
+    variance_scale: Optional[float] = None   # the schedule scale (BLURRY)
 
     def __iter__(self):
         x, y = self.dataset.train_x, self.dataset.train_y
@@ -142,6 +154,8 @@ class Stream:
                               enumerate(self.task_ids.tolist())},
             "boundaries": list(self.boundaries),
             "num_steps": len(self),
+            "dataset_sha256": self.dataset.sha256(),
+            "variance_scale": self.variance_scale,
         }
 
 
@@ -201,8 +215,8 @@ def split_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
                   StreamMode.SPLIT)
 
 
-def _schedule_log_weights(num_classes: int, per_class_samples: np.ndarray,
-                          t: float, variance_scale: float) -> np.ndarray:
+def _schedule_log_weights(per_class_samples: np.ndarray, t: float,
+                          variance_scale: float) -> np.ndarray:
     """Unnormalized per-class log weights of the Gaussian schedule at sample
     counter t (class c peaks when roughly c classes' worth of data has
     streamed)."""
@@ -216,12 +230,11 @@ def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
                         variance_scale: float, rng: np.random.Generator):
     """Yield per-step label arrays until every class pool is exhausted."""
     remaining = per_class_samples.astype(np.int64).copy()
-    num_classes = len(remaining)
     t = 0
     step_labels = []
     while remaining.sum() > 0:
         n_draw = min(batch_size, int(remaining.sum()))
-        lw = _schedule_log_weights(num_classes, per_class_samples, t, variance_scale)
+        lw = _schedule_log_weights(per_class_samples, t, variance_scale)
         labels = np.empty(n_draw, dtype=np.intp)
         for i in range(n_draw):
             avail = remaining > 0
@@ -246,32 +259,28 @@ def _mean_unique_labels(per_class_samples, batch_size, variance_scale,
     return float(np.mean(vals))
 
 
-_calibration_cache: dict = {}
-
-
 def calibrate_variance_scale(per_class_samples, batch_size: int,
                              target: float) -> float:
     """Find the schedule-variance multiplier whose simulated streams average
     ``target`` unique labels per batch (bisection on the log scale)."""
-    per_class_samples = np.asarray(per_class_samples)
-    key = (tuple(int(n) for n in per_class_samples), batch_size, round(target, 3))
-    if key in _calibration_cache:
-        return _calibration_cache[key]
-    num_classes = len(per_class_samples)
-    if not (1.0 <= target <= num_classes):
+    if not (1.0 <= target <= len(per_class_samples)):
         raise ValueError(f"unattainable blurriness level {target}")
+    return _calibrate(tuple(int(n) for n in per_class_samples), batch_size,
+                      round(target, 3))
+
+
+@functools.cache
+def _calibrate(per_class_samples: tuple, batch_size: int,
+               target: float) -> float:
+    counts = np.array(per_class_samples)
     lo, hi = -6.0, 10.0  # log10 of the variance multiplier
-    f_lo = _mean_unique_labels(per_class_samples, batch_size, 10.0 ** lo)
-    f_hi = _mean_unique_labels(per_class_samples, batch_size, 10.0 ** hi)
-    if target <= f_lo:
-        _calibration_cache[key] = 10.0 ** lo
+    if target <= _mean_unique_labels(counts, batch_size, 10.0 ** lo):
         return 10.0 ** lo
-    if target >= f_hi:
-        _calibration_cache[key] = 10.0 ** hi
+    if target >= _mean_unique_labels(counts, batch_size, 10.0 ** hi):
         return 10.0 ** hi
     for _ in range(24):
         mid = (lo + hi) / 2.0
-        f_mid = _mean_unique_labels(per_class_samples, batch_size, 10.0 ** mid)
+        f_mid = _mean_unique_labels(counts, batch_size, 10.0 ** mid)
         if abs(f_mid - target) < 0.05:
             lo = hi = mid
             break
@@ -279,9 +288,7 @@ def calibrate_variance_scale(per_class_samples, batch_size: int,
             lo = mid
         else:
             hi = mid
-    scale = 10.0 ** ((lo + hi) / 2.0)
-    _calibration_cache[key] = scale
-    return scale
+    return 10.0 ** ((lo + hi) / 2.0)
 
 
 def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
@@ -313,7 +320,7 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
     sizes = np.array([len(lb) for lb in step_labels], dtype=np.intp)
     return Stream(dataset, order, np.cumsum(sizes) - sizes,
                   np.arange(dataset.num_classes) // cfg.classes_per_task, [],
-                  StreamMode.BLURRY)
+                  StreamMode.BLURRY, scale)
 
 
 def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float,

@@ -198,10 +198,12 @@ def run(dataset: Dataset, stream_cfg: StreamConfig,
     stream = make_stream(dataset, stream_cfg, cfg.seed)
     state = build_state(dataset, stream, cfg)
     task_tests = _task_test_sets(dataset, state.task_ids)
-    for batch in stream:
-        train_step(state, batch, cfg)
-        if state.step % cfg.eval_every == 0 or state.step == len(stream):
-            # the most frequent label's task; ties go to the lowest label
-            current_task = int(state.task_ids[np.bincount(batch.labels).argmax()])
-            _evaluate(state, task_tests, current_task)
+    # a diverging run overflows on its way to the RunAbort that names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in stream:
+            train_step(state, batch, cfg)
+            if state.step % cfg.eval_every == 0 or state.step == len(stream):
+                # the most frequent label's task; ties go to the lowest label
+                task = int(state.task_ids[np.bincount(batch.labels).argmax()])
+                _evaluate(state, task_tests, task)
     return state

@@ -47,7 +47,7 @@ OUTPUTS = ("report.json", "aa_trace.tsv", "drift_trace.tsv",
 GOLDEN = {
     'er': {
         'report.json':
-            '6871ff06ef299751adca2ed378b23a1bb4c51c6fc4cd3f2b2e52f4c6a3a3f1fa',
+            'bb60ede7d04bcae08e3f75050d56b975d08c674c6d00f2a28b3576650432a1c7',
         'aa_trace.tsv':
             '75a8c4a5bb53474120ac4be9b50a07208e78c235c0cc18545f5a3def656cced5',
         'drift_trace.tsv':
@@ -55,7 +55,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '4323b47cdd91fc62f9d9a66e6a422a6aa7b9b6bc5f1adaf950bbe74a2bdc3697',
         'stream_metadata.json':
-            '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
+            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -63,7 +63,7 @@ GOLDEN = {
     },
     'er-ace': {
         'report.json':
-            'fc5d0e05e07c4b494eb81bb42dade64915862dc971ed55d1099b056a79793b50',
+            'e893834399a674d4e684254c58309f805c297f6d2bb0f4181e0a4f61bae5cfd3',
         'aa_trace.tsv':
             'd37950bcc45c1054d20ed649cce272c48f5b9861edf7549848fccb00a166bf09',
         'drift_trace.tsv':
@@ -71,7 +71,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             'd4a7b7dac5d8478500ce86fc3fbfe9fae5e7ed4c752d67bbd44ba367c5854e87',
         'stream_metadata.json':
-            '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
+            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -79,7 +79,7 @@ GOLDEN = {
     },
     'ssil-nodistill': {
         'report.json':
-            '25b768db9a24ab8c61a9df3487e4b685f75283a42f82cff85cb8d3c4adaa321b',
+            'e2c7246356e1b28b5855207ebc57c80f1fb9bd7792a76b9d4137056cdfef8d18',
         'aa_trace.tsv':
             'eb4acd4ceabe243df1c43b08035f41bca379052f9e615eee2b5ecbf28dcaf612',
         'drift_trace.tsv':
@@ -87,7 +87,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             'ba789cf4dac553d45f5a97abb82721d3efa3c1d0da0c5766217b262d430dd15f',
         'stream_metadata.json':
-            '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
+            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -95,7 +95,7 @@ GOLDEN = {
     },
     'er-aml': {
         'report.json':
-            'cdf12ace4e1c78b12c5c361dcbb4bc409e4f378060d2a628b2b4c08447b6dcde',
+            '822b55c5c8167105ba491b41d34549743bdbb198538429d625d2196531c5d598',
         'aa_trace.tsv':
             '0bdae60a6788bcfba22b82445acf5ec304d962d4d89dfa45df6a75b2b885ba70',
         'drift_trace.tsv':
@@ -103,7 +103,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '64ed6db3c7670b1a4dfb63265eca5fd9ec82499010be14aded17216e74add191',
         'stream_metadata.json':
-            '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
+            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -111,7 +111,7 @@ GOLDEN = {
     },
     'er-aml-triplet': {
         'report.json':
-            '7b057a7fdce9b135058c64b2e88fac8bd172846fd7b1adfcf0b4a2a94ef1d95a',
+            'bf6128955d268f672c25d3255798a20c18c7f45fcfbf9d5fcf7bd7e885a22984',
         'aa_trace.tsv':
             'bd0550b87f19df11fbc9b52b94eac7302eeda5a255a11149b3ebad1ab8dedd3f',
         'drift_trace.tsv':
@@ -119,7 +119,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '5e085399989caebb25e14094d7a1fbb7f22c14299eb6fcdbb3071a690e235b2a',
         'stream_metadata.json':
-            '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
+            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -127,7 +127,7 @@ GOLDEN = {
     },
     'er-aml-all-classes': {
         'report.json':
-            'b752e86fd8279e007024a24289008867da9c376b53f7a9f5dce7bcc3b892667f',
+            '4de2e287f8df23467c6a1a39358935b504e23953e941a84092acec694e0c8fe2',
         'aa_trace.tsv':
             '24f627d17e32b0a2991ed57b0c795565f73f37ff72c1fe2194895628576a3256',
         'drift_trace.tsv':
@@ -135,7 +135,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '1eb996e20a08c15b708a7d717ddba146ac4e94b7cc6dbb12e931239eb34ecb61',
         'stream_metadata.json':
-            '59da499aa8f038830b8c2c2e1664f1d12651fda4e05d5220a860d34ec64efe33',
+            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -143,7 +143,7 @@ GOLDEN = {
     },
     'er-aml-blurry': {
         'report.json':
-            '77b7940bf8cc55ae4447c73761369e11c25c589586d20eb9e4790e1545b6acfd',
+            '23a2be7f5dae41aae637859b564d8d835fd9209c4f03d8eada7d2571840f1052',
         'aa_trace.tsv':
             '7fe2aea8a218c7f9df0b90f8fa5a90e61eacf277b678acc9ab42838e5002967a',
         'drift_trace.tsv':
@@ -151,7 +151,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '255cc5442e3769b0a45792754a8e7385d4f9be95f4834537902e0af1db770c3c',
         'stream_metadata.json':
-            'd65efedfe78f91ac2aa88e8172aa66fbc2ebe4a0b51b90f71cadc190ce284775',
+            'd13b71d767c3db3e01e36bf431337b309fc40353bdbcfd844c9f8d4380250942',
         'buffer_seed0':
             'e61f240d0c0dee33fdd6a4b56ce36c2a4ecc68d5fc4c8b3cdc56e6097a4e1e75',
         'buffer_seed1':

@@ -16,7 +16,8 @@ from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment, write_json)
 from asymreplay.stream import (StreamConfig, SyntheticDatasetSpec,
-                               load_dataset, make_synthetic, save_dataset)
+                               calibrate_variance_scale, load_dataset,
+                               make_synthetic, save_dataset)
 from asymreplay.trainer import TrainerConfig
 
 SMALL = {
@@ -228,7 +229,7 @@ def small_report(tmp_path_factory):
 
 def test_report_schema_and_aggregates(small_report):
     report, _ = small_report
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["timestamp"] == "T0"
     assert len(report["seeds"]) == 2
     for key in ("final_accuracy", "aaa", "forgetting", "train_flops"):
@@ -300,7 +301,7 @@ def test_load_report_rejects_wrong_schema(tmp_path):
 
 
 @pytest.mark.parametrize("edit,named", [
-    (lambda r: r.update(config={}, aggregates={}), "'dataset_path'"),
+    (lambda r: r.update(config={}, aggregates={}), "'method'"),
     (lambda r: r["config"].pop("buffer_capacity"), "'buffer_capacity'"),
     (lambda r: r["aggregates"]["aaa"].pop("stderr"), "'aaa'"),
     (lambda r: r["aggregates"].pop("train_flops"), "'train_flops'"),
@@ -374,7 +375,7 @@ def test_compare_stars_and_rows(small_report):
 def test_compare_refuses_different_streams(small_report):
     report, _ = small_report
     other = run_experiment(small_cfg(num_classes=2), now="T0")
-    with pytest.raises(ComparisonError, match="num_classes"):
+    with pytest.raises(ComparisonError, match="task_of_class"):
         compare([report, other])
 
 
@@ -384,10 +385,13 @@ def test_compare_refuses_different_streams(small_report):
 ])
 def test_compare_refuses_stream_keys_beyond_the_dataset_shape(key, values,
                                                                extra):
-    """Blurriness level and split fractions change the stream too."""
+    """Blurriness level and split fractions change the stream too: the
+    schedule's scale and the dataset's digest differ."""
     a, b = (run_experiment(small_cfg(seeds=[0], **extra, **{key: v}), now="T0")
             for v in values)
-    with pytest.raises(ComparisonError, match=key):
+    named = {"target_unique_labels": "variance_scale",
+             "test_fraction": "dataset_sha256"}[key]
+    with pytest.raises(ComparisonError, match=named):
         compare([a, b])
 
 
@@ -461,11 +465,11 @@ def test_cli_exit_code_on_missing_or_truncated_dataset(tmp_path, capsys):
     assert "run failed: truncated payload" in capsys.readouterr().err
 
 
-def gen_dataset(path, num_classes, samples_per_class):
+def gen_dataset(path, num_classes, samples_per_class, *extra):
     assert main(["gen-dataset", "--input-dim", "4",
                  "--num-classes", str(num_classes),
                  "--samples-per-class", str(samples_per_class),
-                 "--out", str(path)]) == EXIT_OK
+                 *extra, "--out", str(path)]) == EXIT_OK
 
 
 def test_dataset_file_sets_the_class_count(tmp_path, monkeypatch):
@@ -564,7 +568,8 @@ def test_cli_compare_unreadable_report_exits_1(content, small_report,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("missing", ["config", "aggregates"])
+@pytest.mark.parametrize("missing", ["config", "stream_metadata",
+                                     "aggregates"])
 def test_cli_compare_report_without_section_exits_1(missing, small_report,
                                                     tmp_path, capsys):
     """A report of the right schema but without a section compare reads
@@ -596,6 +601,55 @@ def test_cli_compare_accepts_runs_of_one_dataset_file(tmp_path, capsys):
     assert capsys.readouterr().out.count("er-ace") == 2
 
 
+def run_small(out, *extra):
+    """``run`` of the small CLI config plus ``extra``; its report's path."""
+    assert main(["run", *cli_small_args(), *extra, "--out", str(out)]) \
+        == EXIT_OK
+    return out / "report.json"
+
+
+def test_cli_compare_refuses_a_dataset_file_rewritten_in_place(tmp_path,
+                                                               capsys):
+    """A file regenerated from another seed at the same path holds other
+    data, so runs before and after are of different streams."""
+    ds_path = tmp_path / "ds.bin"
+    reports = []
+    for seed in ("0", "1"):
+        gen_dataset(ds_path, 4, 20, "--dataset-seed", seed)
+        reports.append(run_small(tmp_path / f"run{seed}",
+                                 "--dataset-path", str(ds_path)))
+    capsys.readouterr()
+    assert main(["compare", *map(str, reports)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("cannot compare: reports use different "
+                                       "streams (keys differ: dataset_sha256)\n")
+
+
+@pytest.mark.parametrize("route", ["copied-file", "synthetic-and-its-file",
+                                   "calibrated-scale"])
+def test_cli_compare_accepts_one_stream_named_two_ways(route, tmp_path,
+                                                       capsys):
+    """Runs of one stream compare however the stream was named: a file and
+    its copy at another path, a synthetic dataset and the file
+    ``gen-dataset`` wrote of it, a blurry level and the scale it
+    calibrates to."""
+    ds_path, copy = tmp_path / "ds.bin", tmp_path / "copy.bin"
+    gen_dataset(ds_path, 4, 20, "--noise-sigma", "0.3")
+    copy.write_bytes(ds_path.read_bytes())
+    first = {"copied-file": ["--dataset-path", str(ds_path)],
+             "synthetic-and-its-file": [],
+             "calibrated-scale": ["--stream-mode", "blurry"]}[route]
+    a = run_small(tmp_path / "a", *first)
+    scale = calibrate_variance_scale([20] * 4, 5, 2.0)   # the small stream's
+    second = {"copied-file": ["--dataset-path", str(copy)],
+              "synthetic-and-its-file": ["--dataset-path", str(ds_path)],
+              "calibrated-scale": ["--stream-mode", "blurry",
+                                   "--variance-scale", repr(scale)]}[route]
+    b = run_small(tmp_path / "b", *second)
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == EXIT_OK
+    assert capsys.readouterr().out.count("er-ace") == 2
+
+
 def test_cli_compare_of_different_streams_is_not_a_config_error(
         small_report, tmp_path, capsys):
     """Reports of different streams are refused under their own prefix,
@@ -603,13 +657,13 @@ def test_cli_compare_of_different_streams_is_not_a_config_error(
     report, out = small_report
     other = tmp_path / "other.json"
     report = json.loads(json.dumps(report))
-    report["config"]["num_classes"] += 2
+    report["stream_metadata"]["num_steps"] += 2
     other.write_text(json.dumps(report))
     assert main(["compare", str(out / "report.json"), str(other)]) \
         == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("cannot compare: reports use different streams")
-    assert "num_classes" in err and err.count("\n") == 1
+    assert "num_steps" in err and err.count("\n") == 1
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):

@@ -217,6 +217,15 @@ def test_task_maps_consistent():
     meta = st.metadata()
     assert meta["task_of_class"] == {"0": 0, "1": 0, "2": 1, "3": 1}
     assert meta["mode"] == "split" and meta["num_steps"] == len(st)
+    assert meta["variance_scale"] is None
+
+
+def test_dataset_digest_survives_a_file_round_trip(tmp_path):
+    ds = S.make_synthetic(spec(), seed=0)
+    path = tmp_path / "ds.bin"
+    S.save_dataset(ds, path)
+    assert S.load_dataset(path).sha256() == ds.sha256()
+    assert S.make_synthetic(spec(), seed=1).sha256() != ds.sha256()
 
 
 # blurry streams -------------------------------------------------------
@@ -259,10 +268,10 @@ def test_calibration_hits_target_unique_labels():
     assert measured == pytest.approx(2.0, abs=0.3)
 
 
-def test_calibration_takes_a_list_of_counts(monkeypatch):
+def test_calibration_takes_a_list_of_counts():
     scales = []
     for counts in ([6, 6, 6], np.array([6, 6, 6])):
-        monkeypatch.setattr(S, "_calibration_cache", {})   # no cached answer
+        S._calibrate.cache_clear()   # no cached answer
         scales.append(S.calibrate_variance_scale(counts, 2, 1.5))
     assert scales[0] == scales[1]
 
@@ -272,6 +281,16 @@ def test_calibration_rejects_unattainable_target():
         S.calibrate_variance_scale(np.full(4, 30), 10, 9.0)
     with pytest.raises(ValueError):
         S.calibrate_variance_scale(np.full(4, 30), 10, 0.5)
+
+
+def test_blurry_metadata_names_the_scale_it_ran():
+    ds = S.make_synthetic(spec(), seed=0)
+    calibrated = S.calibrate_variance_scale(ds.train_count_per_class(), 10,
+                                            2.0)
+    for cfg, scale in ((blurry_cfg(), calibrated),
+                       (blurry_cfg(variance_scale=0.5), 0.5),
+                       (blurry_cfg(target_unique_labels=None), 1.0)):
+        assert S.blurry_stream(ds, cfg, 0).metadata()["variance_scale"] == scale
 
 
 def test_blurriness_sweep_levels():
