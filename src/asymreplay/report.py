@@ -312,8 +312,8 @@ def write_report_files(report: dict, out_dir: str):
 
 
 def load_report(path: str) -> dict:
-    """A report file, refused by name unless it holds a stream metadata
-    object, the config keys ``compare`` reads, each of its config type, and
+    """A report file, refused by name unless it holds stream metadata with
+    a digest, the config keys ``compare`` reads, each of its config type, and
     aggregates with numeric means and stderrs (forgetting's may be null)."""
     with open(path) as fh:
         report = json.load(fh)
@@ -323,6 +323,8 @@ def load_report(path: str) -> dict:
     for key in ("config", "stream_metadata", "aggregates"):
         if not isinstance(report.get(key), dict):
             raise ValueError(f"report has no {key!r} object")
+    if not isinstance(report["stream_metadata"].get("dataset_sha256"), str):
+        raise ValueError("report stream_metadata has no 'dataset_sha256'")
     for key in ("method", "buffer_capacity"):
         if key not in report["config"]:
             raise ValueError(f"report config has no {key!r}")

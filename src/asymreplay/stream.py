@@ -4,7 +4,7 @@ gradually blurred class schedules.
 A stream is a view over its dataset: one array of training-row indices in
 stream order plus each step's start offset, so a step's batch is gathered
 from the dataset only when the stream is iterated.  Its metadata (the
-class-to-task map, boundaries, dataset digest, schedule scale) is never
+class-to-task map, batch layout, dataset digest, schedule scale) is never
 seen by the learner; it serves evaluation, the doubly-masked ablation's
 task partition and ``compare``'s check that two reports share a stream.
 """
@@ -135,6 +135,7 @@ class Stream:
     task_ids: np.ndarray
     boundaries: list       # step indices at which a new task begins (SPLIT)
     mode: StreamMode
+    batch_size: int
     variance_scale: Optional[float] = None   # the schedule scale (BLURRY)
 
     def __iter__(self):
@@ -154,6 +155,7 @@ class Stream:
                               enumerate(self.task_ids.tolist())},
             "boundaries": list(self.boundaries),
             "num_steps": len(self),
+            "batch_size": self.batch_size,
             "dataset_sha256": self.dataset.sha256(),
             "variance_scale": self.variance_scale,
         }
@@ -212,7 +214,7 @@ def split_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
         n_streamed += len(idx)
     return Stream(dataset, np.concatenate([np.zeros(0, np.intp), *order]),
                   np.array(starts, dtype=np.intp), task_ids, boundaries,
-                  StreamMode.SPLIT)
+                  StreamMode.SPLIT, cfg.batch_size)
 
 
 def _schedule_log_weights(per_class_samples: np.ndarray, t: float,
@@ -220,7 +222,7 @@ def _schedule_log_weights(per_class_samples: np.ndarray, t: float,
     """Unnormalized per-class log weights of the Gaussian schedule at sample
     counter t (class c peaks when roughly c classes' worth of data has
     streamed)."""
-    n_c = per_class_samples.astype(np.float64)
+    n_c = np.asarray(per_class_samples, np.float64)
     mu = np.cumsum(n_c) - n_c / 2.0      # equals (2c-1)*N_c/2 for equal counts
     var = np.maximum(n_c / 4.0 * variance_scale, 1e-12)
     return -((mu - t) ** 2) / (2.0 * var)
@@ -229,7 +231,7 @@ def _schedule_log_weights(per_class_samples: np.ndarray, t: float,
 def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
                         variance_scale: float, rng: np.random.Generator):
     """Yield per-step label arrays until every class pool is exhausted."""
-    remaining = per_class_samples.astype(np.int64).copy()
+    remaining = np.array(per_class_samples, np.int64)
     t = 0
     step_labels = []
     while remaining.sum() > 0:
@@ -270,9 +272,7 @@ def calibrate_variance_scale(per_class_samples, batch_size: int,
 
 
 @functools.cache
-def _calibrate(per_class_samples: tuple, batch_size: int,
-               target: float) -> float:
-    counts = np.array(per_class_samples)
+def _calibrate(counts: tuple, batch_size: int, target: float) -> float:
     lo, hi = -6.0, 10.0  # log10 of the variance multiplier
     if target <= _mean_unique_labels(counts, batch_size, 10.0 ** lo):
         return 10.0 ** lo
@@ -301,13 +301,11 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
     if cfg.mode is not StreamMode.BLURRY:
         raise ValueError("blurry_stream requires BLURRY mode")
     per_class = dataset.train_count_per_class()
-    if cfg.variance_scale is not None:
-        scale = cfg.variance_scale
-    elif cfg.target_unique_labels is not None:
-        scale = calibrate_variance_scale(per_class, cfg.batch_size,
-                                         cfg.target_unique_labels)
-    else:
-        scale = 1.0
+    scale = cfg.variance_scale
+    if scale is None:
+        scale = (1.0 if cfg.target_unique_labels is None else
+                 calibrate_variance_scale(per_class, cfg.batch_size,
+                                          cfg.target_unique_labels))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB1E5]))
     step_labels = _draw_blurry_labels(per_class, cfg.batch_size, scale, rng)
     labels = np.concatenate([np.zeros(0, np.intp), *step_labels])
@@ -320,7 +318,7 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
     sizes = np.array([len(lb) for lb in step_labels], dtype=np.intp)
     return Stream(dataset, order, np.cumsum(sizes) - sizes,
                   np.arange(dataset.num_classes) // cfg.classes_per_task, [],
-                  StreamMode.BLURRY, scale)
+                  StreamMode.BLURRY, cfg.batch_size, scale)
 
 
 def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float,

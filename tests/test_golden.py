@@ -47,7 +47,7 @@ OUTPUTS = ("report.json", "aa_trace.tsv", "drift_trace.tsv",
 GOLDEN = {
     'er': {
         'report.json':
-            'bb60ede7d04bcae08e3f75050d56b975d08c674c6d00f2a28b3576650432a1c7',
+            'fbf281fce826e9b182262633de65f4953981fc2c089ce345d7fff2fbade98e6c',
         'aa_trace.tsv':
             '75a8c4a5bb53474120ac4be9b50a07208e78c235c0cc18545f5a3def656cced5',
         'drift_trace.tsv':
@@ -55,7 +55,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '4323b47cdd91fc62f9d9a66e6a422a6aa7b9b6bc5f1adaf950bbe74a2bdc3697',
         'stream_metadata.json':
-            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
+            '714fd8f5342e527c0a3e6bf831a3ea4a1989c71ee2eafb57caf79e6659f19f55',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -63,7 +63,7 @@ GOLDEN = {
     },
     'er-ace': {
         'report.json':
-            'e893834399a674d4e684254c58309f805c297f6d2bb0f4181e0a4f61bae5cfd3',
+            '0d2701c4f57aa4a4aa70e4ba2ce60c995559617ba721c2d27dacf113cd2f157e',
         'aa_trace.tsv':
             'd37950bcc45c1054d20ed649cce272c48f5b9861edf7549848fccb00a166bf09',
         'drift_trace.tsv':
@@ -71,7 +71,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             'd4a7b7dac5d8478500ce86fc3fbfe9fae5e7ed4c752d67bbd44ba367c5854e87',
         'stream_metadata.json':
-            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
+            '714fd8f5342e527c0a3e6bf831a3ea4a1989c71ee2eafb57caf79e6659f19f55',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -79,7 +79,7 @@ GOLDEN = {
     },
     'ssil-nodistill': {
         'report.json':
-            'e2c7246356e1b28b5855207ebc57c80f1fb9bd7792a76b9d4137056cdfef8d18',
+            'ec726b45eb1135ea5a1699b3fe894a0214dc679792a7f9dcf4f12499fe683d2c',
         'aa_trace.tsv':
             'eb4acd4ceabe243df1c43b08035f41bca379052f9e615eee2b5ecbf28dcaf612',
         'drift_trace.tsv':
@@ -87,7 +87,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             'ba789cf4dac553d45f5a97abb82721d3efa3c1d0da0c5766217b262d430dd15f',
         'stream_metadata.json':
-            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
+            '714fd8f5342e527c0a3e6bf831a3ea4a1989c71ee2eafb57caf79e6659f19f55',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -95,7 +95,7 @@ GOLDEN = {
     },
     'er-aml': {
         'report.json':
-            '822b55c5c8167105ba491b41d34549743bdbb198538429d625d2196531c5d598',
+            '9ba2c9e2573b01252681bc69101d6320ff5e370ebbec873942f099629b0a9af2',
         'aa_trace.tsv':
             '0bdae60a6788bcfba22b82445acf5ec304d962d4d89dfa45df6a75b2b885ba70',
         'drift_trace.tsv':
@@ -103,7 +103,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '64ed6db3c7670b1a4dfb63265eca5fd9ec82499010be14aded17216e74add191',
         'stream_metadata.json':
-            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
+            '714fd8f5342e527c0a3e6bf831a3ea4a1989c71ee2eafb57caf79e6659f19f55',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -111,7 +111,7 @@ GOLDEN = {
     },
     'er-aml-triplet': {
         'report.json':
-            'bf6128955d268f672c25d3255798a20c18c7f45fcfbf9d5fcf7bd7e885a22984',
+            'cf78b9c95f6f64589e7797a9cbfc2b9771cfa72c8438c9bde8f1b97c4925db54',
         'aa_trace.tsv':
             'bd0550b87f19df11fbc9b52b94eac7302eeda5a255a11149b3ebad1ab8dedd3f',
         'drift_trace.tsv':
@@ -119,7 +119,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '5e085399989caebb25e14094d7a1fbb7f22c14299eb6fcdbb3071a690e235b2a',
         'stream_metadata.json':
-            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
+            '714fd8f5342e527c0a3e6bf831a3ea4a1989c71ee2eafb57caf79e6659f19f55',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -127,7 +127,7 @@ GOLDEN = {
     },
     'er-aml-all-classes': {
         'report.json':
-            '4de2e287f8df23467c6a1a39358935b504e23953e941a84092acec694e0c8fe2',
+            'dc93a145a92ade5ff86f3e6aeddaa77525e2a0f263a9aaf39430f15ab8d1ef04',
         'aa_trace.tsv':
             '24f627d17e32b0a2991ed57b0c795565f73f37ff72c1fe2194895628576a3256',
         'drift_trace.tsv':
@@ -135,7 +135,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '1eb996e20a08c15b708a7d717ddba146ac4e94b7cc6dbb12e931239eb34ecb61',
         'stream_metadata.json':
-            'f0f7f50ca1c4fe6f5432d3ff9cbc5f205dcdb91a913f0bc65c0375f02e5da529',
+            '714fd8f5342e527c0a3e6bf831a3ea4a1989c71ee2eafb57caf79e6659f19f55',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -143,7 +143,7 @@ GOLDEN = {
     },
     'er-aml-blurry': {
         'report.json':
-            '23a2be7f5dae41aae637859b564d8d835fd9209c4f03d8eada7d2571840f1052',
+            '51fe20706661bda7382142b07827020e06216387a641aebabc719b025d9bcc68',
         'aa_trace.tsv':
             '7fe2aea8a218c7f9df0b90f8fa5a90e61eacf277b678acc9ab42838e5002967a',
         'drift_trace.tsv':
@@ -151,7 +151,7 @@ GOLDEN = {
         'accuracy_matrix.tsv':
             '255cc5442e3769b0a45792754a8e7385d4f9be95f4834537902e0af1db770c3c',
         'stream_metadata.json':
-            'd13b71d767c3db3e01e36bf431337b309fc40353bdbcfd844c9f8d4380250942',
+            '470b19d7df684f100e313409d0c12e0d352f851b2086c9cf653d3f8ceab8804c',
         'buffer_seed0':
             'e61f240d0c0dee33fdd6a4b56ce36c2a4ecc68d5fc4c8b3cdc56e6097a4e1e75',
         'buffer_seed1':

@@ -330,8 +330,11 @@ def test_cli_compare_refuses_incomplete_report_by_name(edit, named,
      "'final_accuracy'"),
     (lambda r: r["config"].update(method=None), "'method'"),
     (lambda r: r["config"].update(buffer_capacity=None), "'buffer_capacity'"),
+    (lambda r: r.update(stream_metadata={}), "'dataset_sha256'"),
+    (lambda r: r["stream_metadata"].update(dataset_sha256=None),
+     "'dataset_sha256'"),
 ], ids=["string-mean", "null-mean", "null-stderr", "null-method",
-        "null-capacity"])
+        "null-capacity", "empty-stream-metadata", "null-digest"])
 def test_cli_compare_refuses_mistyped_report_by_name(edit, named,
                                                      small_report, tmp_path,
                                                      capsys):
@@ -382,16 +385,20 @@ def test_compare_refuses_different_streams(small_report):
 @pytest.mark.parametrize("key,values,extra", [
     ("target_unique_labels", (1.0, 3.0), {"stream_mode": "blurry"}),
     ("test_fraction", (0.25, 0.9), {}),
+    # 40 rows per task cut into 4 steps either way
+    ("batch_size", (10, 13), {}),
 ])
 def test_compare_refuses_stream_keys_beyond_the_dataset_shape(key, values,
                                                                extra):
-    """Blurriness level and split fractions change the stream too: the
-    schedule's scale and the dataset's digest differ."""
+    """Blurriness level, split fractions and batch size change the stream
+    too: the schedule's scale, the dataset's digest or the batch size
+    differ even where the step count does not."""
     a, b = (run_experiment(small_cfg(seeds=[0], **extra, **{key: v}), now="T0")
             for v in values)
     named = {"target_unique_labels": "variance_scale",
-             "test_fraction": "dataset_sha256"}[key]
-    with pytest.raises(ComparisonError, match=named):
+             "test_fraction": "dataset_sha256",
+             "batch_size": "batch_size"}[key]
+    with pytest.raises(ComparisonError, match=rf"\(keys differ: {named}\)"):
         compare([a, b])
 
 
