@@ -81,12 +81,7 @@ def _cmd_run(args) -> int:
     if len(failed) == len(report["seeds"]):
         print("all seeds failed", file=sys.stderr)
         return EXIT_RUN
-    agg = report["aggregates"]
-    print(f"method={cfg.method} M={cfg.buffer_capacity} "
-          f"seeds={len(cfg.seeds)} "
-          f"final_acc={agg['final_accuracy']['mean']:.4f}"
-          f"±{agg['final_accuracy']['stderr']:.4f} "
-          f"AAA={agg['aaa']['mean']:.4f}±{agg['aaa']['stderr']:.4f}")
+    print(compare([report])[0], end="")
     if args.out:
         print(f"report written to {os.path.join(args.out, 'report.json')}")
     return EXIT_OK
@@ -97,19 +92,12 @@ def _cannot_write(path, exc) -> int:
     return EXIT_RUN
 
 
-def _sweep_worker(payload):
-    cfg_dict, out_dir, timestamp = payload
-    cfg = parse_config(overrides=cfg_dict)
+def _sweep_worker(cfg, out_dir, timestamp):
     report = run_experiment(cfg, out_dir=out_dir, now=timestamp)
     failed = _aborted(report)
     if len(failed) == len(report["seeds"]):
         raise RuntimeError(f"all seeds failed ({failed[0]['error']})")
-    agg = report["aggregates"]
-    return {"method": cfg.method, "buffer_capacity": cfg.buffer_capacity,
-            "report_dir": out_dir,
-            "final_accuracy": agg["final_accuracy"]["mean"],
-            "final_accuracy_stderr": agg["final_accuracy"]["stderr"],
-            "aaa": agg["aaa"]["mean"]}
+    return report
 
 
 def _cmd_sweep(args) -> int:
@@ -119,22 +107,19 @@ def _cmd_sweep(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     base = parse_config(args.config, _overrides(args))
-    methods = args.methods or [base.method]
-    capacities = args.buffer_capacities or [base.buffer_capacity]
-    jobs = []
-    for method in methods:
-        for cap in capacities:
-            d = base.to_dict()
-            d["method"] = method
-            d["buffer_capacity"] = cap
-            parse_config(overrides=d)  # validate before scheduling
+    jobs = {}   # output directory -> config, in grid order
+    for method in args.methods or [base.method]:
+        for cap in args.buffer_capacities or [base.buffer_capacity]:
             out_dir = os.path.join(args.out, f"{method}-M{cap}")
-            jobs.append((d, out_dir, args.timestamp))
+            if out_dir in jobs:   # two workers would write one directory
+                raise ConfigError(f"sweep job {out_dir} is listed twice")
+            jobs[out_dir] = dataclasses.replace(base, method=method,
+                                                buffer_capacity=cap)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         return _cannot_write(args.out, exc)
-    rows = []
+    done = {}   # output directory -> report of each finished job
     # the workers share the cores, so each one's BLAS gets one thread; a
     # spawned worker reads the variable when it loads numpy
     pin = "OPENBLAS_NUM_THREADS" not in os.environ
@@ -143,27 +128,26 @@ def _cmd_sweep(args) -> int:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.workers,
                 mp_context=multiprocessing.get_context("spawn")) as ex:
-            futures = {ex.submit(_sweep_worker, job): job[1] for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
+            futures = {d: ex.submit(_sweep_worker, cfg, d, args.timestamp)
+                       for d, cfg in jobs.items()}
+            for d, fut in futures.items():
                 try:
-                    rows.append(fut.result())
+                    done[d] = fut.result()
                 except Exception as exc:
-                    print(f"sweep job {futures[fut]} failed: {exc}",
-                          file=sys.stderr)
+                    print(f"sweep job {d} failed: {exc}", file=sys.stderr)
     finally:
         if pin:
             del os.environ["OPENBLAS_NUM_THREADS"]
-    rows.sort(key=lambda r: (r["method"], r["buffer_capacity"]))
+    table, rows = compare(list(done.values()))
+    for d, row in zip(done, rows):
+        row["report_dir"] = d
+    print(table, end="")
     summary = os.path.join(args.out, "sweep_summary.json")
     try:
         write_json(summary, rows)
     except OSError as exc:
         return _cannot_write(summary, exc)
-    for r in rows:
-        print(f"{r['method']:<16} M={r['buffer_capacity']:<5} "
-              f"final_acc={r['final_accuracy']:.4f}"
-              f"±{r['final_accuracy_stderr']:.4f} AAA={r['aaa']:.4f}")
-    return EXIT_RUN if len(rows) < len(jobs) else EXIT_OK
+    return EXIT_RUN if len(done) < len(jobs) else EXIT_OK
 
 
 def _cmd_compare(args) -> int:
@@ -202,8 +186,13 @@ def _cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a bad flag is a config error, as in a file
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asymreplay",
         description="Online continual learning with asymmetric replay losses")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -87,9 +87,10 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {f.name!r} must be one of "
                                   f"{', '.join(choices)}, "
                                   f"got {getattr(self, f.name)!r}")
-        if not self.seeds or min(self.seeds) < 0:
+        if (not self.seeds or min(self.seeds) < 0
+                or len(set(self.seeds)) < len(self.seeds)):
             raise ConfigError("config key 'seeds' must be a nonempty list of "
-                              "non-negative integers")
+                              "distinct non-negative integers")
         if self.dataset_seed < 0:
             raise ConfigError("config key 'dataset_seed' must be >= 0")
         try:
@@ -218,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             per_seed.append(entry)
             continue
         if stream_meta is None:
-            stream_meta = result.stream_metadata
+            stream_meta = result.stream.metadata()
         log = result.log
         mat, tasks = log.accuracy_matrix()
         entry.update({
@@ -313,8 +314,9 @@ def write_report_files(report: dict, out_dir: str):
 
 def load_report(path: str) -> dict:
     """A report file, refused by name unless it holds stream metadata with
-    a digest, the config keys ``compare`` reads, each of its config type, and
-    aggregates with numeric means and stderrs (forgetting's may be null)."""
+    a digest, the config keys ``compare`` reads, each of its config type,
+    per-seed entries with an error, and aggregates with numeric means and
+    stderrs (forgetting's may be null)."""
     with open(path) as fh:
         report = json.load(fh)
     version = report.get("schema_version") if isinstance(report, dict) else None
@@ -325,6 +327,9 @@ def load_report(path: str) -> dict:
             raise ValueError(f"report has no {key!r} object")
     if not isinstance(report["stream_metadata"].get("dataset_sha256"), str):
         raise ValueError("report stream_metadata has no 'dataset_sha256'")
+    if not (isinstance(report.get("seeds"), list) and all(
+            isinstance(e, dict) and "error" in e for e in report["seeds"])):
+        raise ValueError("report has no 'seeds' list with an 'error' per seed")
     for key in ("method", "buffer_capacity"):
         if key not in report["config"]:
             raise ValueError(f"report config has no {key!r}")
@@ -341,17 +346,16 @@ def load_report(path: str) -> dict:
 
 
 def compare(reports: Sequence[dict]):
-    """Method-by-metric comparison of ≥2 reports over one stream.
+    """Method-by-metric table of reports over one stream; ``run`` and
+    ``sweep`` print it as their summary.
 
-    Returns (text_table, machine_rows).  Accuracy cells within one
-    standard error of the best are starred; FLOPs and memory are
-    informational.  Reports whose ``stream_metadata`` differs are refused.
+    Returns (text_table, machine_rows).  AAA and final accuracy are mean
+    ± stderr over the ``seeds`` that finished, starred when within one
+    standard error of the best; FLOPs and memory are informational.
+    Reports whose ``stream_metadata`` differs are refused.
     """
-    if len(reports) < 2:
-        raise ComparisonError("need at least two reports to compare")
-    base = reports[0]["stream_metadata"]
     for rep in reports[1:]:
-        meta = rep["stream_metadata"]
+        base, meta = reports[0]["stream_metadata"], rep["stream_metadata"]
         diffs = sorted(k for k in base.keys() | meta.keys()
                        if base.get(k) != meta.get(k))
         if diffs:
@@ -364,6 +368,7 @@ def compare(reports: Sequence[dict]):
         rows.append({
             "method": rep["config"]["method"],
             "buffer_capacity": rep["config"]["buffer_capacity"],
+            "seeds": sum(e["error"] is None for e in rep["seeds"]),
             "aaa": agg["aaa"]["mean"], "aaa_stderr": agg["aaa"]["stderr"],
             "final_accuracy": agg["final_accuracy"]["mean"],
             "final_accuracy_stderr": agg["final_accuracy"]["stderr"],
@@ -371,17 +376,23 @@ def compare(reports: Sequence[dict]):
             "mean_memory_bytes": agg["mean_memory_bytes"]["mean"],
         })
     for key in ("aaa", "final_accuracy"):
-        best = max(r[key] for r in rows)
-        best_err = max(r[f"{key}_stderr"] for r in rows if r[key] == best)
+        # the best mean, and the widest error bar among rows that reach it
+        best, best_err = max(((r[key], r[f"{key}_stderr"]) for r in rows),
+                             default=(0.0, 0.0))
         for r in rows:
             r[f"{key}_best"] = bool(r[key] + r[f"{key}_stderr"] >= best - best_err)
-    header = f"{'method':<16} {'M':>5} {'AAA':>12} {'final acc':>12} " \
-             f"{'train FLOPs':>14} {'mem bytes':>12}"
+
+    def cell(r, key):
+        return (f"{r[key]:.4f}±{r[f'{key}_stderr']:.4f}"
+                + ("*" if r[f"{key}_best"] else " "))
+
+    header = f"{'method':<16} {'M':>5} {'seeds':>5} {'AAA':>15} " \
+             f"{'final acc':>15} {'train FLOPs':>14} {'mem bytes':>12}"
     lines = [header, "-" * len(header)]
     for r in rows:
-        aaa = f"{r['aaa']:.4f}" + ("*" if r["aaa_best"] else " ")
-        fin = f"{r['final_accuracy']:.4f}" + ("*" if r["final_accuracy_best"] else " ")
-        lines.append(f"{r['method']:<16} {r['buffer_capacity']:>5} {aaa:>12} "
-                     f"{fin:>12} {r['train_flops']:>14.3e} "
+        lines.append(f"{r['method']:<16} {r['buffer_capacity']:>5} "
+                     f"{r['seeds']:>5} {cell(r, 'aaa'):>15} "
+                     f"{cell(r, 'final_accuracy'):>15} "
+                     f"{r['train_flops']:>14.3e} "
                      f"{r['mean_memory_bytes']:>12.1f}")
     return "\n".join(lines) + "\n", rows

@@ -65,7 +65,7 @@ class RunState:
         self.buffer = buffer
         self.fetch_rng = fetch_rng
         self.task_ids = stream.task_ids   # each class's task, indexed by label
-        self.stream_metadata = stream.metadata()
+        self.stream = stream
         self.seen = np.zeros(len(stream.task_ids), dtype=bool)   # classes trained on
         self.step = 0
         self.ledger = M.ResourceLedger()

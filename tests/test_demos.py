@@ -11,9 +11,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_quickstart.py",
-                                  "04_drift_and_gradients.py"])
+                                  "04_drift_and_gradients.py",
+                                  "05_buffer_size_sweep.py"])
 def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           cwd=tmp_path, env=env, capture_output=True,

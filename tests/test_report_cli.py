@@ -265,11 +265,16 @@ def test_report_files_written(small_report):
 
 
 def test_one_stream_built_per_seed(monkeypatch):
+    """One stream per seed, and one dataset digest per experiment."""
     from asymreplay import report as RP
     from asymreplay import stream as S
     from asymreplay import trainer as TR
     built = []
     make_stream = S.make_stream
+    digests = []
+    sha256 = S.Dataset.sha256
+    monkeypatch.setattr(S.Dataset, "sha256",
+                        lambda ds: digests.append(1) or sha256(ds))
 
     def counting_make_stream(dataset, cfg, seed):
         built.append(seed)
@@ -281,6 +286,7 @@ def test_one_stream_built_per_seed(monkeypatch):
                             raising=False)
     report = run_experiment(small_cfg(seeds=[0, 1, 2]), now="T0")
     assert built == [0, 1, 2]
+    assert len(digests) == 1
     assert report["stream_metadata"] == make_stream(
         small_cfg().dataset(), small_cfg().stream_config(), 0).metadata()
 
@@ -305,7 +311,10 @@ def test_load_report_rejects_wrong_schema(tmp_path):
     (lambda r: r["config"].pop("buffer_capacity"), "'buffer_capacity'"),
     (lambda r: r["aggregates"]["aaa"].pop("stderr"), "'aaa'"),
     (lambda r: r["aggregates"].pop("train_flops"), "'train_flops'"),
-], ids=["empty", "no-config-key", "no-stderr", "no-aggregate"])
+    (lambda r: r.pop("seeds"), "'seeds'"),
+    (lambda r: r["seeds"][0].pop("error"), "'seeds'"),
+], ids=["empty", "no-config-key", "no-stderr", "no-aggregate", "no-seeds",
+        "seed-without-error"])
 def test_cli_compare_refuses_incomplete_report_by_name(edit, named,
                                                        small_report, tmp_path,
                                                        capsys):
@@ -410,10 +419,17 @@ def test_compare_ignores_schedule_keys_of_split_streams(small_report):
     assert len(rows) == 2
 
 
-def test_compare_needs_two_reports(small_report):
+def test_compare_of_one_report(small_report):
+    """One report is a table of one starred row: mean ± stderr over the
+    seeds it covers, which leave out an aborted seed."""
     report, _ = small_report
-    with pytest.raises(ComparisonError):
-        compare([report])
+    table, (row,) = compare([report])
+    assert row["seeds"] == 2 and row["aaa_best"] and row["final_accuracy_best"]
+    agg = report["aggregates"]["final_accuracy"]
+    assert f" {agg['mean']:.4f}±{agg['stderr']:.4f}* " in table
+    report = json.loads(json.dumps(report))
+    report["seeds"][0]["error"] = "non-finite loss"
+    assert compare([report])[1][0]["seeds"] == 1
 
 
 # CLI ------------------------------------------------------------------
@@ -431,9 +447,9 @@ def test_cli_run_writes_report(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["run", *cli_small_args(), "--out", str(out)])
     assert code == EXIT_OK
-    printed = capsys.readouterr().out
-    assert "final_acc=" in printed
-    assert (out / "report.json").exists()
+    table, _ = compare([load_report(str(out / "report.json"))])
+    assert capsys.readouterr().out == (
+        f"{table}report written to {out / 'report.json'}\n")
 
 
 def test_cli_run_config_file_plus_flag_override(tmp_path):
@@ -457,6 +473,11 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"nonsense_key": 1}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert "nonsense_key" in capsys.readouterr().err
+    assert main(["run", "--hidden-sizes", "a,b"]) == EXIT_CONFIG
+    assert main(["run", "--no-such-flag"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("config error: argument --hidden-sizes")
+    assert err[1] == "config error: unrecognized arguments: --no-such-flag"
 
 
 def test_cli_exit_code_on_missing_or_truncated_dataset(tmp_path, capsys):
@@ -532,6 +553,9 @@ def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
     ("dataset_seed", "-1", "split"),
     ("target_unique_labels", "0.5", "blurry"),
     ("target_unique_labels", "11", "blurry"),
+    ("seeds", "1,1", "split"),
+    ("lr", "abc", "split"),
+    ("method", "bogus", "split"),
 ])
 def test_bad_config_value_exits_1_before_the_dataset(key, value, mode,
                                                      monkeypatch, capsys):
@@ -679,18 +703,19 @@ def test_cli_sweep_and_compare(tmp_path, capsys):
                  "--buffer-capacities", "8", "--workers", "2",
                  "--out", str(out)])
     assert code == EXIT_OK
+    dirs = [str(out / "er-M8"), str(out / "er-ace-M8")]   # grid order
+    table, rows = compare([load_report(os.path.join(d, "report.json"))
+                           for d in dirs])
+    assert capsys.readouterr().out == table
     summary = json.loads((out / "sweep_summary.json").read_text())
-    assert [r["method"] for r in summary] == ["er", "er-ace"]
-    capsys.readouterr()
+    assert summary == [dict(row, report_dir=d) for d, row in zip(dirs, rows)]
     cmp_out = tmp_path / "cmp.json"
     code = main(["compare", str(out / "er-M8" / "report.json"),
                  str(out / "er-ace-M8" / "report.json"),
                  "--out", str(cmp_out)])
     assert code == EXIT_OK
-    table = capsys.readouterr().out
-    assert "er-ace" in table
-    rows = json.loads(cmp_out.read_text())
-    assert len(rows) == 2
+    assert capsys.readouterr().out == table
+    assert json.loads(cmp_out.read_text()) == rows
 
 
 def test_cli_compare_rejects_mismatched_streams(tmp_path, capsys):
@@ -733,6 +758,20 @@ def test_cli_sweep_refuses_zero_workers(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: --workers must be >= 1")
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("grid,job", [
+    (["--methods", "er,er"], "er-M8"),
+    (["--buffer-capacities", "8,8"], "er-ace-M8"),
+])
+def test_cli_sweep_refuses_a_repeated_job(grid, job, tmp_path, capsys):
+    """Two jobs of one grid cell would write one directory at once."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", *cli_small_args(), *grid, "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: sweep job {out / job} is listed twice\n")
+    assert not out.exists()
 
 
 class InlinePool:
