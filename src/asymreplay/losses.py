@@ -19,6 +19,7 @@ import numpy as np
 
 from . import network as net
 from . import tensor as T
+from .stream import check_range
 from .tensor import Tensor
 
 
@@ -44,12 +45,8 @@ class LossConfig:
     triplet_margin: float = 0.2
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError("gamma must be finite and >= 0")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be finite and positive")
-        if not (np.isfinite(self.triplet_margin) and self.triplet_margin > 0):
-            raise ValueError("triplet_margin must be finite and positive")
+        check_range(self, 0, "gamma")
+        check_range(self, 0, "tau", "triplet_margin", strict=True)
 
 
 def class_masks(batch_labels, seen: np.ndarray):

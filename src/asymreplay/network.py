@@ -28,8 +28,8 @@ class ModelParams:
                  rng: np.random.Generator):
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (np.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
         self.sizes = list(sizes)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []

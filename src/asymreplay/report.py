@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .losses import LossConfig, Method, NegativePolicy
 from .stream import (Dataset, StreamConfig, StreamMode, SyntheticDatasetSpec,
-                     load_dataset, make_synthetic)
+                     check_range, load_dataset, make_synthetic)
 from .trainer import RunAbort, TrainerConfig, run
 
 REPORT_SCHEMA_VERSION = 2
@@ -91,13 +91,14 @@ class ExperimentConfig:
                 or len(set(self.seeds)) < len(self.seeds)):
             raise ConfigError("config key 'seeds' must be a nonempty list of "
                               "distinct non-negative integers")
-        if self.dataset_seed < 0:
-            raise ConfigError("config key 'dataset_seed' must be >= 0")
         try:
+            check_range(self, 0, "dataset_seed")
+            # built even with a dataset file: the report records its keys
+            spec = self._synthetic_spec()
             stream = self.stream_config()
             self.trainer_config(0)
             if self.dataset_path is None:
-                stream.check_num_classes(self._synthetic_spec().num_classes)
+                stream.check_num_classes(spec.num_classes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -351,7 +352,8 @@ def compare(reports: Sequence[dict]):
 
     Returns (text_table, machine_rows).  AAA and final accuracy are mean
     ± stderr over the ``seeds`` that finished, starred when within one
-    standard error of the best; FLOPs and memory are informational.
+    standard error of the best at its buffer size; FLOPs and memory are
+    informational.
     Reports whose ``stream_metadata`` differs are refused.
     """
     for rep in reports[1:]:
@@ -376,10 +378,10 @@ def compare(reports: Sequence[dict]):
             "mean_memory_bytes": agg["mean_memory_bytes"]["mean"],
         })
     for key in ("aaa", "final_accuracy"):
-        # the best mean, and the widest error bar among rows that reach it
-        best, best_err = max(((r[key], r[f"{key}_stderr"]) for r in rows),
-                             default=(0.0, 0.0))
         for r in rows:
+            # the best mean at r's buffer size, with the widest bar reaching it
+            best, best_err = max((o[key], o[f"{key}_stderr"]) for o in rows
+                                 if o["buffer_capacity"] == r["buffer_capacity"])
             r[f"{key}_best"] = bool(r[key] + r[f"{key}_stderr"] >= best - best_err)
 
     def cell(r, key):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -23,6 +25,20 @@ import numpy as np
 
 DATASET_MAGIC = b"ARDS"
 DATASET_VERSION = 1
+
+
+def check_range(cfg, low, *names, strict=False, optional=False):
+    """Refuse each field ``names`` of ``cfg`` that is not a finite number
+    >= ``low`` (> when ``strict``); None passes only when ``optional``."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is None and optional:
+            continue
+        # comparisons refuse NaN and never convert a big int to float
+        if not (isinstance(value, numbers.Real) and value < math.inf
+                and (low < value if strict else low <= value)):
+            raise ValueError(f"{name} must be finite and "
+                             f"{'>' if strict else '>='} {low}, got {value}")
 
 
 class StreamMode(enum.Enum):
@@ -42,13 +58,9 @@ class StreamConfig:
     variance_scale: Optional[float] = None
 
     def __post_init__(self):
-        if self.classes_per_task < 1:
-            raise ValueError("classes_per_task must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (self.target_unique_labels is None
-                or self.target_unique_labels >= 1):
-            raise ValueError("target_unique_labels must be >= 1")
+        check_range(self, 1, "classes_per_task", "batch_size")
+        check_range(self, 1, "target_unique_labels", optional=True)
+        check_range(self, 0, "variance_scale", strict=True, optional=True)
 
     def check_num_classes(self, num_classes: int):
         """Refuse a class count this stream cannot partition or reach."""
@@ -72,11 +84,9 @@ class SyntheticDatasetSpec:
     test_fraction: float = 0.25
 
     def __post_init__(self):
-        for name in ("input_dim", "num_classes", "samples_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        check_range(self, 1, "input_dim", "num_classes", "samples_per_class")
+        check_range(self, 0, "noise_sigma", "mean_radius", "val_fraction",
+                    "test_fraction")
 
 
 @dataclass

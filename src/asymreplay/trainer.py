@@ -18,7 +18,8 @@ from . import losses as L
 from . import metrics as M
 from . import network as net
 from .buffer import ReplayBuffer
-from .stream import Dataset, LabeledBatch, Stream, StreamConfig, make_stream
+from .stream import (Dataset, LabeledBatch, Stream, StreamConfig, check_range,
+                     make_stream)
 
 
 @dataclass(frozen=True)
@@ -33,20 +34,12 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-        if self.rehearsal_batch_size < 0:
-            raise ValueError("rehearsal_batch_size must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
+        check_range(self, 0, "lr", "rehearsal_batch_size")
+        check_range(self, 1, "eval_every", "buffer_capacity")
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValueError("hidden_sizes must be a nonempty list of "
                              "positive integers")
-        if not (self.head_tau is None
-                or (np.isfinite(self.head_tau) and self.head_tau > 0)):
-            raise ValueError("head_tau must be finite and positive")
+        check_range(self, 0, "head_tau", strict=True, optional=True)
 
 
 class RunAbort(RuntimeError):

@@ -111,6 +111,8 @@ def test_invalid_sizes_rejected():
         net.init_params([4, 0], 3, 0.1, 0)
     with pytest.raises(ValueError):
         net.init_params([4, 3], 3, 0.0, 0)
+    with pytest.raises(ValueError):
+        net.init_params([4, 3], 3, float("nan"), 0)
 
 
 def test_forward_flops_single_layer_convention():

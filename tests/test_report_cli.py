@@ -85,6 +85,18 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         parse_config(str(path))
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must hold a JSON object"):
+        parse_config(str(path))
+
+
+def test_null_config_value_only_for_optional_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"variance_scale": None}))
+    assert parse_config(str(path)).variance_scale is None
+    path.write_text(json.dumps({"lr": None}))
+    with pytest.raises(ConfigError, match="'lr' must be a number, got None"):
+        parse_config(str(path))
 
 
 def test_empty_seeds_rejected():
@@ -382,6 +394,19 @@ def test_compare_stars_and_rows(small_report):
     assert {r["method"] for r in rows} == {"er-ace", "er"}
     assert any(r["aaa_best"] for r in rows)
     assert "er-ace" in table and "*" in table
+    # each buffer size has its own best: the smaller buffer's leader is
+    # starred though a row of the larger buffer beats it
+    graded = []
+    for method, cap, mean in (("er", 8, 0.9), ("er-ace", 8, 0.8),
+                              ("er", 100, 0.5), ("er-ace", 100, 0.6)):
+        rep = json.loads(json.dumps(report))
+        rep["config"].update(method=method, buffer_capacity=cap)
+        for key in ("aaa", "final_accuracy"):
+            rep["aggregates"][key] = {"mean": mean, "stderr": 0.0}
+        graded.append(rep)
+    _, rows = compare(graded)
+    for key in ("aaa", "final_accuracy"):
+        assert [r[f"{key}_best"] for r in rows] == [True, False, False, True]
 
 
 def test_compare_refuses_different_streams(small_report):
@@ -523,6 +548,19 @@ def test_dataset_file_sets_the_class_count(tmp_path, monkeypatch):
     assert stream.task_ids.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
 
+def test_synthetic_keys_are_checked_with_a_dataset_file(tmp_path, capsys):
+    """The report records every config key, so a synthetic dataset key is
+    refused out of range even when a file supplies the data, before the
+    run and with no report written."""
+    ds_path = tmp_path / "ds4.bin"
+    gen_dataset(ds_path, 4, 20)
+    out = tmp_path / "out"
+    assert main(["run", "--dataset-path", str(ds_path), "--hidden-sizes", "8",
+                 "--noise-sigma", "nan", "--out", str(out)]) == EXIT_CONFIG
+    assert "noise_sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
     """A 4-class file at the default num_classes of 10 streams 2 tasks, and
     writes the metadata that --num-classes 4 writes."""
@@ -556,6 +594,14 @@ def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
     ("seeds", "1,1", "split"),
     ("lr", "abc", "split"),
     ("method", "bogus", "split"),
+    ("lr", "nan", "split"),
+    ("lr", "inf", "split"),
+    ("noise_sigma", "nan", "split"),
+    ("mean_radius", "-1", "split"),
+    ("val_fraction", "-3", "split"),
+    ("test_fraction", "nan", "split"),
+    ("batch_size", "0", "split"),
+    ("variance_scale", "-1", "blurry"),
 ])
 def test_bad_config_value_exits_1_before_the_dataset(key, value, mode,
                                                      monkeypatch, capsys):

@@ -204,6 +204,29 @@ def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     assert ds.train_x.tobytes() == train_x.tobytes()
 
 
+@pytest.mark.parametrize("make,key,value,bound", [
+    (split_cfg, "batch_size", 0, ">= 1"),
+    (split_cfg, "target_unique_labels", float("nan"), ">= 1"),
+    (blurry_cfg, "variance_scale", 0.0, "> 0"),
+    (spec, "noise_sigma", -1.0, ">= 0"),
+    (spec, "mean_radius", float("inf"), ">= 0"),
+    (spec, "val_fraction", -3.0, ">= 0"),
+])
+def test_configs_refuse_a_value_out_of_range_by_name(make, key, value, bound):
+    with pytest.raises(ValueError,
+                       match=f"^{key} must be finite and {bound}, got"):
+        make(**{key: value})
+
+
+def test_range_check_passes_none_only_where_optional():
+    cfg = blurry_cfg(target_unique_labels=None, variance_scale=None)
+    assert cfg.variance_scale is None
+    with pytest.raises(ValueError, match="^batch_size must be finite"):
+        split_cfg(batch_size=None)
+    # an integer too large for a float is still a finite number
+    assert split_cfg(batch_size=10**400).batch_size == 10**400
+
+
 def test_split_requires_divisible_classes():
     ds = S.make_synthetic(spec(num_classes=5), seed=0)
     with pytest.raises(ValueError):
@@ -366,6 +389,18 @@ def test_load_rejects_bad_magic(tmp_path):
     with pytest.raises(DatasetParseError) as exc:
         S.load_dataset(path)
     assert exc.value.offset == 0
+
+
+@pytest.mark.parametrize("header,message,offset", [
+    (b"\x01\x00", "truncated header", 6),
+    (struct.pack("<IIIIII", 2, 1, 1, 0, 0, 0), "unsupported version 2", 4),
+])
+def test_load_rejects_a_bad_header(header, message, offset, tmp_path):
+    path = tmp_path / "header.bin"
+    path.write_bytes(S.DATASET_MAGIC + header)
+    with pytest.raises(DatasetParseError, match=message) as exc:
+        S.load_dataset(path)
+    assert exc.value.offset == offset
 
 
 def test_load_reports_truncation_offset(tmp_path):
