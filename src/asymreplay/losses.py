@@ -45,6 +45,10 @@ class LossConfig:
     triplet_margin: float = 0.2
 
     def __post_init__(self):
+        # a member or its value; anything else raises naming the value
+        object.__setattr__(self, "method", Method(self.method))
+        object.__setattr__(self, "negative_policy",
+                           NegativePolicy(self.negative_policy))
         check_range(self, 0, "gamma")
         check_range(self, 0, "tau", "triplet_margin", strict=True)
 

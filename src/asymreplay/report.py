@@ -121,13 +121,11 @@ class ExperimentConfig:
         return make_synthetic(self._synthetic_spec(), self.dataset_seed)
 
     def stream_config(self) -> StreamConfig:
-        return self._build(StreamConfig, mode=StreamMode(self.stream_mode))
+        return self._build(StreamConfig, mode=self.stream_mode)
 
     def trainer_config(self, seed: int) -> TrainerConfig:
-        loss = self._build(LossConfig, method=Method(self.method),
-                           negative_policy=NegativePolicy(self.negative_policy))
-        return self._build(TrainerConfig, loss=loss, seed=seed,
-                           hidden_sizes=tuple(self.hidden_sizes))
+        return self._build(TrainerConfig, loss=self._build(LossConfig),
+                           seed=seed, hidden_sizes=tuple(self.hidden_sizes))
 
 
 def _kind(hint):
@@ -271,10 +269,12 @@ def _finite(v):
 
 
 def write_json(path: str, obj):
-    """``obj`` as key-sorted JSON indented by one space, newline-ended."""
+    """``obj`` as key-sorted JSON indented by one space, newline-ended.
+    The text is built before the file is opened, so a failed dump leaves
+    ``path`` as it was."""
+    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
-                 + "\n")
+        fh.write(text)
 
 
 def write_report_files(report: dict, out_dir: str):

@@ -58,6 +58,8 @@ class StreamConfig:
     variance_scale: Optional[float] = None
 
     def __post_init__(self):
+        # a member or its value; anything else raises naming the value
+        object.__setattr__(self, "mode", StreamMode(self.mode))
         check_range(self, 1, "classes_per_task", "batch_size")
         check_range(self, 1, "target_unique_labels", optional=True)
         check_range(self, 0, "variance_scale", strict=True, optional=True)
@@ -108,6 +110,9 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        check_range(self, 1, "num_classes", "input_dim")
+        if not len(self.train_y):
+            raise ValueError("dataset has no training rows")
         for split in ("train", "val", "test"):
             y = np.asarray(getattr(self, f"{split}_y"))
             bad = y[(y < 0) | (y >= self.num_classes)]

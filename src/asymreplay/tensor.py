@@ -1,8 +1,9 @@
 """Minimal dense tensor with reverse-mode automatic differentiation.
 
 Storage is float32; reductions accumulate in float64 before casting back.
-The graph is built eagerly: every op records a backward closure on its
-output, and ``backward`` walks the graph in reverse topological order.
+The graph is built eagerly: every op declares one gradient function per
+input, ``_make`` records a backward closure on the output that applies them,
+and ``backward`` walks the graph in reverse topological order.
 """
 
 from __future__ import annotations
@@ -86,11 +87,20 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _make(data, parents, backward):
+def _make(data, parents, grads):
+    """Record ``data`` as the output of an op on ``parents``: ``grads[i]``
+    maps the output's gradient to ``parents[i]``'s, and runs only when that
+    parent requires a gradient."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+
+        def backward(g):
+            for p, grad in zip(parents, grads):
+                if p.requires_grad:
+                    p._accumulate(grad(g))
+
         out._backward = backward
     return out
 
@@ -100,40 +110,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}"
         )
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b),
+                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; also supports adding a 1-d bias to each row."""
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data + b.data, (a, b),
+                 (lambda g: _unbroadcast(g, a.data.shape),
+                  lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data - b.data, (a, b),
+                 (lambda g: _unbroadcast(g, a.data.shape),
+                  lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def _unbroadcast(g, shape):
@@ -148,48 +139,23 @@ def _unbroadcast(g, shape):
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data * b.data, (a, b),
+                 (lambda g: _unbroadcast(g * b.data, a.data.shape),
+                  lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
-    out_data = a.data * np.float32(k)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.float32(k))
-
-    return _make(out_data, (a,), backward)
+    return _make(a.data * np.float32(k), (a,), (lambda g: g * np.float32(k),))
 
 
 def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
-
-    return _make(out_data, (a,), backward)
+    return _make(np.maximum(a.data, 0), (a,), (lambda g: g * (a.data > 0),))
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
     out_data = np.sum(a.data, axis=axis, dtype=np.float64).astype(np.float32)
-
-    def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape))
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
-
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (a,), (lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.data.shape),))
 
 
 # No caller in the package: it stays while perfbench's TENSOR_OPS wraps it by name.
@@ -208,9 +174,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     denom = np.maximum(norms, NORM_EPS).astype(np.float32)[:, None]
     out_data = arr / denom
 
-    def backward(g):
-        if not x.requires_grad:
-            return
+    def grad(g):
         clipped = norms < NORM_EPS
         inv = 1.0 / denom
         # d(x/||x||)/dx = (I - y y^T) / ||x||;  a clipped row's denominator
@@ -218,9 +182,9 @@ def l2_normalize(x: Tensor) -> Tensor:
         dot = np.sum(g * out_data, axis=1, dtype=np.float64)[:, None].astype(np.float32)
         gx = (g - out_data * dot) * inv
         gx[clipped] = g[clipped] * inv[clipped]
-        x._accumulate(gx)
+        return gx
 
-    return _make(out_data, (x,), backward)
+    return _make(out_data, (x,), (grad,))
 
 
 def log_sum_exp(x: Tensor) -> Tensor:
@@ -237,25 +201,19 @@ def log_sum_exp(x: Tensor) -> Tensor:
     m = np.max(x64, axis=1, keepdims=True)
     ex = np.exp(x64 - m)
     out_data = (m[:, 0] + np.log(np.sum(ex, axis=1))).astype(np.float32)
-
-    def backward(g):
-        if x.requires_grad:
-            soft = ex / np.sum(ex, axis=1, keepdims=True)
-            x._accumulate(soft * g[:, None])
-
-    return _make(out_data, (x,), backward)
+    return _make(out_data, (x,), (
+        lambda g: ex / np.sum(ex, axis=1, keepdims=True) * g[:, None],))
 
 
 def _take(x: Tensor, key) -> Tensor:
     """``x.data[key]``; the backward scatters back through ``key``, summing
     the gradients of repeated indices."""
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, key, g)
-            x._accumulate(gx)
+    def grad(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, key, g)
+        return gx
 
-    return _make(x.data[key], (x,), backward)
+    return _make(x.data[key], (x,), (grad,))
 
 
 def take_per_row(x: Tensor, idx) -> Tensor:
@@ -275,24 +233,16 @@ def take_columns(x: Tensor, cols) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.T)
-
-    return _make(x.data.T, (x,), backward)
+    return _make(x.data.T, (x,), (lambda g: g.T,))
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=0)
     offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[lo:hi])
-
-    return _make(out_data, tuple(tensors), backward)
+    return _make(out_data, tensors,
+                 [lambda g, lo=lo, hi=hi: g[lo:hi]
+                  for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def row_dot(a: Tensor, b: Tensor) -> Tensor:

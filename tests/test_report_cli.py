@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment, write_json)
-from asymreplay.stream import (StreamConfig, SyntheticDatasetSpec,
-                               calibrate_variance_scale, load_dataset,
-                               make_synthetic, save_dataset)
+from asymreplay.stream import (DATASET_MAGIC, StreamConfig,
+                               SyntheticDatasetSpec, calibrate_variance_scale,
+                               load_dataset, make_synthetic, save_dataset)
 from asymreplay.trainer import TrainerConfig
 
 SMALL = {
@@ -899,8 +900,41 @@ def test_one_task_report_is_strict_json(tmp_path, capsys):
 
 
 def test_write_json_refuses_non_finite(tmp_path):
+    """A dump that fails leaves no file, and leaves a file already at the
+    path with its bytes."""
+    path = tmp_path / "x.json"
     with pytest.raises(ValueError):
-        write_json(str(tmp_path / "x.json"), {"v": float("nan")})
+        write_json(str(path), {"v": float("nan")})
+    assert not path.exists()
+    write_json(str(path), {"v": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_json(str(path), {"v": float("nan")})
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("dim,num_classes,counts,message", [
+    (4, 0, (0, 0, 0), "num_classes must be finite and >= 1, got 0"),
+    (0, 4, (8, 4, 4), "input_dim must be finite and >= 1, got 0"),
+    (4, 4, (0, 4, 4), "dataset has no training rows"),
+], ids=["no-classes", "no-inputs", "no-training-rows"])
+def test_unusable_dataset_file_is_refused(dim, num_classes, counts, message,
+                                          tmp_path, capsys):
+    """A file the run cannot use is refused by name, before training.  It
+    is written field by field, since ``Dataset`` refuses to save it; each
+    split's labels cycle through every class."""
+    rows = np.zeros(sum(counts), [("x", "<f4", (dim,)), ("y", "<i4")])
+    rows["y"] = np.resize(np.arange(num_classes), len(rows))
+    ds_path = tmp_path / "ds.bin"
+    ds_path.write_bytes(DATASET_MAGIC
+                        + struct.pack("<IIIIII", 1, dim, num_classes, *counts)
+                        + rows.tobytes())
+    out = tmp_path / "run"
+    assert main(["run", *cli_small_args(), "--dataset-path", str(ds_path),
+                 "--out", str(out)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert f"run failed: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_task_without_test_rows_is_refused(tmp_path, capsys):

@@ -76,6 +76,23 @@ def test_no_grad_blocks_graph():
     assert not out.requires_grad and out._backward is None
 
 
+@pytest.mark.parametrize("const", [0, 1], ids=["first-const", "second-const"])
+@pytest.mark.parametrize("op", [T.matmul, T.add, T.sub, T.mul,
+                                lambda a, b: T.concat_rows([a, b])],
+                         ids=["matmul", "add", "sub", "mul", "concat_rows"])
+def test_constant_input_gets_no_gradient(op, const):
+    """An input without requires_grad gets no gradient, and the other input
+    gets the one it gets when both require it."""
+    rng = np.random.default_rng(2)
+    data = [rand(rng, 3, 3), rand(rng, 3, 3)]
+    both = [leaf(d) for d in data]
+    T.tsum(op(*both)).backward()
+    mixed = [Tensor(d) if i == const else leaf(d) for i, d in enumerate(data)]
+    T.tsum(op(*mixed)).backward()
+    assert mixed[const].grad is None
+    assert mixed[1 - const].grad.tobytes() == both[1 - const].grad.tobytes()
+
+
 # gradient checks vs float64 finite differences ------------------------
 
 def check_grad(build, ref, arrays, context):

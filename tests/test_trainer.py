@@ -178,6 +178,36 @@ def test_aml_charges_extra_buffer_forwards():
     assert a.ledger.train_flops == b.ledger.train_flops + 3 * extra * per_sample
 
 
+@pytest.mark.parametrize("method,policy", [("er", "incoming-only"),
+                                           ("er-aml", "incoming-only"),
+                                           ("er-aml", "all-classes")])
+def test_configs_take_an_enum_member_or_its_value(method, policy):
+    """A config given an enum's value holds its member, so it compares equal
+    to the member's config and trains to the same result."""
+    loss = L.LossConfig(method=method, negative_policy=policy)
+    ds, scfg, by_member = tiny_setup(loss=L.LossConfig(
+        method=L.Method(method), negative_policy=L.NegativePolicy(policy)),
+        seed=1)
+    _, _, by_value = tiny_setup(loss=loss, seed=1)
+    split = StreamConfig(classes_per_task=2, batch_size=5, mode="split")
+    assert loss == by_member.loss and split == scfg
+    a = TR.run(ds, scfg, by_member)
+    b = TR.run(ds, split, by_value)
+    for pa, pb in zip(a.model.parameters(), b.model.parameters()):
+        assert pa.data.tobytes() == pb.data.tobytes()
+    assert a.log.extra_forwards == b.log.extra_forwards
+    assert a.final_accuracy == b.final_accuracy
+
+
+@pytest.mark.parametrize("make,key", [
+    (L.LossConfig, "method"), (L.LossConfig, "negative_policy"),
+    (lambda **kw: StreamConfig(classes_per_task=2, **kw), "mode"),
+])
+def test_configs_refuse_an_unknown_enum_value(make, key):
+    with pytest.raises(ValueError, match="'bogus' is not a valid"):
+        make(**{key: "bogus"})
+
+
 def test_result_metric_properties():
     ds, scfg, tcfg = tiny_setup()
     result = TR.run(ds, scfg, tcfg)
