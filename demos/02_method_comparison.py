@@ -17,51 +17,46 @@ incoming batch is allowed to touch:
 All methods share the same stream order, buffer contents, and rehearsal
 draws per seed, so differences come from the loss alone.
 
-Run:  python3 demos/02_method_comparison.py          (~9 s)
+Run:  python3 demos/02_method_comparison.py          (~5 s)
 """
 
 import numpy as np
 
-from asymreplay.losses import LossConfig, Method, NegativePolicy
-from asymreplay.stream import StreamConfig, SyntheticDatasetSpec, make_synthetic
-from asymreplay.trainer import TrainerConfig, run
+from asymreplay.report import ExperimentConfig, run_experiments
 
-SEEDS = (1, 2, 3)
-NPC = 500  # samples per class; long streams are where asymmetry pays off
+METHODS = ["er", "er-ace", "er-aml", "ssil-nodistill"]
+# 500 samples per class: long streams are where asymmetry pays off
+SETTINGS = dict(input_dim=16, num_classes=10, samples_per_class=500,
+                noise_sigma=0.5, classes_per_task=2, batch_size=10, gamma=2.0,
+                tau=0.2, lr=0.05, buffer_capacity=20, hidden_sizes=(64, 32),
+                seeds=(1, 2, 3))
 
-dataset = make_synthetic(
-    SyntheticDatasetSpec(input_dim=16, num_classes=10, samples_per_class=NPC,
-                         noise_sigma=0.5),
-    seed=0)
-stream_cfg = StreamConfig(classes_per_task=2, batch_size=10)
 
-METHODS = [
-    ("er", Method.ER, NegativePolicy.INCOMING_ONLY),
-    ("er-ace", Method.ER_ACE, NegativePolicy.INCOMING_ONLY),
-    ("er-aml", Method.ER_AML_SUPCON, NegativePolicy.INCOMING_ONLY),
-    ("ssil-nodistill", Method.SSIL_NODISTILL, NegativePolicy.INCOMING_ONLY),
-]
+def demo():
+    reports = run_experiments([ExperimentConfig(method=m, **SETTINGS)
+                               for m in METHODS])
+    print(f"{'method':<16} {'final acc':>10} {'AAA':>8} {'forgetting':>11} "
+          f"{'current-task':>13}")
+    for name, rep in zip(METHODS, reports):
+        if isinstance(rep, Exception):
+            raise rep
+        agg = rep["aggregates"]
+        cur = np.mean([np.nanmean(np.array(e["current_task_accuracy"],
+                                           dtype=float))
+                       for e in rep["seeds"]])
+        print(f"{name:<16} {agg['final_accuracy']['mean']:>10.3f} "
+              f"{agg['aaa']['mean']:>8.3f} {agg['forgetting']['mean']:>11.3f} "
+              f"{cur:>13.3f}")
 
-print(f"{'method':<16} {'final acc':>10} {'AAA':>8} {'forgetting':>11} "
-      f"{'current-task':>13}")
-for name, method, policy in METHODS:
-    finals, aaas, forgets, curs = [], [], [], []
-    for seed in SEEDS:
-        cfg = TrainerConfig(
-            loss=LossConfig(method=method, gamma=2.0, tau=0.2,
-                            negative_policy=policy),
-            lr=0.05, buffer_capacity=20, hidden_sizes=(64, 32), seed=seed)
-        r = run(dataset, stream_cfg, cfg)
-        finals.append(r.final_accuracy)
-        aaas.append(r.aaa)
-        forgets.append(r.forgetting)
-        curs.append(np.nanmean(r.log.current_task_accuracy))
-    print(f"{name:<16} {np.mean(finals):>10.3f} {np.mean(aaas):>8.3f} "
-          f"{np.mean(forgets):>11.3f} {np.mean(curs):>13.3f}")
+    print()
+    print("Reading the table: the masked incoming loss (er-ace) trades")
+    print("current-task accuracy for far lower forgetting, and wins overall at")
+    print("this small buffer size.  Masking the rehearsal side too (the ssil")
+    print("ablation) gives up the only term that calibrates classes across")
+    print("tasks, which caps its final accuracy.")
 
-print()
-print("Reading the table: the masked incoming loss (er-ace) trades")
-print("current-task accuracy for far lower forgetting, and wins overall at")
-print("this small buffer size.  Masking the rehearsal side too (the ssil")
-print("ablation) gives up the only term that calibrates classes across")
-print("tasks, which caps its final accuracy.")
+
+# the runner's workers are spawned and import this file first, so the demo
+# runs only when the file is executed as a script
+if __name__ == "__main__":
+    demo()

@@ -19,15 +19,5 @@ from .stream import (Dataset, LabeledBatch, Stream, StreamConfig, StreamMode,
 from .tensor import Tensor, no_grad
 from .trainer import RunState, TrainerConfig, run, train_step
 from .report import (ComparisonError, ConfigError, ExperimentConfig, compare,
-                     load_report, parse_config, run_experiment)
-
-__all__ = [
-    "ReplayBuffer", "LossConfig", "Method", "NegativePolicy",
-    "ModelParams", "init_params", "predict", "Dataset", "LabeledBatch",
-    "Stream", "StreamConfig", "StreamMode", "SyntheticDatasetSpec",
-    "blurriness_sweep", "blurry_stream", "load_dataset", "make_stream",
-    "make_synthetic", "save_dataset", "split_stream", "Tensor", "no_grad",
-    "RunState", "TrainerConfig", "run", "train_step", "ComparisonError",
-    "ConfigError", "ExperimentConfig", "compare", "load_report",
-    "parse_config", "run_experiment", "__version__",
-]
+                     load_report, parse_config, run_experiment,
+                     run_experiments)

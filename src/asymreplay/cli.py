@@ -15,7 +15,7 @@ import traceback
 
 from .report import (FIELD_KINDS, ComparisonError, ConfigError,
                      ExperimentConfig, compare, load_report, parse_config,
-                     run_experiment, write_json)
+                     run_experiment, run_experiments, write_json)
 from .stream import SyntheticDatasetSpec, save_dataset
 
 EXIT_OK = 0
@@ -92,18 +92,7 @@ def _cannot_write(path, exc) -> int:
     return EXIT_RUN
 
 
-def _sweep_worker(cfg, out_dir, timestamp):
-    report = run_experiment(cfg, out_dir=out_dir, now=timestamp)
-    failed = _aborted(report)
-    if len(failed) == len(report["seeds"]):
-        raise RuntimeError(f"all seeds failed ({failed[0]['error']})")
-    return report
-
-
 def _cmd_sweep(args) -> int:
-    import concurrent.futures   # only sweep pays for the pool's imports
-    import multiprocessing
-
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     base = parse_config(args.config, _overrides(args))
@@ -120,24 +109,15 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         return _cannot_write(args.out, exc)
     done = {}   # output directory -> report of each finished job
-    # the workers share the cores, so each one's BLAS gets one thread; a
-    # spawned worker reads the variable when it loads numpy
-    pin = "OPENBLAS_NUM_THREADS" not in os.environ
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.workers,
-                mp_context=multiprocessing.get_context("spawn")) as ex:
-            futures = {d: ex.submit(_sweep_worker, cfg, d, args.timestamp)
-                       for d, cfg in jobs.items()}
-            for d, fut in futures.items():
-                try:
-                    done[d] = fut.result()
-                except Exception as exc:
-                    print(f"sweep job {d} failed: {exc}", file=sys.stderr)
-    finally:
-        if pin:
-            del os.environ["OPENBLAS_NUM_THREADS"]
+    for d, result in zip(jobs, run_experiments(
+            list(jobs.values()), list(jobs), args.timestamp, args.workers)):
+        if not isinstance(result, Exception):
+            failed = _aborted(result)
+            if len(failed) < len(result["seeds"]):
+                done[d] = result
+                continue
+            result = f"all seeds failed ({failed[0]['error']})"
+        print(f"sweep job {d} failed: {result}", file=sys.stderr)
     table, rows = compare(list(done.values()))
     for d, row in zip(done, rows):
         row["report_dir"] = d
@@ -213,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated buffer sizes")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker pool size (default: cpu count)")
+                         help="pool size (default and cap: usable cores)")
     p_sweep.add_argument("--timestamp")
     p_sweep.set_defaults(func=_cmd_sweep)
 

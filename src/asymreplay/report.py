@@ -263,6 +263,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     return report
 
 
+def run_experiments(configs: Sequence[ExperimentConfig], out_dirs=None,
+                    now: Optional[str] = None, workers: Optional[int] = None):
+    """Each config's ``run_experiment`` report, or the exception that ended
+    it, in input order, from ``workers`` spawned processes (default and cap:
+    one per usable core and per job).  A worker imports the calling script
+    first, so a script calls this under ``if __name__ == "__main__":``."""
+    import concurrent.futures   # only a pool's callers pay for its imports
+    import multiprocessing
+
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    # the workers share the cores, so each one's BLAS gets one thread; a
+    # spawned worker reads the variable when it loads numpy
+    pin = "OPENBLAS_NUM_THREADS" not in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers or usable, usable, len(configs) or 1),
+                mp_context=multiprocessing.get_context("spawn")) as ex:
+            futures = [ex.submit(run_experiment, cfg, d, now) for cfg, d in
+                       zip(configs, out_dirs or [None] * len(configs))]
+            return [fut.exception() or fut.result() for fut in futures]
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def _finite(v):
     """``v`` as a float, or None (JSON null) when missing or not finite."""
     return None if (v is None or not math.isfinite(v)) else float(v)

@@ -15,7 +15,8 @@ from asymreplay import stream as S
 from asymreplay import tensor as T
 from asymreplay import trainer as TR
 from asymreplay.buffer import ReplayBuffer
-from asymreplay.report import parse_config, run_experiment
+from asymreplay.report import (ExperimentConfig, parse_config,
+                               run_experiment, run_experiments)
 
 import reference as R
 
@@ -31,28 +32,41 @@ def report(num: int, ok: bool, detail: str):
 
 # shared benchmark runs ------------------------------------------------
 
-def _bench_dataset(num_classes):
-    return S.make_synthetic(
-        S.SyntheticDatasetSpec(input_dim=16, num_classes=num_classes,
-                               samples_per_class=NPC, noise_sigma=0.5,
-                               mean_radius=1.0),
-        seed=0)
+BENCH = {"input_dim": 16, "num_classes": 10, "samples_per_class": NPC,
+         "noise_sigma": 0.5, "mean_radius": 1.0, "classes_per_task": 2,
+         "batch_size": 10, "tau": 0.2, "gamma": 2.0, "lr": 0.05,
+         "buffer_capacity": 20, "hidden_sizes": (64, 32)}
 
 
-def _bench_run(dataset, method, seed, capacity=20,
-               policy=L.NegativePolicy.INCOMING_ONLY,
-               hidden=(64, 32), lr=0.05, gamma=2.0):
-    scfg = S.StreamConfig(classes_per_task=2, batch_size=10)
-    tcfg = TR.TrainerConfig(
-        loss=L.LossConfig(method=method, gamma=gamma, tau=0.2,
-                          negative_policy=policy),
-        lr=lr, buffer_capacity=capacity, hidden_sizes=hidden, seed=seed)
-    return TR.run(dataset, scfg, tcfg)
+def _bench_runs(groups, **common):
+    """Seed entries of each group's 10-seed run, by tag: ``groups`` maps a
+    tag to its config fields, and ``common`` overrides ``BENCH`` for all.
+    Each seed is one job of the shared runner, and a RuntimeWarning in a
+    worker is an error, as in this process."""
+    jobs = [(tag, ExperimentConfig(**{**BENCH, **common, **fields,
+                                      "seeds": (s,)}))
+            for tag, fields in groups.items() for s in SEEDS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        reports = run_experiments([cfg for _, cfg in jobs])
+    out = {tag: [] for tag in groups}
+    for (tag, _), rep in zip(jobs, reports):
+        if isinstance(rep, Exception):
+            raise rep
+        entry, = rep["seeds"]
+        assert entry["error"] is None, entry["error"]
+        out[tag].append(entry)
+    return out
 
 
-def _boundary_drift(result, n_tasks=5, window=20):
+def _trace(entry, key):
+    """A per-seed report trace as floats (the report stores NaN as null)."""
+    return np.array(entry[key], dtype=float)
+
+
+def _boundary_drift(entry, n_tasks=5, window=20):
     """Mean one-step drift over `window` steps after each task boundary."""
-    d = np.array(result.log.drift_trace)
+    d = _trace(entry, "drift_trace")
     n = len(d) // n_tasks
     return float(np.nanmean([np.nanmean(d[b * n:b * n + window])
                              for b in range(1, n_tasks)]))
@@ -62,22 +76,18 @@ def _boundary_drift(result, n_tasks=5, window=20):
 def five_task_runs():
     """10-seed runs on the 5-task stream: ER and ER-ACE at three buffer
     sizes, plus both negative policies of the metric-learning loss."""
-    ds = _bench_dataset(10)
-    out = {}
+    groups = {}
     for cap in (20, 100, 500):
-        out[("er", cap)] = [_bench_run(ds, L.Method.ER, s, cap)
-                            for s in SEEDS]
-        out[("er-ace", cap)] = [_bench_run(ds, L.Method.ER_ACE, s, cap)
-                                for s in SEEDS]
-    for tag, pol in (("aml-in", L.NegativePolicy.INCOMING_ONLY),
-                     ("aml-all", L.NegativePolicy.ALL_CLASSES)):
-        out[(tag, 20)] = [_bench_run(ds, L.Method.ER_AML_SUPCON, s, 20,
-                                     policy=pol) for s in SEEDS]
-    return out
+        groups[("er", cap)] = {"method": "er", "buffer_capacity": cap}
+        groups[("er-ace", cap)] = {"method": "er-ace", "buffer_capacity": cap}
+    for tag, pol in (("aml-in", "incoming-only"),
+                     ("aml-all", "all-classes")):
+        groups[(tag, 20)] = {"method": "er-aml", "negative_policy": pol}
+    return _bench_runs(groups)
 
 
 def _final(runs):
-    return np.array([r.final_accuracy for r in runs])
+    return np.array([e["final_accuracy"] for e in runs], dtype=float)
 
 
 # 1. gradient correctness ---------------------------------------------
@@ -300,14 +310,12 @@ def test_criterion_06_accuracy_ordering(five_task_runs):
 # 7. doubly-masked ablation pathology ----------------------------------
 
 def test_criterion_07_current_task_ordering():
-    ds = _bench_dataset(10)
-    cur = {}
-    for tag, method in (("er", L.Method.ER), ("er-ace", L.Method.ER_ACE),
-                        ("ssil", L.Method.SSIL_NODISTILL)):
-        runs = [_bench_run(ds, method, s, hidden=(128, 128, 64),
-                           lr=0.07, gamma=1.0) for s in SEEDS]
-        cur[tag] = np.array([np.nanmean(r.log.current_task_accuracy)
-                             for r in runs])
+    runs = _bench_runs({"er": {"method": "er"}, "er-ace": {"method": "er-ace"},
+                        "ssil": {"method": "ssil-nodistill"}},
+                       hidden_sizes=(128, 128, 64), lr=0.07, gamma=1.0)
+    cur = {tag: np.array([np.nanmean(_trace(e, "current_task_accuracy"))
+                          for e in entries])
+           for tag, entries in runs.items()}
     gap_a = cur["er"].mean() - cur["er-ace"].mean()
     gap_b = cur["er-ace"].mean() - cur["ssil"].mean()
     ok = gap_a >= 0.05 and gap_b >= 0.05
@@ -321,16 +329,16 @@ def test_criterion_07_current_task_ordering():
 # 8. gradient-norm spike at the boundary -------------------------------
 
 def test_criterion_08_boundary_gradient_spike():
-    ds = _bench_dataset(4)
+    runs = _bench_runs({"er": {"method": "er"}, "er-ace": {"method": "er-ace"}},
+                       num_classes=4)
 
-    def window_norm(method, seed):
-        r = _bench_run(ds, method, seed)
-        g = np.array(r.log.grad_norm_trace)
+    def window_norm(entry):
+        g = _trace(entry, "grad_norm_trace")
         b = len(g) // 2   # the single task boundary
         return float(np.mean(g[b:b + 20]))
 
-    ratios = np.array([window_norm(L.Method.ER, s)
-                       / window_norm(L.Method.ER_ACE, s) for s in SEEDS])
+    ratios = np.array([window_norm(er) / window_norm(ace)
+                       for er, ace in zip(runs["er"], runs["er-ace"])])
     geomean = float(np.exp(np.mean(np.log(ratios))))
     report(8, geomean >= 2.0,
            f"old-feature gradient norm in the 20 steps after the boundary: "

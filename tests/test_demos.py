@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_quickstart.py",
+                                  "02_method_comparison.py",
                                   "03_blurry_stream.py",
                                   "04_drift_and_gradients.py",
                                   "05_buffer_size_sweep.py"])

@@ -15,7 +15,7 @@ from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
                             build_parser, main)
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
-                               run_experiment, write_json)
+                               run_experiment, run_experiments, write_json)
 from asymreplay.stream import (DATASET_MAGIC, StreamConfig,
                                SyntheticDatasetSpec, calibrate_variance_scale,
                                load_dataset, make_synthetic, save_dataset)
@@ -823,11 +823,13 @@ def test_cli_sweep_refuses_a_repeated_job(grid, job, tmp_path, capsys):
 
 class InlinePool:
     """Stands in for the sweep's process pool: runs each job in-process,
-    keeping what it raises on its future as a pool does, and notes the start
-    method and the BLAS thread variable at submit time."""
+    keeping what it raises on its future as a pool does, and notes its size,
+    the start method and the BLAS thread variable at submit time."""
     submitted = []
+    sizes = []
 
     def __init__(self, max_workers=None, mp_context=None):
+        self.sizes.append(max_workers)
         self.method = mp_context.get_start_method() if mp_context else None
 
     def __enter__(self):
@@ -863,6 +865,39 @@ def test_sweep_workers_are_spawned_with_one_blas_thread(preset, monkeypatch,
                  "--out", str(tmp_path / "sweep")]) == EXIT_OK
     assert InlinePool.submitted == [("spawn", preset or "1")] * 2
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("workers", [None, "64"])
+def test_sweep_pool_has_at_most_one_worker_per_core_and_job(
+        cores, workers, monkeypatch, tmp_path, capsys):
+    """A 2-job grid asks for min(2, usable cores) workers, however many
+    ``--workers`` requests; no process is started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    flag = ["--workers", workers] if workers else []
+    assert main(["sweep", *cli_small_args(), "--methods", "er,er-ace", *flag,
+                 "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert InlinePool.sizes == [min(2, cores)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiments_equals_in_process_runs_in_input_order(workers):
+    cfgs = [small_cfg(method=m) for m in ("er-aml", "er")]
+    want = [run_experiment(cfg, now="T0") for cfg in cfgs]
+    assert run_experiments(cfgs, now="T0", workers=workers) == want
+
+
+def test_run_experiments_returns_a_failed_jobs_exception(tmp_path):
+    """A job whose dataset file is missing comes back as its OSError, and
+    the other jobs still finish."""
+    good = small_cfg()
+    bad = small_cfg(dataset_path=str(tmp_path / "missing.bin"))
+    failed, done = run_experiments([bad, good], now="T0", workers=2)
+    assert isinstance(failed, OSError) and "missing.bin" in str(failed)
+    assert done == run_experiment(good, now="T0")
 
 
 def test_sweep_job_whose_seeds_all_abort_fails(monkeypatch, tmp_path, capsys):
