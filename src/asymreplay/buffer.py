@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import NegativePolicy
+from .stream import check_range
 
 
 @dataclass
@@ -36,9 +37,8 @@ class ReplayBuffer:
     capacity by the first ``reservoir_update``."""
 
     def __init__(self, capacity: int, rng: np.random.Generator):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
+        check_range(self, 1, "capacity")
         self.x = np.zeros((0, 0), dtype=np.float32)
         self.y = np.zeros(0, dtype=np.intp)
         self.n_seen = 0

@@ -4,11 +4,11 @@ Every class set is a ``bool[num_classes]`` mask indexed by label.  The
 shared primitive is a class-masked cross-entropy whose denominator runs
 over the classes its mask admits, by exact exclusion (masked-out columns
 are sliced away before the log-sum-exp, so they can never leak value or
-gradient).  On top of it sit the method compositions: plain
-replay (ER), asymmetric cross-entropy (ER-ACE), asymmetric metric
-learning with a contrastive or triplet incoming loss (ER-AML), and a
-doubly-masked ablation in the style of SS-IL without distillation.
-"""
+gradient).  ``replay_ce`` sums one such term over the incoming batch and
+one per group of rehearsed rows; plain replay (ER), asymmetric
+cross-entropy (ER-ACE) and a doubly-masked ablation in the style of SS-IL
+without distillation only choose its masks.  Asymmetric metric learning
+(ER-AML) replaces the incoming term with a contrastive or triplet loss."""
 
 from __future__ import annotations
 
@@ -137,58 +137,55 @@ def triplet_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
     return T.tsum(hinge)
 
 
-def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
-    """Plain replay: cross-entropy over the union, all classes admissible.
+def replay_ce(model, x_in, y_in, x_bf, y_bf, incoming,
+              rehearsal) -> LossOutput:
+    """Incoming CE over the ``incoming`` mask plus, for each ``(rows, mask)``
+    group of ``rehearsal``, the rehearsal CE of those rows (None: every
+    row) over ``mask``.
 
     The incoming and rehearsal batches are forwarded separately (the summed
-    loss is identical either way) so that on a first task the computation
-    coincides float-for-float with the asymmetric variant.
-    """
-    c_all = np.ones(model.num_classes, dtype=bool)
-    f_in, lg_in = net.forward(model, x_in)
-    loss = masked_ce(lg_in, y_in, c_all)
-    records = [(f_in, np.asarray(y_in))]
-    if len(y_bf):
-        f_bf, lg_bf = net.forward(model, x_bf)
-        loss = T.add(loss, masked_ce(lg_bf, y_bf, c_all))
-        records.append((f_bf, np.asarray(y_bf)))
-    return LossOutput(loss, feature_records=records)
-
-
-def er_ace_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
-                old: np.ndarray) -> LossOutput:
-    """Incoming CE over ``curr``; rehearsal CE over ``curr | old``."""
-    f_in, lg_in = net.forward(model, x_in)
-    loss = masked_ce(lg_in, y_in, curr)
-    records = [(f_in, np.asarray(y_in))]
-    if len(y_bf):
-        f_bf, lg_bf = net.forward(model, x_bf)
-        loss = T.add(loss, masked_ce(lg_bf, y_bf, curr | old))
-        records.append((f_bf, np.asarray(y_bf)))
-    return LossOutput(loss, feature_records=records)
-
-
-def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
-                        task_ids: np.ndarray) -> LossOutput:
-    """Both sides masked: incoming to ``curr``, rehearsal per task, where
-    ``task_ids`` holds each class's task, indexed by label.
-
-    No loss term ever compares classes across tasks, which is the defining
-    pathology of this ablation in the single-head setting.
+    loss is identical either way), so wherever two methods' masks agree,
+    as ER's and ER-ACE's do on a first task, they agree float for float.
     """
     f_in, lg_in = net.forward(model, x_in)
-    loss = masked_ce(lg_in, y_in, curr)
+    loss = masked_ce(lg_in, y_in, incoming)
     records = [(f_in, np.asarray(y_in))]
     if len(y_bf):
         f_bf, lg_bf = net.forward(model, x_bf)
         y_bf = np.asarray(y_bf)
         records.append((f_bf, y_bf))
-        tasks = task_ids[y_bf]
-        for t in np.flatnonzero(np.bincount(tasks)):   # ascending task order
-            rows = np.flatnonzero(tasks == t)
-            loss = T.add(loss, masked_ce(T.take_rows(lg_bf, rows), y_bf[rows],
-                                         task_ids == t))
+        for rows, mask in rehearsal:
+            lg, y = ((lg_bf, y_bf) if rows is None
+                     else (T.take_rows(lg_bf, rows), y_bf[rows]))
+            loss = T.add(loss, masked_ce(lg, y, mask))
     return LossOutput(loss, feature_records=records)
+
+
+def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
+    """Plain replay: every class admissible on both sides."""
+    c_all = np.ones(model.num_classes, dtype=bool)
+    return replay_ce(model, x_in, y_in, x_bf, y_bf, c_all, [(None, c_all)])
+
+
+def er_ace_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
+                old: np.ndarray) -> LossOutput:
+    """Incoming CE over ``curr``; rehearsal CE over ``curr | old``."""
+    return replay_ce(model, x_in, y_in, x_bf, y_bf, curr,
+                     [(None, curr | old)])
+
+
+def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
+                        task_ids: np.ndarray) -> LossOutput:
+    """Both sides masked: incoming to ``curr``, each rehearsed row to its
+    own task, where ``task_ids`` holds each class's task, indexed by label.
+
+    No loss term ever compares classes across tasks, which is the defining
+    pathology of this ablation in the single-head setting.
+    """
+    tasks = task_ids[np.asarray(y_bf, dtype=np.intp)]
+    groups = [(np.flatnonzero(tasks == t), task_ids == t)   # ascending task
+              for t in np.flatnonzero(np.bincount(tasks))]
+    return replay_ce(model, x_in, y_in, x_bf, y_bf, curr, groups)
 
 
 def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,

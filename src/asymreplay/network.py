@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from .stream import check_range
 from .tensor import Tensor
 
 
@@ -28,8 +29,9 @@ class ModelParams:
                  rng: np.random.Generator):
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
-        if not (np.isfinite(tau) and tau > 0):
-            raise ValueError(f"tau must be finite and > 0, got {tau}")
+        self.tau = tau
+        check_range(self, 0, "tau", strict=True)
+        self.tau = float(tau)
         self.sizes = list(sizes)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
@@ -41,7 +43,6 @@ class ModelParams:
         limit = np.sqrt(6.0 / (num_classes + sizes[-1]))
         self.W = Tensor(rng.uniform(-limit, limit, size=(num_classes, sizes[-1])),
                         requires_grad=True)
-        self.tau = float(tau)
 
     @property
     def num_classes(self) -> int:

@@ -377,8 +377,11 @@ def save_dataset(dataset: Dataset, path):
 
 class DatasetParseError(ValueError):
     def __init__(self, message, offset):
-        super().__init__(f"{message} (at byte offset {offset})")
+        super().__init__(message, offset)   # what unpickling passes back
         self.offset = offset
+
+    def __str__(self):
+        return f"{self.args[0]} (at byte offset {self.offset})"
 
 
 def load_dataset(path) -> Dataset:

@@ -17,8 +17,9 @@ def filled_buffer(capacity, n, seed=0):
 
 
 def test_capacity_validation():
-    with pytest.raises(ValueError):
-        ReplayBuffer(0, rng=np.random.default_rng(0))
+    for capacity in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            ReplayBuffer(capacity, rng=np.random.default_rng(0))
 
 
 def test_fills_then_caps():

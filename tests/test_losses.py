@@ -503,6 +503,36 @@ def test_grad_ssil(trial):
         model, [], "ssil_nodistill_loss")
 
 
+@pytest.mark.parametrize("rehearsal", ["all", "seen"])
+@pytest.mark.parametrize("incoming", ["all", "batch"])
+@pytest.mark.parametrize("trial", range(2))
+def test_replay_ce_mask_grid(trial, incoming, rehearsal):
+    """Each cell of the grid incoming {all, batch} x rehearsal {all, seen}
+    is the sum of two reference masked CEs, in value and in gradient."""
+    rng = np.random.default_rng(350 + trial)
+    model, x_in, y_in, x_bf, _ = random_state(rng, num_classes=6)
+    y_bf = rng.integers(0, 4, size=len(x_bf))
+    curr, old = masks(y_in, range(4), 6)
+    rules = {"all": np.ones(6, dtype=bool), "batch": curr, "seen": curr | old}
+    assert len({m.tobytes() for m in rules.values()}) == 3, "distinct masks"
+    inc, reh = rules[incoming], rules[rehearsal]
+
+    def ref(ws, bs, wh, _):
+        lg_in = R.ref_logits(R.ref_forward(ws, bs, x_in), wh, model.tau)
+        lg_bf = R.ref_logits(R.ref_forward(ws, bs, x_bf), wh, model.tau)
+        return (R.ref_masked_ce(lg_in, y_in, classes_of(inc))
+                + R.ref_masked_ce(lg_bf, y_bf, classes_of(reh)))
+
+    def build():
+        return L.replay_ce(model, x_in, y_in, x_bf, y_bf, inc,
+                           [(None, reh)]).loss
+
+    assert float(build().data) == pytest.approx(
+        ref(*model_arrays(model), None), rel=1e-4)
+    composite_grad_check(build, ref, model, [],
+                         f"replay_ce[{incoming}:{rehearsal}]")
+
+
 @pytest.mark.parametrize("method", [Method.ER_AML_SUPCON, Method.ER_AML_TRIPLET])
 @pytest.mark.parametrize("trial", range(3))
 def test_grad_er_aml(trial, method):

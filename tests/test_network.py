@@ -111,8 +111,9 @@ def test_invalid_sizes_rejected():
         net.init_params([4, 0], 3, 0.1, 0)
     with pytest.raises(ValueError):
         net.init_params([4, 3], 3, 0.0, 0)
-    with pytest.raises(ValueError):
-        net.init_params([4, 3], 3, float("nan"), 0)
+    for tau in (float("nan"), float("inf"), "0.1"):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            net.init_params([4, 3], 3, tau, 0)
 
 
 def test_forward_flops_single_layer_convention():

@@ -16,9 +16,10 @@ from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment, run_experiments, write_json)
-from asymreplay.stream import (DATASET_MAGIC, StreamConfig,
-                               SyntheticDatasetSpec, calibrate_variance_scale,
-                               load_dataset, make_synthetic, save_dataset)
+from asymreplay.stream import (DATASET_MAGIC, DatasetParseError,
+                               StreamConfig, SyntheticDatasetSpec,
+                               calibrate_variance_scale, load_dataset,
+                               make_synthetic, save_dataset)
 from asymreplay.trainer import TrainerConfig
 
 SMALL = {
@@ -891,12 +892,19 @@ def test_run_experiments_equals_in_process_runs_in_input_order(workers):
 
 
 def test_run_experiments_returns_a_failed_jobs_exception(tmp_path):
-    """A job whose dataset file is missing comes back as its OSError, and
-    the other jobs still finish."""
+    """A job whose dataset file is missing comes back as its OSError, one
+    whose file is cut inside the header as its parse error and byte
+    offset, and the other jobs still finish."""
     good = small_cfg()
-    bad = small_cfg(dataset_path=str(tmp_path / "missing.bin"))
-    failed, done = run_experiments([bad, good], now="T0", workers=2)
+    missing = small_cfg(dataset_path=str(tmp_path / "missing.bin"))
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(DATASET_MAGIC + b"\0" * 4)
+    truncated = small_cfg(dataset_path=str(cut))
+    failed, parse, done = run_experiments([missing, truncated, good],
+                                          now="T0", workers=2)
     assert isinstance(failed, OSError) and "missing.bin" in str(failed)
+    assert isinstance(parse, DatasetParseError) and parse.offset == 8
+    assert str(parse) == "truncated header (at byte offset 8)"
     assert done == run_experiment(good, now="T0")
 
 
