@@ -8,6 +8,7 @@ not yet appeared in the stream exist from step 0 with random init.
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,8 @@ class ModelParams:
 
     def __init__(self, sizes: Sequence[int], num_classes: int, tau: float,
                  rng: np.random.Generator):
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
+        if len(sizes) < 2 or any(not isinstance(s, numbers.Integral) or s < 1
+                                 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
         self.tau = tau
         check_range(self, 0, "tau", strict=True)

@@ -2,8 +2,8 @@
 
 Storage is float32; reductions accumulate in float64 before casting back.
 The graph is built eagerly: every op declares one gradient function per
-input, ``_make`` records a backward closure on the output that applies them,
-and ``backward`` walks the graph in reverse topological order.
+input and ``_make`` records them on the output; ``Tensor.backward`` walks
+the graph in reverse topological order and applies them.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
-        self._backward = None
+        self._grads: tuple = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -48,11 +48,14 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(np.float32)
+            self.grad = g.astype(np.float32)    # a copy: ``g`` may be a view
+        else:
+            self.grad += g.astype(np.float32)
 
     def backward(self):
-        """Populate ``grad`` on every reachable requires_grad tensor.
+        """Populate ``grad`` on every reachable requires_grad tensor: each
+        interior node, in reverse topological order, passes its gradient
+        through the gradient functions ``_make`` recorded for its parents.
 
         Repeated calls without zeroing accumulate, matching the usual
         deep-learning convention.
@@ -79,29 +82,23 @@ class Tensor:
         # leaf grads accumulate across calls; interior grads are re-derived
         # each time so a repeated backward never double-counts
         for node in topo:
-            if node._backward is not None:
+            if node._parents:
                 node.grad = None
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for p, grad in zip(node._parents, node._grads):
+                if p.requires_grad:
+                    p._accumulate(grad(node.grad))
 
 
 def _make(data, parents, grads):
     """Record ``data`` as the output of an op on ``parents``: ``grads[i]``
-    maps the output's gradient to ``parents[i]``'s, and runs only when that
-    parent requires a gradient."""
+    maps the output's gradient to ``parents[i]``'s.  Only recorded;
+    ``Tensor.backward`` runs ``grads[i]`` when that parent requires one."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-
-        def backward(g):
-            for p, grad in zip(parents, grads):
-                if p.requires_grad:
-                    p._accumulate(grad(g))
-
-        out._backward = backward
+        out._parents, out._grads = tuple(parents), tuple(grads)
     return out
 
 

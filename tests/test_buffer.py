@@ -20,6 +20,8 @@ def test_capacity_validation():
     for capacity in (0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="capacity must be finite"):
             ReplayBuffer(capacity, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="capacity must be an integer, got 2.5"):
+        ReplayBuffer(2.5, rng=np.random.default_rng(0))
 
 
 def test_fills_then_caps():

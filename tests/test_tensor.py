@@ -73,7 +73,28 @@ def test_no_grad_blocks_graph():
     x = leaf([1.0, 2.0])
     with T.no_grad():
         out = T.tsum(T.relu(x))
-    assert not out.requires_grad and out._backward is None
+    assert not out.requires_grad
+    out.backward()
+    assert x.grad is None
+
+
+def test_stored_gradients_never_share_memory():
+    """transpose and concat_rows pass views of their output's gradient on,
+    and tsum a read-only broadcast: every stored gradient is its own
+    writable float32 array all the same."""
+    rng = np.random.default_rng(3)
+    x, y = leaf(rand(rng, 3, 4)), leaf(rand(rng, 2, 4))
+    both = T.concat_rows([x, y, x])
+    flipped = T.transpose(both)
+    loss = T.tsum(flipped)
+    loss.backward()
+    grads = [t.grad for t in (loss, flipped, both, x, y)]
+    for g in grads:
+        assert g.dtype == np.float32 and g.flags.writeable
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(x.grad, np.full((3, 4), 2.0, dtype=np.float32))
 
 
 @pytest.mark.parametrize("const", [0, 1], ids=["first-const", "second-const"])
