@@ -8,7 +8,6 @@ methods which never call it do not perturb the reservoir state.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,7 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         self.capacity = capacity
-        check_range(self, 1, "capacity")
-        if not isinstance(capacity, numbers.Integral):
-            raise ValueError(f"capacity must be an integer, got {capacity}")
+        check_range(self, 1, "capacity", integer=True)
         self.x = np.zeros((0, 0), dtype=np.float32)
         self.y = np.zeros(0, dtype=np.intp)
         self.n_seen = 0

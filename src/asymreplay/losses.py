@@ -4,11 +4,12 @@ Every class set is a ``bool[num_classes]`` mask indexed by label.  The
 shared primitive is a class-masked cross-entropy whose denominator runs
 over the classes its mask admits, by exact exclusion (masked-out columns
 are sliced away before the log-sum-exp, so they can never leak value or
-gradient).  ``replay_ce`` sums one such term over the incoming batch and
-one per group of rehearsed rows; plain replay (ER), asymmetric
-cross-entropy (ER-ACE) and a doubly-masked ablation in the style of SS-IL
-without distillation only choose its masks.  Asymmetric metric learning
-(ER-AML) replaces the incoming term with a contrastive or triplet loss."""
+gradient).  ``rehearse`` adds one such term per group of rehearsed rows,
+and ``replay_ce`` puts one over the incoming batch in front of it; plain
+replay (ER), asymmetric cross-entropy (ER-ACE) and a doubly-masked
+ablation in the style of SS-IL without distillation only choose its
+masks.  Asymmetric metric learning (ER-AML) keeps ER's rehearsal and
+replaces the incoming term with a contrastive or triplet loss."""
 
 from __future__ import annotations
 
@@ -137,28 +138,33 @@ def triplet_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
     return T.tsum(hinge)
 
 
+def rehearse(model, out: LossOutput, x_bf, y_bf, groups) -> LossOutput:
+    """Add to ``out.loss`` the CE over ``mask`` of each ``(rows, mask)``
+    group's rehearsed rows (None: every row); record the rehearsed features."""
+    if len(y_bf):
+        f_bf, lg_bf = net.forward(model, x_bf)
+        y_bf = np.asarray(y_bf)
+        out.feature_records.append((f_bf, y_bf))
+        for rows, mask in groups:
+            lg, y = ((lg_bf, y_bf) if rows is None
+                     else (T.take_rows(lg_bf, rows), y_bf[rows]))
+            out.loss = T.add(out.loss, masked_ce(lg, y, mask))
+    return out
+
+
 def replay_ce(model, x_in, y_in, x_bf, y_bf, incoming,
               rehearsal) -> LossOutput:
-    """Incoming CE over the ``incoming`` mask plus, for each ``(rows, mask)``
-    group of ``rehearsal``, the rehearsal CE of those rows (None: every
-    row) over ``mask``.
+    """Incoming CE over the ``incoming`` mask plus ``rehearse`` with the
+    ``rehearsal`` groups.
 
     The incoming and rehearsal batches are forwarded separately (the summed
     loss is identical either way), so wherever two methods' masks agree,
     as ER's and ER-ACE's do on a first task, they agree float for float.
     """
     f_in, lg_in = net.forward(model, x_in)
-    loss = masked_ce(lg_in, y_in, incoming)
-    records = [(f_in, np.asarray(y_in))]
-    if len(y_bf):
-        f_bf, lg_bf = net.forward(model, x_bf)
-        y_bf = np.asarray(y_bf)
-        records.append((f_bf, y_bf))
-        for rows, mask in rehearsal:
-            lg, y = ((lg_bf, y_bf) if rows is None
-                     else (T.take_rows(lg_bf, rows), y_bf[rows]))
-            loss = T.add(loss, masked_ce(lg, y, mask))
-    return LossOutput(loss, feature_records=records)
+    out = LossOutput(masked_ce(lg_in, y_in, incoming),
+                     feature_records=[(f_in, np.asarray(y_in))])
+    return rehearse(model, out, x_bf, y_bf, rehearsal)
 
 
 def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
@@ -190,7 +196,7 @@ def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
 
 def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                 cfg: LossConfig, buffer) -> LossOutput:
-    """Contrastive (or triplet) incoming loss plus prototype CE on replay.
+    """Contrastive (or triplet) incoming loss plus ER's rehearsal CE.
 
     ``pos_neg`` comes from ``buffer.fetch_pos_neg``; its rows index the
     incoming features followed by those of its buffer slots, which are
@@ -206,7 +212,7 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
         f_all = T.concat_rows([f_in, f_extra])
 
     active = [i for i, pair in enumerate(pos_neg.pairs) if pair is not None]
-    skipped = len(pos_neg.pairs) - len(active)
+    loss = Tensor(0.0)
     if active:
         anchors = T.take_rows(f_in, active)
         rows = np.array([pos_neg.pairs[i] for i in active])
@@ -217,15 +223,8 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
         else:
             l1 = supcon_loss(anchors, positives, negatives, cfg.tau)
         loss = T.scale(l1, cfg.gamma)
-    else:
-        loss = Tensor(0.0)
-
-    if len(y_bf):
-        f_bf, lg_bf = net.forward(model, x_bf)
-        loss = T.add(loss, masked_ce(lg_bf, y_bf,
-                                     np.ones(model.num_classes, dtype=bool)))
-        records.append((f_bf, np.asarray(y_bf)))
-
-    return LossOutput(loss, feature_records=records,
-                      extra_buffer_forwards=len(buf_slots),
-                      skipped_anchors=skipped)
+    out = LossOutput(loss, feature_records=records,
+                     extra_buffer_forwards=len(buf_slots),
+                     skipped_anchors=len(pos_neg.pairs) - len(active))
+    return rehearse(model, out, x_bf, y_bf,
+                    [(None, np.ones(model.num_classes, dtype=bool))])

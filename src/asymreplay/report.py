@@ -92,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError("config key 'seeds' must be a nonempty list of "
                               "distinct non-negative integers")
         try:
-            check_range(self, 0, "dataset_seed")
+            check_range(self, 0, "dataset_seed", integer=True)
             # built even with a dataset file: the report records its keys
             spec = self._synthetic_spec()
             stream = self.stream_config()
@@ -319,15 +319,12 @@ def write_report_files(report: dict, out_dir: str):
                          + "\n")
 
     if ok:
-        steps = ok[0]["eval_steps"]
-        tsv("aa_trace.tsv",
-            ["step"] + [f"seed{e['seed']}" for e in ok],
-            [[steps[i]] + [e["aa_trace"][i] for e in ok]
-             for i in range(len(steps))])
-        n_steps = len(ok[0]["drift_trace"])
-        tsv("drift_trace.tsv",
-            ["step"] + [f"seed{e['seed']}" for e in ok],
-            [[i] + [e["drift_trace"][i] for e in ok] for i in range(n_steps)])
+        # a step column, then one column per finished seed
+        for key, steps in (("aa_trace", ok[0]["eval_steps"]),
+                           ("drift_trace", range(len(ok[0]["drift_trace"])))):
+            tsv(f"{key}.tsv", ["step"] + [f"seed{e['seed']}" for e in ok],
+                [[step] + [e[key][i] for e in ok]
+                 for i, step in enumerate(steps)])
         tasks = ok[0]["tasks"]
         rows = []
         for e in ok:

@@ -27,9 +27,11 @@ DATASET_MAGIC = b"ARDS"
 DATASET_VERSION = 1
 
 
-def check_range(cfg, low, *names, strict=False, optional=False):
+def check_range(cfg, low, *names, strict=False, optional=False,
+                integer=False):
     """Refuse each field ``names`` of ``cfg`` that is not a finite number
-    >= ``low`` (> when ``strict``); None passes only when ``optional``."""
+    >= ``low`` (> when ``strict``) or, when ``integer``, not a non-bool
+    integer; None passes only when ``optional``."""
     for name in names:
         value = getattr(cfg, name)
         if value is None and optional:
@@ -39,6 +41,9 @@ def check_range(cfg, low, *names, strict=False, optional=False):
                 and (low < value if strict else low <= value)):
             raise ValueError(f"{name} must be finite and "
                              f"{'>' if strict else '>='} {low}, got {value}")
+        if integer and (isinstance(value, bool)
+                        or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value}")
 
 
 class StreamMode(enum.Enum):
@@ -60,7 +65,7 @@ class StreamConfig:
     def __post_init__(self):
         # a member or its value; anything else raises naming the value
         object.__setattr__(self, "mode", StreamMode(self.mode))
-        check_range(self, 1, "classes_per_task", "batch_size")
+        check_range(self, 1, "classes_per_task", "batch_size", integer=True)
         check_range(self, 1, "target_unique_labels", optional=True)
         check_range(self, 0, "variance_scale", strict=True, optional=True)
 
@@ -86,7 +91,8 @@ class SyntheticDatasetSpec:
     test_fraction: float = 0.25
 
     def __post_init__(self):
-        check_range(self, 1, "input_dim", "num_classes", "samples_per_class")
+        check_range(self, 1, "input_dim", "num_classes", "samples_per_class",
+                    integer=True)
         check_range(self, 0, "noise_sigma", "mean_radius", "val_fraction",
                     "test_fraction")
 
@@ -267,6 +273,8 @@ def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
 
 def _mean_unique_labels(per_class_samples, batch_size, variance_scale,
                         seeds=(0, 1, 2)) -> float:
+    """Mean distinct labels per batch in the label draws ``blurry_stream``
+    makes for ``seeds``: calibration fits the streams of seeds 0-2."""
     vals = []
     for s in seeds:
         rng = np.random.default_rng(np.random.SeedSequence([s, 0xB1E5]))

@@ -34,8 +34,9 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_range(self, 0, "lr", "rehearsal_batch_size")
-        check_range(self, 1, "eval_every", "buffer_capacity")
+        check_range(self, 0, "lr")
+        check_range(self, 0, "rehearsal_batch_size", "seed", integer=True)
+        check_range(self, 1, "eval_every", "buffer_capacity", integer=True)
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValueError("hidden_sizes must be a nonempty list of "
                              "positive integers")

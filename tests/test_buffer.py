@@ -20,8 +20,10 @@ def test_capacity_validation():
     for capacity in (0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="capacity must be finite"):
             ReplayBuffer(capacity, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="capacity must be an integer, got 2.5"):
-        ReplayBuffer(2.5, rng=np.random.default_rng(0))
+    for capacity in (2.5, True):
+        with pytest.raises(ValueError,
+                           match=f"capacity must be an integer, got {capacity}"):
+            ReplayBuffer(capacity, rng=np.random.default_rng(0))
 
 
 def test_fills_then_caps():

@@ -403,7 +403,25 @@ def test_er_aml_gamma_zero_reduces_to_buffer_ce():
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     lg = net.forward(model, x_bf)[1]
     want = float(L.masked_ce(lg, y_bf, np.ones(4, dtype=bool)).data)
-    assert float(out.loss.data) == pytest.approx(want, rel=1e-6)
+    assert float(out.loss.data) == want
+
+
+@pytest.mark.parametrize("method", [Method.ER_AML_SUPCON, Method.ER_AML_TRIPLET])
+def test_er_aml_incoming_term_never_reaches_the_prototypes(method):
+    """At gamma 2 the prototypes' gradient is the rehearsal CE's, bit for
+    bit: the metric term touches features only."""
+    rng = np.random.default_rng(107)
+    model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
+    cfg = LossConfig(method=method, gamma=2.0, tau=0.1)
+    out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
+    assert out.skipped_anchors < len(y_in)   # the metric term is present
+    model.zero_grad()
+    out.loss.backward()
+    got = model.W.grad.copy()
+    model.zero_grad()
+    L.masked_ce(net.forward(model, x_bf)[1], y_bf,
+                np.ones(4, dtype=bool)).backward()
+    assert got.tobytes() == model.W.grad.tobytes()
 
 
 def test_er_aml_empty_buffer_batch_is_pure_supcon():

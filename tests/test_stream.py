@@ -9,8 +9,10 @@ import pytest
 import reference as R
 
 from asymreplay import stream as S
+from asymreplay.report import ExperimentConfig
 from asymreplay.stream import (Dataset, DatasetParseError, StreamConfig,
                                StreamMode, SyntheticDatasetSpec)
+from asymreplay.trainer import TrainerConfig
 
 
 def spec(**kw):
@@ -211,10 +213,22 @@ def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     (spec, "noise_sigma", -1.0, ">= 0"),
     (spec, "mean_radius", float("inf"), ">= 0"),
     (spec, "val_fraction", -3.0, ">= 0"),
+    (TrainerConfig, "seed", -1, ">= 0"),
+    # a count setting must be an int, never a bool (bound None)
+    (split_cfg, "batch_size", True, None),
+    (split_cfg, "classes_per_task", 2.5, None),
+    (spec, "input_dim", 2.5, None),
+    (spec, "num_classes", True, None),
+    (spec, "samples_per_class", 2.5, None),
+    (TrainerConfig, "rehearsal_batch_size", 2.5, None),
+    (TrainerConfig, "eval_every", 2.5, None),
+    (TrainerConfig, "buffer_capacity", True, None),
+    (TrainerConfig, "seed", 2.5, None),
+    (ExperimentConfig, "dataset_seed", 2.5, None),
 ])
 def test_configs_refuse_a_value_out_of_range_by_name(make, key, value, bound):
-    with pytest.raises(ValueError,
-                       match=f"^{key} must be finite and {bound}, got"):
+    want = "an integer" if bound is None else f"finite and {bound}"
+    with pytest.raises(ValueError, match=f"^{key} must be {want}, got"):
         make(**{key: value})
 
 
