@@ -9,23 +9,20 @@ Run:  python3 demos/01_quickstart.py
 
 import numpy as np
 
-from asymreplay.losses import LossConfig, Method
-from asymreplay.stream import StreamConfig, SyntheticDatasetSpec, make_synthetic
-from asymreplay.trainer import TrainerConfig, run
+from asymreplay.losses import Method
+from asymreplay.report import ExperimentConfig
+from asymreplay.stream import make_synthetic
+from asymreplay.trainer import run
 
-dataset = make_synthetic(
-    SyntheticDatasetSpec(input_dim=8, num_classes=4, samples_per_class=200,
-                         noise_sigma=0.3),
-    seed=0)
-
-stream_cfg = StreamConfig(classes_per_task=2, batch_size=10)
-
-trainer_cfg = TrainerConfig(
-    loss=LossConfig(method=Method.ER_ACE, tau=0.1),
+cfg = ExperimentConfig(
+    input_dim=8, num_classes=4, samples_per_class=200, noise_sigma=0.3,
+    classes_per_task=2, batch_size=10,
+    method=Method.ER_ACE, tau=0.1,
     lr=0.05, rehearsal_batch_size=10, eval_every=10,
-    buffer_capacity=20, hidden_sizes=(32, 16), seed=0)
+    buffer_capacity=20, hidden_sizes=(32, 16))
 
-result = run(dataset, stream_cfg, trainer_cfg)
+dataset = make_synthetic(cfg, seed=0)
+result = run(dataset, cfg, seed=0)
 
 print("anytime accuracy over the run (mean over tasks seen so far):")
 for step, aa in zip(result.log.eval_steps, result.log.aa_trace):

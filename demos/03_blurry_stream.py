@@ -11,16 +11,15 @@ Run:  python3 demos/03_blurry_stream.py
 
 import numpy as np
 
-from asymreplay.stream import (StreamConfig, StreamMode, SyntheticDatasetSpec,
-                               blurriness_sweep, make_stream, make_synthetic)
+from asymreplay.report import ExperimentConfig
+from asymreplay.stream import (StreamMode, blurriness_sweep, make_stream,
+                               make_synthetic)
 
-dataset = make_synthetic(
-    SyntheticDatasetSpec(input_dim=8, num_classes=10, samples_per_class=100,
-                         noise_sigma=0.3),
-    seed=0)
+cfg = ExperimentConfig(input_dim=8, num_classes=10, samples_per_class=100,
+                       noise_sigma=0.3, classes_per_task=2, batch_size=10,
+                       stream_mode=StreamMode.BLURRY, target_unique_labels=2.0)
 
-cfg = StreamConfig(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY,
-                   target_unique_labels=2.0)
+dataset = make_synthetic(cfg, seed=0)
 
 batches = list(make_stream(dataset, cfg, seed=0))
 uniques = [len(np.unique(b.labels)) for b in batches]

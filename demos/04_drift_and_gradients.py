@@ -16,23 +16,23 @@ Run:  python3 demos/04_drift_and_gradients.py          (~0.7 s)
 
 import numpy as np
 
-from asymreplay.losses import LossConfig, Method
-from asymreplay.stream import StreamConfig, SyntheticDatasetSpec, make_synthetic
-from asymreplay.trainer import TrainerConfig, run
+from dataclasses import replace
+
+from asymreplay.losses import Method
+from asymreplay.report import ExperimentConfig
+from asymreplay.stream import make_synthetic
+from asymreplay.trainer import run
 
 NPC = 500
-dataset = make_synthetic(
-    SyntheticDatasetSpec(input_dim=16, num_classes=4, samples_per_class=NPC,
-                         noise_sigma=0.5),
-    seed=0)
-stream_cfg = StreamConfig(classes_per_task=2, batch_size=10)
+base = ExperimentConfig(input_dim=16, num_classes=4, samples_per_class=NPC,
+                        noise_sigma=0.5, classes_per_task=2, batch_size=10,
+                        gamma=2.0, tau=0.2, lr=0.05, buffer_capacity=20,
+                        hidden_sizes=(64, 32))
+dataset = make_synthetic(base, seed=0)
 
 traces = {}
 for name, method in (("er", Method.ER), ("er-ace", Method.ER_ACE)):
-    cfg = TrainerConfig(loss=LossConfig(method=method, gamma=2.0, tau=0.2),
-                        lr=0.05, buffer_capacity=20, hidden_sizes=(64, 32),
-                        seed=1)
-    r = run(dataset, stream_cfg, cfg)
+    r = run(dataset, replace(base, method=method), seed=1)
     traces[name] = (np.array(r.log.drift_trace), np.array(r.log.grad_norm_trace))
 
 boundary = (4 * NPC // 10) // 2   # step where task 1 begins

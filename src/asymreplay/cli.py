@@ -16,7 +16,7 @@ import traceback
 from .report import (FIELD_KINDS, ComparisonError, ConfigError,
                      ExperimentConfig, compare, load_report, parse_config,
                      run_experiment, run_experiments, write_json)
-from .stream import SyntheticDatasetSpec, save_dataset
+from .stream import SYNTHETIC_KEYS, save_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -33,9 +33,8 @@ def _int_list(text: str):
 
 _CONFIG_FIELDS = dataclasses.fields(ExperimentConfig)
 # gen-dataset takes the synthetic dataset's fields plus its seed
-_SPEC_NAMES = {f.name for f in dataclasses.fields(SyntheticDatasetSpec)}
 _DATASET_FIELDS = [f for f in _CONFIG_FIELDS
-                  if f.name in _SPEC_NAMES or f.name == "dataset_seed"]
+                  if f.name in SYNTHETIC_KEYS or f.name == "dataset_seed"]
 _FLAG_TYPES = {int: int, float: float, str: None, tuple: _int_list}
 
 
@@ -97,7 +96,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     base = parse_config(args.config, _overrides(args))
     jobs = {}   # output directory -> config, in grid order
-    for method in args.methods or [base.method]:
+    for method in args.methods or [base.method.value]:
         for cap in args.buffer_capacities or [base.buffer_capacity]:
             out_dir = os.path.join(args.out, f"{method}-M{cap}")
             if out_dir in jobs:   # two workers would write one directory

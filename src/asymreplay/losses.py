@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import network as net
 from . import tensor as T
-from .stream import check_range
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .report import ExperimentConfig
 
 
 class Method(enum.Enum):
@@ -35,23 +38,6 @@ class Method(enum.Enum):
 class NegativePolicy(enum.Enum):
     INCOMING_ONLY = "incoming-only"
     ALL_CLASSES = "all-classes"
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    method: Method = Method.ER_ACE
-    gamma: float = 1.0
-    tau: float = 0.1
-    negative_policy: NegativePolicy = NegativePolicy.INCOMING_ONLY
-    triplet_margin: float = 0.2
-
-    def __post_init__(self):
-        # a member or its value; anything else raises naming the value
-        object.__setattr__(self, "method", Method(self.method))
-        object.__setattr__(self, "negative_policy",
-                           NegativePolicy(self.negative_policy))
-        check_range(self, 0, "gamma")
-        check_range(self, 0, "tau", "triplet_margin", strict=True)
 
 
 def class_masks(batch_labels, seen: np.ndarray):
@@ -195,7 +181,7 @@ def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
 
 
 def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
-                cfg: LossConfig, buffer) -> LossOutput:
+                cfg: ExperimentConfig, buffer) -> LossOutput:
     """Contrastive (or triplet) incoming loss plus ER's rehearsal CE.
 
     ``pos_neg`` comes from ``buffer.fetch_pos_neg``; its rows index the

@@ -28,8 +28,9 @@ class ModelParams:
 
     def __init__(self, sizes: Sequence[int], num_classes: int, tau: float,
                  rng: np.random.Generator):
-        if len(sizes) < 2 or any(not isinstance(s, numbers.Integral) or s < 1
-                                 for s in sizes):
+        if len(sizes) < 2 or any(
+                isinstance(s, bool) or not isinstance(s, numbers.Integral)
+                or s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
         self.tau = tau
         check_range(self, 0, "tau", strict=True)

@@ -10,6 +10,7 @@ external plotter can redraw the figures.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -20,10 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .losses import LossConfig, Method, NegativePolicy
-from .stream import (Dataset, StreamConfig, StreamMode, SyntheticDatasetSpec,
-                     check_range, load_dataset, make_synthetic)
-from .trainer import RunAbort, TrainerConfig, run
+from .losses import Method, NegativePolicy
+from .stream import (Dataset, StreamMode, check_num_classes, check_range,
+                     load_dataset, make_synthetic)
+from .trainer import RunAbort, run
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -38,94 +39,105 @@ class ComparisonError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every setting of an experiment.  A field's annotation is its config
-    type; ``choices`` metadata is the enum an enum-valued field is checked
-    against and ``help`` metadata documents its CLI flag."""
+    """Every setting of an experiment; the dataset, stream, loss and trainer
+    code read their settings off it by field name.  A field's annotation is
+    its config type; ``choices`` metadata is the enum an enum-valued field
+    holds a member of (given the member or its value), and ``help``
+    metadata documents its CLI flag."""
 
     # dataset: either a file path or a synthetic spec
     dataset_path: Optional[str] = None
     input_dim: int = 16
     num_classes: int = 10
-    samples_per_class: int = 1000
-    noise_sigma: float = SyntheticDatasetSpec.noise_sigma
-    mean_radius: float = SyntheticDatasetSpec.mean_radius
-    val_fraction: float = SyntheticDatasetSpec.val_fraction
-    test_fraction: float = SyntheticDatasetSpec.test_fraction
+    samples_per_class: int = 1000     # training samples per class
+    noise_sigma: float = 0.5
+    mean_radius: float = 1.0
+    val_fraction: float = 0.05
+    test_fraction: float = 0.25
     dataset_seed: int = 0
     # stream
     classes_per_task: int = 2
-    batch_size: int = StreamConfig.batch_size
-    stream_mode: str = field(default=StreamConfig.mode.value,
+    batch_size: int = 10
+    stream_mode: str = field(default=StreamMode.SPLIT,
                              metadata={"choices": StreamMode})
-    target_unique_labels: Optional[float] = StreamConfig.target_unique_labels
-    variance_scale: Optional[float] = StreamConfig.variance_scale
+    # blurry mode only: calibrate the schedule variance so batches average
+    # this many distinct labels; None runs the raw schedule
+    target_unique_labels: Optional[float] = 2.0
+    variance_scale: Optional[float] = None
     # method / loss
-    method: str = field(default=LossConfig.method.value,
-                        metadata={"choices": Method})
-    gamma: float = LossConfig.gamma
-    tau: float = LossConfig.tau
-    negative_policy: str = field(default=LossConfig.negative_policy.value,
+    method: str = field(default=Method.ER_ACE, metadata={"choices": Method})
+    gamma: float = 1.0
+    tau: float = 0.1
+    negative_policy: str = field(default=NegativePolicy.INCOMING_ONLY,
                                  metadata={"choices": NegativePolicy})
-    triplet_margin: float = LossConfig.triplet_margin
+    triplet_margin: float = 0.2
     # trainer
-    lr: float = TrainerConfig.lr
-    rehearsal_batch_size: int = TrainerConfig.rehearsal_batch_size
-    eval_every: int = TrainerConfig.eval_every
-    buffer_capacity: int = TrainerConfig.buffer_capacity
+    lr: float = 0.05
+    rehearsal_batch_size: int = 10
+    eval_every: int = 10
+    buffer_capacity: int = 20
     hidden_sizes: tuple[int, ...] = field(
-        default=TrainerConfig.hidden_sizes,
+        default=(128, 128, 64),
         metadata={"help": "comma-separated layer widths"})
-    head_tau: Optional[float] = TrainerConfig.head_tau
+    head_tau: Optional[float] = None   # None: the loss temperature tau
     # seeds
     seeds: tuple[int, ...] = field(default=(0,),
                                    metadata={"help": "comma-separated seeds"})
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            choices = [c.value for c in f.metadata.get("choices", ())]
-            if choices and getattr(self, f.name) not in choices:
-                raise ConfigError(f"config key {f.name!r} must be one of "
-                                  f"{', '.join(choices)}, "
-                                  f"got {getattr(self, f.name)!r}")
-        if (not self.seeds or min(self.seeds) < 0
-                or len(set(self.seeds)) < len(self.seeds)):
-            raise ConfigError("config key 'seeds' must be a nonempty list of "
-                              "distinct non-negative integers")
+            choices = f.metadata.get("choices")
+            if choices:
+                value = getattr(self, f.name)
+                try:
+                    object.__setattr__(self, f.name, choices(value))
+                except ValueError:
+                    raise ConfigError(
+                        f"config key {f.name!r} must be one of "
+                        f"{', '.join(c.value for c in choices)}, "
+                        f"got {value!r}") from None
         try:
+            check_range(self, 0, "seeds", integer=True, each=True)
+            if len(set(self.seeds)) < len(self.seeds):
+                raise ValueError(f"seeds must be distinct, got {self.seeds}")
+            # the synthetic spec is checked even with a dataset file: the
+            # report records its keys
             check_range(self, 0, "dataset_seed", integer=True)
-            # built even with a dataset file: the report records its keys
-            spec = self._synthetic_spec()
-            stream = self.stream_config()
-            self.trainer_config(0)
+            check_range(self, 1, "input_dim", "num_classes",
+                        "samples_per_class", integer=True)
+            check_range(self, 0, "noise_sigma", "mean_radius", "val_fraction",
+                        "test_fraction")
+            # stream
+            check_range(self, 1, "classes_per_task", "batch_size",
+                        integer=True)
+            check_range(self, 1, "target_unique_labels", optional=True)
+            check_range(self, 0, "variance_scale", strict=True, optional=True)
+            # loss
+            check_range(self, 0, "gamma")
+            check_range(self, 0, "tau", "triplet_margin", strict=True)
+            # trainer
+            check_range(self, 0, "lr")
+            check_range(self, 0, "rehearsal_batch_size", integer=True)
+            check_range(self, 1, "eval_every", "buffer_capacity",
+                        integer=True)
+            check_range(self, 1, "hidden_sizes", integer=True, each=True)
+            check_range(self, 0, "head_tau", strict=True, optional=True)
+            # a dataset file brings its own class count
             if self.dataset_path is None:
-                stream.check_num_classes(spec.num_classes)
+                check_num_classes(self, self.num_classes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v
+        """The settings as JSON values: an enum's value, a tuple's list."""
+        return {k: v.value if isinstance(v, enum.Enum)
+                else list(v) if isinstance(v, tuple) else v
                 for k, v in dataclasses.asdict(self).items()}
-
-    def _build(self, cls, **explicit):
-        """A ``cls`` whose fields besides ``explicit`` are copied by name."""
-        return cls(**explicit, **{f.name: getattr(self, f.name)
-                                  for f in dataclasses.fields(cls)
-                                  if f.name not in explicit})
-
-    def _synthetic_spec(self) -> SyntheticDatasetSpec:
-        return self._build(SyntheticDatasetSpec)
 
     def dataset(self) -> Dataset:
         if self.dataset_path is not None:
             return load_dataset(self.dataset_path)
-        return make_synthetic(self._synthetic_spec(), self.dataset_seed)
-
-    def stream_config(self) -> StreamConfig:
-        return self._build(StreamConfig, mode=self.stream_mode)
-
-    def trainer_config(self, seed: int) -> TrainerConfig:
-        return self._build(TrainerConfig, loss=self._build(LossConfig),
-                           seed=seed, hidden_sizes=tuple(self.hidden_sizes))
+        return make_synthetic(self, self.dataset_seed)
 
 
 def _kind(hint):
@@ -212,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     for seed in cfg.seeds:
         entry: dict = {"seed": seed, "error": None}
         try:
-            result = run(dataset, cfg.stream_config(), cfg.trainer_config(seed))
+            result = run(dataset, cfg, seed)
         except RunAbort as exc:
             entry["error"] = str(exc)
             per_seed.append(entry)

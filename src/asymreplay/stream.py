@@ -19,31 +19,41 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .report import ExperimentConfig
 
 DATASET_MAGIC = b"ARDS"
 DATASET_VERSION = 1
 
 
 def check_range(cfg, low, *names, strict=False, optional=False,
-                integer=False):
+                integer=False, each=False):
     """Refuse each field ``names`` of ``cfg`` that is not a finite number
     >= ``low`` (> when ``strict``) or, when ``integer``, not a non-bool
-    integer; None passes only when ``optional``."""
+    integer; None passes only when ``optional``.  With ``each`` the field
+    must be a nonempty list, and every item of it is checked."""
     for name in names:
-        value = getattr(cfg, name)
-        if value is None and optional:
-            continue
-        # comparisons refuse NaN and never convert a big int to float
-        if not (isinstance(value, numbers.Real) and value < math.inf
-                and (low < value if strict else low <= value)):
-            raise ValueError(f"{name} must be finite and "
-                             f"{'>' if strict else '>='} {low}, got {value}")
-        if integer and (isinstance(value, bool)
-                        or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer, got {value}")
+        values = getattr(cfg, name)
+        if not each:
+            values = [values]
+        elif not (isinstance(values, (list, tuple)) and values):
+            raise ValueError(f"{name} must be a nonempty list, got {values}")
+        for value in values:
+            if value is None and optional:
+                continue
+            # comparisons refuse NaN and never convert a big int to float
+            if not (isinstance(value, numbers.Real) and value < math.inf
+                    and (low < value if strict else low <= value)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'>' if strict else '>='} {low}, "
+                                 f"got {value}")
+            if integer and (isinstance(value, bool)
+                            or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value}")
 
 
 class StreamMode(enum.Enum):
@@ -51,50 +61,16 @@ class StreamMode(enum.Enum):
     BLURRY = "blurry"
 
 
-@dataclass(frozen=True)
-class StreamConfig:
-    """How a dataset is streamed; its classes come from the dataset."""
-    classes_per_task: int
-    batch_size: int = 10
-    mode: StreamMode = StreamMode.SPLIT
-    # blurry mode only: calibrate the schedule variance so batches average
-    # this many distinct labels; None runs the raw schedule.
-    target_unique_labels: Optional[float] = 2.0
-    variance_scale: Optional[float] = None
-
-    def __post_init__(self):
-        # a member or its value; anything else raises naming the value
-        object.__setattr__(self, "mode", StreamMode(self.mode))
-        check_range(self, 1, "classes_per_task", "batch_size", integer=True)
-        check_range(self, 1, "target_unique_labels", optional=True)
-        check_range(self, 0, "variance_scale", strict=True, optional=True)
-
-    def check_num_classes(self, num_classes: int):
-        """Refuse a class count this stream cannot partition or reach."""
-        if self.mode is StreamMode.SPLIT and num_classes % self.classes_per_task:
-            raise ValueError(f"num_classes {num_classes} must be divisible "
-                             f"by classes_per_task {self.classes_per_task}")
-        if (self.mode is StreamMode.BLURRY and self.variance_scale is None
-                and (self.target_unique_labels or 1) > num_classes):
-            raise ValueError("target_unique_labels must be <= num_classes "
-                             f"{num_classes}")
-
-
-@dataclass(frozen=True)
-class SyntheticDatasetSpec:
-    input_dim: int
-    num_classes: int
-    samples_per_class: int          # training samples per class
-    noise_sigma: float = 0.5
-    mean_radius: float = 1.0
-    val_fraction: float = 0.05
-    test_fraction: float = 0.25
-
-    def __post_init__(self):
-        check_range(self, 1, "input_dim", "num_classes", "samples_per_class",
-                    integer=True)
-        check_range(self, 0, "noise_sigma", "mean_radius", "val_fraction",
-                    "test_fraction")
+def check_num_classes(cfg, num_classes: int):
+    """Refuse a class count the stream of ``cfg`` cannot partition or reach."""
+    if (cfg.stream_mode is StreamMode.SPLIT
+            and num_classes % cfg.classes_per_task):
+        raise ValueError(f"num_classes {num_classes} must be divisible "
+                         f"by classes_per_task {cfg.classes_per_task}")
+    if (cfg.stream_mode is StreamMode.BLURRY and cfg.variance_scale is None
+            and (cfg.target_unique_labels or 1) > num_classes):
+        raise ValueError("target_unique_labels must be <= num_classes "
+                         f"{num_classes}")
 
 
 @dataclass
@@ -116,7 +92,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        check_range(self, 1, "num_classes", "input_dim")
+        check_range(self, 1, "num_classes", "input_dim", integer=True)
         if not len(self.train_y):
             raise ValueError("dataset has no training rows")
         for split in ("train", "val", "test"):
@@ -191,37 +167,44 @@ def random_class_means(num_classes: int, input_dim: int, seed: int,
     return (means * radius).astype(np.float32)
 
 
-def make_synthetic(spec: SyntheticDatasetSpec, seed: int) -> Dataset:
-    """Gaussian clusters around per-class means, deterministic per seed.
+# the config fields a synthetic dataset is made from
+SYNTHETIC_KEYS = ("input_dim", "num_classes", "samples_per_class",
+                  "noise_sigma", "mean_radius", "val_fraction",
+                  "test_fraction")
+
+
+def make_synthetic(cfg: ExperimentConfig, seed: int) -> Dataset:
+    """Gaussian clusters around per-class means, deterministic per seed,
+    from the ``SYNTHETIC_KEYS`` fields of ``cfg``.
 
     ``samples_per_class`` sets the training count; validation and test
     counts are the stated fractions of it (at least one test sample per
     class so every task is evaluable).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
-    means = random_class_means(spec.num_classes, spec.input_dim, seed,
-                               spec.mean_radius)
-    counts = (spec.samples_per_class,
-              max(1, round(spec.val_fraction * spec.samples_per_class)),
-              max(1, round(spec.test_fraction * spec.samples_per_class)))
-    labels = np.arange(spec.num_classes, dtype=np.intp)
-    splits = [(np.empty((spec.num_classes * n, spec.input_dim), dtype=np.float32),
+    means = random_class_means(cfg.num_classes, cfg.input_dim, seed,
+                               cfg.mean_radius)
+    counts = (cfg.samples_per_class,
+              max(1, round(cfg.val_fraction * cfg.samples_per_class)),
+              max(1, round(cfg.test_fraction * cfg.samples_per_class)))
+    labels = np.arange(cfg.num_classes, dtype=np.intp)
+    splits = [(np.empty((cfg.num_classes * n, cfg.input_dim), np.float32),
                np.repeat(labels, n)) for n in counts]
-    for c in range(spec.num_classes):
-        pts = means[c] + rng.normal(scale=spec.noise_sigma,
-                                    size=(sum(counts), spec.input_dim))
+    for c in range(cfg.num_classes):
+        pts = means[c] + rng.normal(scale=cfg.noise_sigma,
+                                    size=(sum(counts), cfg.input_dim))
         parts = np.split(pts, np.cumsum(counts)[:-1])
         for (xs, _), n, part in zip(splits, counts, parts):
             xs[c * n:(c + 1) * n] = part      # float32 cast on store
     (tx, ty), (vx, vy), (sx, sy) = splits
-    return Dataset(tx, ty, vx, vy, sx, sy, spec.num_classes)
+    return Dataset(tx, ty, vx, vy, sx, sy, cfg.num_classes)
 
 
-def split_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
+def split_stream(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> Stream:
     """Disjoint tasks in ascending class order, one pass, shuffled within."""
-    if cfg.mode is not StreamMode.SPLIT:
+    if cfg.stream_mode is not StreamMode.SPLIT:
         raise ValueError("split_stream requires SPLIT mode")
-    cfg.check_num_classes(dataset.num_classes)
+    check_num_classes(cfg, dataset.num_classes)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
     task_ids = np.arange(dataset.num_classes) // cfg.classes_per_task
     order, starts, boundaries = [], [], []
@@ -314,14 +297,15 @@ def _calibrate(counts: tuple, batch_size: int, target: float) -> float:
     return 10.0 ** ((lo + hi) / 2.0)
 
 
-def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
+def blurry_stream(dataset: Dataset, cfg: ExperimentConfig,
+                  seed: int) -> Stream:
     """Classes phase in and out under per-class Gaussian schedules.
 
     Labels are drawn categorically from the normalized schedule weights;
     inputs are drawn without replacement from each class's remaining pool,
     with exhausted classes dropped and the weights renormalized.
     """
-    if cfg.mode is not StreamMode.BLURRY:
+    if cfg.stream_mode is not StreamMode.BLURRY:
         raise ValueError("blurry_stream requires BLURRY mode")
     per_class = dataset.train_count_per_class()
     scale = cfg.variance_scale
@@ -344,16 +328,16 @@ def blurry_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
                   StreamMode.BLURRY, cfg.batch_size, scale)
 
 
-def blurriness_sweep(dataset: Dataset, cfg: StreamConfig, level: float,
+def blurriness_sweep(dataset: Dataset, cfg: ExperimentConfig, level: float,
                      seed: int) -> Stream:
     """Blurry stream calibrated to a requested unique-labels-per-batch level."""
-    return blurry_stream(dataset, replace(cfg, mode=StreamMode.BLURRY,
+    return blurry_stream(dataset, replace(cfg, stream_mode=StreamMode.BLURRY,
                                           target_unique_labels=float(level),
                                           variance_scale=None), seed)
 
 
-def make_stream(dataset: Dataset, cfg: StreamConfig, seed: int) -> Stream:
-    if cfg.mode is StreamMode.SPLIT:
+def make_stream(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> Stream:
+    if cfg.stream_mode is StreamMode.SPLIT:
         return split_stream(dataset, cfg, seed)
     return blurry_stream(dataset, cfg, seed)
 

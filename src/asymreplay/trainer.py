@@ -9,8 +9,7 @@ which skip it leave the shared state untouched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,29 +17,10 @@ from . import losses as L
 from . import metrics as M
 from . import network as net
 from .buffer import ReplayBuffer
-from .stream import (Dataset, LabeledBatch, Stream, StreamConfig, check_range,
-                     make_stream)
+from .stream import Dataset, LabeledBatch, Stream, make_stream
 
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    loss: L.LossConfig = field(default_factory=L.LossConfig)
-    lr: float = 0.05
-    rehearsal_batch_size: int = 10
-    eval_every: int = 10
-    buffer_capacity: int = 20
-    hidden_sizes: tuple = (128, 128, 64)
-    head_tau: Optional[float] = None   # defaults to the loss temperature
-    seed: int = 0
-
-    def __post_init__(self):
-        check_range(self, 0, "lr")
-        check_range(self, 0, "rehearsal_batch_size", "seed", integer=True)
-        check_range(self, 1, "eval_every", "buffer_capacity", integer=True)
-        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
-            raise ValueError("hidden_sizes must be a nonempty list of "
-                             "positive integers")
-        check_range(self, 0, "head_tau", strict=True, optional=True)
+if TYPE_CHECKING:
+    from .report import ExperimentConfig
 
 
 class RunAbort(RuntimeError):
@@ -90,19 +70,20 @@ def sgd_update(model: net.ModelParams, lr: float):
             p.data -= np.float32(lr) * p.grad
 
 
-def build_state(dataset: Dataset, stream: Stream, cfg: TrainerConfig) -> RunState:
+def build_state(dataset: Dataset, stream: Stream, cfg: ExperimentConfig,
+                seed: int) -> RunState:
     sizes = [dataset.input_dim, *cfg.hidden_sizes]
-    tau = cfg.head_tau if cfg.head_tau is not None else cfg.loss.tau
-    model = net.init_params(sizes, dataset.num_classes, tau, cfg.seed)
+    tau = cfg.head_tau if cfg.head_tau is not None else cfg.tau
+    model = net.init_params(sizes, dataset.num_classes, tau, seed)
     buffer = ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 0xB0FF])))
-    fetch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xFE7C]))
+        np.random.SeedSequence([seed, 0xB0FF])))
+    fetch_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFE7C]))
     return RunState(model, buffer, fetch_rng, stream)
 
 
 def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
-                   cfg: TrainerConfig, curr, old) -> L.LossOutput:
-    method = cfg.loss.method
+                   cfg: ExperimentConfig, curr, old) -> L.LossOutput:
+    method = cfg.method
     if method is L.Method.ER:
         return L.er_loss(state.model, batch.inputs, batch.labels, x_bf, y_bf)
     if method is L.Method.ER_ACE:
@@ -112,13 +93,13 @@ def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
         return L.ssil_nodistill_loss(state.model, batch.inputs, batch.labels,
                                      x_bf, y_bf, curr, state.task_ids)
     pos_neg = state.buffer.fetch_pos_neg(batch.inputs, batch.labels,
-                                         cfg.loss.negative_policy,
+                                         cfg.negative_policy,
                                          state.fetch_rng)
     return L.er_aml_loss(state.model, batch.inputs, batch.labels, x_bf, y_bf,
-                         pos_neg, cfg.loss, state.buffer)
+                         pos_neg, cfg, state.buffer)
 
 
-def train_step(state: RunState, batch: LabeledBatch, cfg: TrainerConfig):
+def train_step(state: RunState, batch: LabeledBatch, cfg: ExperimentConfig):
     """One update; appends the step's traces to ``state.log``."""
     curr, old = L.class_masks(batch.labels, state.seen)
     x_bf, y_bf = state.buffer.sample(cfg.rehearsal_batch_size)
@@ -131,7 +112,7 @@ def train_step(state: RunState, batch: LabeledBatch, cfg: TrainerConfig):
     out = _dispatch_loss(state, batch, x_bf, y_bf, cfg, curr, old)
     loss_value = float(out.loss.data)
     if not np.isfinite(loss_value):
-        raise RunAbort(state.step, cfg.loss.method, loss_value)
+        raise RunAbort(state.step, cfg.method, loss_value)
 
     state.model.zero_grad()
     if out.loss.requires_grad:
@@ -181,16 +162,15 @@ def _evaluate(state: RunState, task_tests, current_task: int):
     state.log.record_eval(state.step, per_task, current_task)
 
 
-def run(dataset: Dataset, stream_cfg: StreamConfig,
-        cfg: TrainerConfig) -> RunState:
+def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:
     """Single-pass online run; evaluates every ``eval_every`` updates on the
     test sets of every distribution seen so far.  Returns the trained state.
 
-    The trainer seed pins the whole run (stream order, init, buffer,
-    rehearsal draws).
+    ``seed`` pins the whole run (stream order, init, buffer, rehearsal
+    draws).
     """
-    stream = make_stream(dataset, stream_cfg, cfg.seed)
-    state = build_state(dataset, stream, cfg)
+    stream = make_stream(dataset, cfg, seed)
+    state = build_state(dataset, stream, cfg, seed)
     task_tests = _task_test_sets(dataset, state.task_ids)
     # a diverging run overflows on its way to the RunAbort that names it
     with np.errstate(over="ignore", invalid="ignore"):

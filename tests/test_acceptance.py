@@ -5,6 +5,8 @@ session-scoped fixtures.  Run with ``pytest -v tests/test_acceptance.py``
 (add ``-s`` to see the per-criterion lines as they print).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,9 +122,10 @@ def _fd_instance(rng):
     pos_neg = buffer.fetch_pos_neg(x_in, y_in, L.NegativePolicy.INCOMING_ONLY,
                                    np.random.default_rng(rng.integers(1 << 16)))
     bsel = buffer.x[pos_neg.buffer_slots]
-    aml_cfg = L.LossConfig(method=L.Method.ER_AML_SUPCON, gamma=1.2, tau=0.2)
-    tri_cfg = L.LossConfig(method=L.Method.ER_AML_TRIPLET, gamma=1.2,
-                           triplet_margin=0.3)
+    aml_cfg = ExperimentConfig(method=L.Method.ER_AML_SUPCON, gamma=1.2,
+                               tau=0.2)
+    tri_cfg = ExperimentConfig(method=L.Method.ER_AML_TRIPLET, gamma=1.2,
+                               triplet_margin=0.3)
     tau = model.tau
     cases = [
         ("er",
@@ -348,17 +351,16 @@ def test_criterion_08_boundary_gradient_spike():
 def test_criterion_09_blurry_calibration():
     """Calibration simulates the streams of seeds 0-2, so seeds 3-5 check
     it out of sample."""
-    ds = S.make_synthetic(
-        S.SyntheticDatasetSpec(input_dim=8, num_classes=10,
-                               samples_per_class=500, noise_sigma=0.5),
-        seed=0)
+    cfg = ExperimentConfig(input_dim=8, num_classes=10, samples_per_class=500,
+                           noise_sigma=0.5, classes_per_task=2, batch_size=10,
+                           stream_mode=S.StreamMode.BLURRY)
+    ds = cfg.dataset()
 
-    def measured(cfg, seeds):
+    def measured(level, seeds):
         vals = []
         for seed in seeds:
-            st = S.make_stream(ds, S.StreamConfig(
-                classes_per_task=2, batch_size=10, mode=S.StreamMode.BLURRY,
-                target_unique_labels=cfg), seed)
+            st = S.make_stream(ds, replace(cfg, target_unique_labels=level),
+                               seed)
             vals.extend(len(np.unique(b.labels)) for b in st)
         return float(np.mean(vals))
 
@@ -386,29 +388,25 @@ def test_criterion_10_metric_arithmetic():
     forget_ok = abs(M.forgetting(mat) - 0.4) < 1e-15
 
     # analytic FLOPs equal the closed-form total for a plain replay run
-    ds = S.make_synthetic(
-        S.SyntheticDatasetSpec(input_dim=4, num_classes=4,
-                               samples_per_class=50, noise_sigma=0.3),
-        seed=0)
-    scfg = S.StreamConfig(classes_per_task=2, batch_size=5)
-    tcfg = TR.TrainerConfig(loss=L.LossConfig(method=L.Method.ER), lr=0.05,
-                            rehearsal_batch_size=5, eval_every=10,
-                            buffer_capacity=8, hidden_sizes=(8, 4), seed=0)
-    er = TR.run(ds, scfg, tcfg)
+    cfg = ExperimentConfig(input_dim=4, num_classes=4, samples_per_class=50,
+                           noise_sigma=0.3, classes_per_task=2, batch_size=5,
+                           method=L.Method.ER, lr=0.05,
+                           rehearsal_batch_size=5, eval_every=10,
+                           buffer_capacity=8, hidden_sizes=(8, 4))
+    ds = cfg.dataset()
+    er = TR.run(ds, cfg, 0)
     per_sample = net.forward_flops_per_sample(er.model)
-    stream = S.make_stream(ds, scfg, tcfg.seed)
-    state = TR.build_state(ds, stream, tcfg)
+    stream = S.make_stream(ds, cfg, 0)
+    state = TR.build_state(ds, stream, cfg, 0)
     total = 0
     for batch in stream:
-        _, y_bf = state.buffer.sample(tcfg.rehearsal_batch_size)
+        _, y_bf = state.buffer.sample(cfg.rehearsal_batch_size)
         total += len(batch.labels) + len(y_bf)
         state.buffer.reservoir_update(batch.inputs, batch.labels)
     flops_ok = er.ledger.train_flops == 3 * total * per_sample
 
     # the asymmetric loss adds no computational overhead: ledgers bit-equal
-    from dataclasses import replace
-    ace = TR.run(ds, scfg, replace(
-        tcfg, loss=L.LossConfig(method=L.Method.ER_ACE)))
+    ace = TR.run(ds, replace(cfg, method=L.Method.ER_ACE), 0)
     ledger_ok = (er.ledger.train_flops == ace.ledger.train_flops
                  and er.ledger.eval_flops == ace.ledger.eval_flops
                  and er.ledger.mem_byte_steps == ace.ledger.mem_byte_steps)

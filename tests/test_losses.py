@@ -7,7 +7,8 @@ from asymreplay import losses as L
 from asymreplay import network as net
 from asymreplay import tensor as T
 from asymreplay.buffer import ReplayBuffer
-from asymreplay.losses import LossConfig, Method, NegativePolicy
+from asymreplay.losses import Method, NegativePolicy
+from asymreplay.report import ExperimentConfig
 
 import reference as R
 
@@ -279,8 +280,8 @@ def aml_state(rng, policy=NegativePolicy.INCOMING_ONLY, num_classes=4):
 def test_er_aml_value_transcription(trial, policy):
     rng = np.random.default_rng(80 + trial)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng, policy)
-    cfg = LossConfig(method=Method.ER_AML_SUPCON, gamma=1.3, tau=0.2,
-                     negative_policy=policy)
+    cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=1.3, tau=0.2,
+                           negative_policy=policy)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
@@ -292,8 +293,8 @@ def test_er_aml_value_transcription(trial, policy):
 def test_er_aml_triplet_value_transcription():
     rng = np.random.default_rng(90)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
-    cfg = LossConfig(method=Method.ER_AML_TRIPLET, gamma=0.7,
-                     triplet_margin=0.4)
+    cfg = ExperimentConfig(method=Method.ER_AML_TRIPLET, gamma=0.7,
+                           triplet_margin=0.4)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
@@ -358,8 +359,9 @@ def test_incoming_only_gives_old_features_zero_l1_gradient():
         pos_neg = buffer.fetch_pos_neg(x_in, y_in,
                                        NegativePolicy.INCOMING_ONLY,
                                        np.random.default_rng(trial))
-        cfg = LossConfig(method=Method.ER_AML_SUPCON, gamma=1.0, tau=0.1,
-                         negative_policy=NegativePolicy.INCOMING_ONLY)
+        cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=1.0,
+                               tau=0.1,
+                               negative_policy=NegativePolicy.INCOMING_ONLY)
         out = L.er_aml_loss(model, x_in, y_in,
                             np.zeros((0, 4), dtype=np.float32), [],
                             pos_neg, cfg, buffer)
@@ -399,7 +401,7 @@ def test_composites_permutation_invariant():
 def test_er_aml_gamma_zero_reduces_to_buffer_ce():
     rng = np.random.default_rng(105)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
-    cfg = LossConfig(method=Method.ER_AML_SUPCON, gamma=0.0, tau=0.1)
+    cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=0.0, tau=0.1)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     lg = net.forward(model, x_bf)[1]
     want = float(L.masked_ce(lg, y_bf, np.ones(4, dtype=bool)).data)
@@ -412,7 +414,7 @@ def test_er_aml_incoming_term_never_reaches_the_prototypes(method):
     bit: the metric term touches features only."""
     rng = np.random.default_rng(107)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
-    cfg = LossConfig(method=method, gamma=2.0, tau=0.1)
+    cfg = ExperimentConfig(method=method, gamma=2.0, tau=0.1)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     assert out.skipped_anchors < len(y_in)   # the metric term is present
     model.zero_grad()
@@ -427,7 +429,7 @@ def test_er_aml_incoming_term_never_reaches_the_prototypes(method):
 def test_er_aml_empty_buffer_batch_is_pure_supcon():
     rng = np.random.default_rng(106)
     model, x_in, y_in, _, _, buffer, pos_neg = aml_state(rng)
-    cfg = LossConfig(method=Method.ER_AML_SUPCON, gamma=1.0, tau=0.1)
+    cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=1.0, tau=0.1)
     out = L.er_aml_loss(model, x_in, y_in,
                         np.zeros((0, 4), dtype=np.float32), [],
                         pos_neg, cfg, buffer)
@@ -441,11 +443,11 @@ def test_er_aml_empty_buffer_batch_is_pure_supcon():
 
 def test_loss_config_validation():
     with pytest.raises(ValueError):
-        LossConfig(gamma=-1.0)
+        ExperimentConfig(gamma=-1.0)
     with pytest.raises(ValueError):
-        LossConfig(tau=0.0)
+        ExperimentConfig(tau=0.0)
     with pytest.raises(ValueError):
-        LossConfig(triplet_margin=float("nan"))
+        ExperimentConfig(triplet_margin=float("nan"))
 
 
 def test_class_index_sets_invariants():
@@ -556,7 +558,8 @@ def test_replay_ce_mask_grid(trial, incoming, rehearsal):
 def test_grad_er_aml(trial, method):
     rng = np.random.default_rng(330 + trial)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
-    cfg = LossConfig(method=method, gamma=1.1, tau=0.2, triplet_margin=0.3)
+    cfg = ExperimentConfig(method=method, gamma=1.1, tau=0.2,
+                           triplet_margin=0.3)
     bx = buffer.x[pos_neg.buffer_slots]
     margin = cfg.triplet_margin if method is Method.ER_AML_TRIPLET else None
     composite_grad_check(

@@ -111,6 +111,8 @@ def test_invalid_sizes_rejected():
         net.init_params([4, 0], 3, 0.1, 0)
     with pytest.raises(ValueError, match=r"invalid layer sizes \[4, 2.5\]"):
         net.init_params([4, 2.5], 3, 0.1, 0)
+    with pytest.raises(ValueError, match=r"invalid layer sizes \[16, True\]"):
+        net.init_params([16, True], 3, 0.1, 0)
     with pytest.raises(ValueError):
         net.init_params([4, 3], 3, 0.0, 0)
     for tau in (float("nan"), float("inf"), "0.1"):

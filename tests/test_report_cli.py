@@ -13,14 +13,13 @@ import pytest
 
 from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
                             build_parser, main)
+from asymreplay.losses import Method
 from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
                                compare, load_report, parse_config,
                                run_experiment, run_experiments, write_json)
 from asymreplay.stream import (DATASET_MAGIC, DatasetParseError,
-                               StreamConfig, SyntheticDatasetSpec,
                                calibrate_variance_scale, load_dataset,
                                make_synthetic, save_dataset)
-from asymreplay.trainer import TrainerConfig
 
 SMALL = {
     "input_dim": 4, "num_classes": 4, "samples_per_class": 20,
@@ -43,7 +42,7 @@ def test_parse_config_file_round_trip(tmp_path):
     path.write_text(json.dumps({"method": "er-aml", "gamma": 2.0,
                                 "hidden_sizes": [16, 8], "seeds": [3, 4]}))
     cfg = parse_config(str(path))
-    assert cfg.method == "er-aml" and cfg.gamma == 2.0
+    assert cfg.method is Method.ER_AML_SUPCON and cfg.gamma == 2.0
     assert cfg.hidden_sizes == (16, 8) and cfg.seeds == (3, 4)
     # untouched keys keep their defaults
     assert cfg.lr == 0.05 and cfg.buffer_capacity == 20
@@ -53,7 +52,7 @@ def test_overrides_win_over_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"lr": 0.5, "method": "er"}))
     cfg = parse_config(str(path), {"lr": 0.01})
-    assert cfg.lr == 0.01 and cfg.method == "er"
+    assert cfg.lr == 0.01 and cfg.method is Method.ER
 
 
 def test_unknown_key_rejected_by_name():
@@ -104,41 +103,6 @@ def test_null_config_value_only_for_optional_keys(tmp_path):
 def test_empty_seeds_rejected():
     with pytest.raises(ConfigError):
         parse_config(overrides={"seeds": []})
-
-
-def test_config_to_trainer_and_stream():
-    cfg = small_cfg(method="er-aml", gamma=1.5)
-    tcfg = cfg.trainer_config(seed=7)
-    assert tcfg.seed == 7 and tcfg.loss.gamma == 1.5
-    scfg = cfg.stream_config()
-    assert (scfg.classes_per_task, scfg.batch_size) == (cfg.classes_per_task,
-                                                         cfg.batch_size)
-
-
-def test_sub_config_field_missing_from_experiment_config_fails(monkeypatch):
-    """Sub-configs are filled by field name, so a sub-config field without
-    an experiment field of that name fails construction by name instead of
-    silently keeping its default."""
-    from asymreplay import report
-
-    @dataclasses.dataclass(frozen=True)
-    class WiderStream(StreamConfig):
-        window: int = 3
-
-    monkeypatch.setattr(report, "StreamConfig", WiderStream)
-    with pytest.raises(AttributeError, match="window"):
-        small_cfg()
-
-
-def test_default_config_is_the_library_defaults():
-    """Every default shared with a library config is that config's: the
-    default experiment builds the library's default dataset, stream and
-    trainer, plus the values only the experiment sets."""
-    cfg = ExperimentConfig()
-    assert cfg._synthetic_spec() == SyntheticDatasetSpec(
-        input_dim=16, num_classes=10, samples_per_class=1000)
-    assert cfg.stream_config() == StreamConfig(classes_per_task=2)
-    assert cfg.trainer_config(0) == TrainerConfig()
 
 
 def test_invalid_enum_value_rejected_by_name(tmp_path):
@@ -302,7 +266,7 @@ def test_one_stream_built_per_seed(monkeypatch):
     assert built == [0, 1, 2]
     assert len(digests) == 1
     assert report["stream_metadata"] == make_stream(
-        small_cfg().dataset(), small_cfg().stream_config(), 0).metadata()
+        small_cfg().dataset(), small_cfg(), 0).metadata()
 
 
 def test_report_byte_identical_with_fixed_timestamp(tmp_path):
@@ -983,8 +947,8 @@ def test_unusable_dataset_file_is_refused(dim, num_classes, counts, message,
 def test_task_without_test_rows_is_refused(tmp_path, capsys):
     """A file whose last task has no test rows gives that task no accuracy,
     so the run is refused before training and writes no report."""
-    ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
-                                             samples_per_class=20), 0)
+    ds = make_synthetic(ExperimentConfig(input_dim=4, num_classes=4,
+                                         samples_per_class=20), 0)
     keep = ds.test_y < 2
     ds_path = tmp_path / "ds.bin"
     save_dataset(dataclasses.replace(ds, test_x=ds.test_x[keep],

@@ -10,28 +10,37 @@ import reference as R
 
 from asymreplay import stream as S
 from asymreplay.report import ExperimentConfig
-from asymreplay.stream import (Dataset, DatasetParseError, StreamConfig,
-                               StreamMode, SyntheticDatasetSpec)
-from asymreplay.trainer import TrainerConfig
+from asymreplay.stream import Dataset, DatasetParseError, StreamMode
 
 
 def spec(**kw):
+    """A synthetic dataset's config; tasks of one class fit any class
+    count."""
     base = dict(input_dim=8, num_classes=4, samples_per_class=30,
-                noise_sigma=0.25, mean_radius=1.0)
+                noise_sigma=0.25, mean_radius=1.0, classes_per_task=1)
     base.update(kw)
-    return SyntheticDatasetSpec(**base)
+    return ExperimentConfig(**base)
 
 
 def split_cfg(**kw):
-    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.SPLIT)
+    base = dict(classes_per_task=2, batch_size=10,
+                stream_mode=StreamMode.SPLIT)
     base.update(kw)
-    return StreamConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def blurry_cfg(**kw):
-    base = dict(classes_per_task=2, batch_size=10, mode=StreamMode.BLURRY)
+    base = dict(classes_per_task=2, batch_size=10,
+                stream_mode=StreamMode.BLURRY)
     base.update(kw)
-    return StreamConfig(**base)
+    return ExperimentConfig(**base)
+
+
+def dataset(num_classes):
+    """Two labelled rows per split."""
+    x = np.zeros((2, 2), dtype=np.float32)
+    y = np.array([0, 1])
+    return Dataset(x, y, x, y, x, y, num_classes=num_classes)
 
 
 # synthetic dataset ----------------------------------------------------
@@ -213,18 +222,22 @@ def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     (spec, "noise_sigma", -1.0, ">= 0"),
     (spec, "mean_radius", float("inf"), ">= 0"),
     (spec, "val_fraction", -3.0, ">= 0"),
-    (TrainerConfig, "seed", -1, ">= 0"),
+    (ExperimentConfig, "seeds", (-1,), ">= 0"),
     # a count setting must be an int, never a bool (bound None)
     (split_cfg, "batch_size", True, None),
     (split_cfg, "classes_per_task", 2.5, None),
     (spec, "input_dim", 2.5, None),
     (spec, "num_classes", True, None),
     (spec, "samples_per_class", 2.5, None),
-    (TrainerConfig, "rehearsal_batch_size", 2.5, None),
-    (TrainerConfig, "eval_every", 2.5, None),
-    (TrainerConfig, "buffer_capacity", True, None),
-    (TrainerConfig, "seed", 2.5, None),
+    (ExperimentConfig, "rehearsal_batch_size", 2.5, None),
+    (ExperimentConfig, "eval_every", 2.5, None),
+    (ExperimentConfig, "buffer_capacity", True, None),
+    (ExperimentConfig, "seeds", (2.5,), None),
+    (ExperimentConfig, "seeds", (True,), None),
+    (ExperimentConfig, "hidden_sizes", (2.5,), None),
+    (ExperimentConfig, "hidden_sizes", (True,), None),
     (ExperimentConfig, "dataset_seed", 2.5, None),
+    (dataset, "num_classes", 4.5, None),
 ])
 def test_configs_refuse_a_value_out_of_range_by_name(make, key, value, bound):
     want = "an integer" if bound is None else f"finite and {bound}"

@@ -6,29 +6,26 @@ import pytest
 from asymreplay import losses as L
 from asymreplay import network as net
 from asymreplay import trainer as TR
-from asymreplay.stream import (StreamConfig, StreamMode, SyntheticDatasetSpec,
-                               make_stream, make_synthetic)
+from asymreplay.report import ConfigError, ExperimentConfig
+from asymreplay.stream import StreamMode, make_stream
 from asymreplay.tensor import Tensor
 
 
-def tiny_setup(method=L.Method.ER_ACE, seed=0, **trainer_kw):
-    ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
-                                             samples_per_class=20,
-                                             noise_sigma=0.3), seed=0)
-    scfg = StreamConfig(classes_per_task=2, batch_size=5,
-                        mode=StreamMode.SPLIT)
-    kw = dict(loss=L.LossConfig(method=method), lr=0.05,
-              rehearsal_batch_size=5, eval_every=4, buffer_capacity=8,
-              hidden_sizes=(8, 4), seed=seed)
-    kw.update(trainer_kw)
-    return ds, scfg, TR.TrainerConfig(**kw)
+def tiny_setup(method=L.Method.ER_ACE, **kw):
+    """A 4-class, 2-task split stream's dataset and config."""
+    cfg = ExperimentConfig(**{
+        **dict(input_dim=4, num_classes=4, samples_per_class=20,
+               noise_sigma=0.3, classes_per_task=2, batch_size=5,
+               method=method, lr=0.05, rehearsal_batch_size=5, eval_every=4,
+               buffer_capacity=8, hidden_sizes=(8, 4)), **kw})
+    return cfg.dataset(), cfg
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TR.TrainerConfig(lr=-0.1)
+        ExperimentConfig(lr=-0.1)
     with pytest.raises(ValueError):
-        TR.TrainerConfig(eval_every=0)
+        ExperimentConfig(eval_every=0)
 
 
 def test_sgd_update_reference():
@@ -53,8 +50,8 @@ def test_sgd_update_skips_missing_grads():
 
 
 def test_single_pass_step_count_and_eval_schedule():
-    ds, scfg, tcfg = tiny_setup()
-    result = TR.run(ds, scfg, tcfg)
+    ds, cfg = tiny_setup()
+    result = TR.run(ds, cfg, 0)
     n_steps = (4 * 20) // 5
     assert len(result.log.drift_trace) == n_steps
     want_evals = sorted(set(list(range(4, n_steps + 1, 4)) + [n_steps]))
@@ -63,9 +60,9 @@ def test_single_pass_step_count_and_eval_schedule():
 
 
 def test_run_deterministic_per_seed():
-    ds, scfg, tcfg = tiny_setup(seed=3)
-    a = TR.run(ds, scfg, tcfg)
-    b = TR.run(ds, scfg, tcfg)
+    ds, cfg = tiny_setup()
+    a = TR.run(ds, cfg, 3)
+    b = TR.run(ds, cfg, 3)
     for pa, pb in zip(a.model.parameters(), b.model.parameters()):
         assert pa.data.tobytes() == pb.data.tobytes()
     assert a.log.aa_trace == b.log.aa_trace
@@ -75,10 +72,9 @@ def test_run_deterministic_per_seed():
 
 
 def test_different_seeds_differ():
-    ds, scfg, tcfg = tiny_setup(seed=1)
-    _, _, tcfg2 = tiny_setup(seed=2)
-    a = TR.run(ds, scfg, tcfg)
-    b = TR.run(ds, scfg, tcfg2)
+    ds, cfg = tiny_setup()
+    a = TR.run(ds, cfg, 1)
+    b = TR.run(ds, cfg, 2)
     assert any(pa.data.tobytes() != pb.data.tobytes()
                for pa, pb in zip(a.model.parameters(), b.model.parameters()))
 
@@ -87,10 +83,10 @@ def test_different_seeds_differ():
 def test_buffer_contents_method_independent(method):
     """Stream order, reservoir state, and rehearsal draws depend only on
     the seed, never on which loss is being optimized."""
-    ds, scfg, ref_cfg = tiny_setup(method=L.Method.ER, seed=5)
-    ref = TR.run(ds, scfg, ref_cfg)
-    _, _, cfg = tiny_setup(method=method, seed=5)
-    out = TR.run(ds, scfg, cfg)
+    ds, ref_cfg = tiny_setup(method=L.Method.ER)
+    ref = TR.run(ds, ref_cfg, 5)
+    _, cfg = tiny_setup(method=method)
+    out = TR.run(ds, cfg, 5)
     n = len(ref.buffer)
     assert len(out.buffer) == n > 0
     assert np.array_equal(ref.buffer.x[:n], out.buffer.x[:n])
@@ -100,32 +96,32 @@ def test_buffer_contents_method_independent(method):
 def test_buffer_update_happens_after_learning():
     """The very first step rehearses from an empty buffer: the incoming
     batch must not be able to rehearse itself."""
-    ds, scfg, tcfg = tiny_setup()
-    stream = make_stream(ds, scfg, tcfg.seed)
-    state = TR.build_state(ds, stream, tcfg)
-    x_bf, _ = state.buffer.sample(tcfg.rehearsal_batch_size)
+    ds, cfg = tiny_setup()
+    stream = make_stream(ds, cfg, 0)
+    state = TR.build_state(ds, stream, cfg, 0)
+    x_bf, _ = state.buffer.sample(cfg.rehearsal_batch_size)
     assert x_bf.shape[0] == 0
     first = next(iter(stream))
-    TR.train_step(state, first, tcfg)
+    TR.train_step(state, first, cfg)
     assert len(state.buffer) == len(first.labels)
 
 
 def test_observed_classes_and_first_seen_tasks():
-    ds, scfg, tcfg = tiny_setup()
-    stream = make_stream(ds, scfg, tcfg.seed)
-    state = TR.build_state(ds, stream, tcfg)
+    ds, cfg = tiny_setup()
+    stream = make_stream(ds, cfg, 0)
+    state = TR.build_state(ds, stream, cfg, 0)
     batches = list(stream)
     for batch in batches[:4]:
-        TR.train_step(state, batch, tcfg)
+        TR.train_step(state, batch, cfg)
     assert state.seen.tolist() == [True, True, False, False]
     for batch in batches[4:]:
-        TR.train_step(state, batch, tcfg)
+        TR.train_step(state, batch, cfg)
     assert state.seen.tolist() == [True, True, True, True]
 
 
 def test_drift_nan_before_old_classes_exist():
-    ds, scfg, tcfg = tiny_setup()
-    result = TR.run(ds, scfg, tcfg)
+    ds, cfg = tiny_setup()
+    result = TR.run(ds, cfg, 0)
     n_task0 = (2 * 20) // 5
     assert all(np.isnan(d) for d in result.log.drift_trace[:n_task0])
     tail = result.log.drift_trace[n_task0:]
@@ -133,46 +129,46 @@ def test_drift_nan_before_old_classes_exist():
 
 
 def test_run_abort_on_non_finite_loss():
-    ds, scfg, tcfg = tiny_setup()
-    stream = make_stream(ds, scfg, tcfg.seed)
-    state = TR.build_state(ds, stream, tcfg)
+    ds, cfg = tiny_setup()
+    stream = make_stream(ds, cfg, 0)
+    state = TR.build_state(ds, stream, cfg, 0)
     state.model.weights[0].data[...] = np.nan
     with pytest.raises(TR.RunAbort) as exc:
-        TR.train_step(state, next(iter(stream)), tcfg)
+        TR.train_step(state, next(iter(stream)), cfg)
     assert exc.value.step == 0
     assert exc.value.method is L.Method.ER_ACE
 
 
 def test_train_flops_match_closed_form():
-    ds, scfg, tcfg = tiny_setup(method=L.Method.ER)
-    result = TR.run(ds, scfg, tcfg)
+    ds, cfg = tiny_setup(method=L.Method.ER)
+    result = TR.run(ds, cfg, 0)
     per_sample = net.forward_flops_per_sample(result.model)
     total = 0
     # replay the data path: batch + rehearsal sizes are seed-determined
-    stream = make_stream(ds, scfg, tcfg.seed)
-    state = TR.build_state(ds, stream, tcfg)
+    stream = make_stream(ds, cfg, 0)
+    state = TR.build_state(ds, stream, cfg, 0)
     for batch in stream:
-        _, y_bf = state.buffer.sample(tcfg.rehearsal_batch_size)
+        _, y_bf = state.buffer.sample(cfg.rehearsal_batch_size)
         total += len(batch.labels) + len(y_bf)
         state.buffer.reservoir_update(batch.inputs, batch.labels)
     assert result.ledger.train_flops == 3 * total * per_sample
 
 
 def test_er_and_er_ace_ledgers_bit_equal():
-    ds, scfg, er_cfg = tiny_setup(method=L.Method.ER, seed=9)
-    _, _, ace_cfg = tiny_setup(method=L.Method.ER_ACE, seed=9)
-    a = TR.run(ds, scfg, er_cfg)
-    b = TR.run(ds, scfg, ace_cfg)
+    ds, er_cfg = tiny_setup(method=L.Method.ER)
+    _, ace_cfg = tiny_setup(method=L.Method.ER_ACE)
+    a = TR.run(ds, er_cfg, 9)
+    b = TR.run(ds, ace_cfg, 9)
     assert a.ledger.train_flops == b.ledger.train_flops
     assert a.ledger.eval_flops == b.ledger.eval_flops
     assert a.ledger.mem_byte_steps == b.ledger.mem_byte_steps
 
 
 def test_aml_charges_extra_buffer_forwards():
-    ds, scfg, aml_cfg = tiny_setup(method=L.Method.ER_AML_SUPCON, seed=9)
-    _, _, er_cfg = tiny_setup(method=L.Method.ER, seed=9)
-    a = TR.run(ds, scfg, aml_cfg)
-    b = TR.run(ds, scfg, er_cfg)
+    ds, aml_cfg = tiny_setup(method=L.Method.ER_AML_SUPCON)
+    _, er_cfg = tiny_setup(method=L.Method.ER)
+    a = TR.run(ds, aml_cfg, 9)
+    b = TR.run(ds, er_cfg, 9)
     extra = a.log.extra_forwards
     per_sample = net.forward_flops_per_sample(a.model)
     assert a.ledger.train_flops == b.ledger.train_flops + 3 * extra * per_sample
@@ -184,33 +180,38 @@ def test_aml_charges_extra_buffer_forwards():
 def test_configs_take_an_enum_member_or_its_value(method, policy):
     """A config given an enum's value holds its member, so it compares equal
     to the member's config and trains to the same result."""
-    loss = L.LossConfig(method=method, negative_policy=policy)
-    ds, scfg, by_member = tiny_setup(loss=L.LossConfig(
-        method=L.Method(method), negative_policy=L.NegativePolicy(policy)),
-        seed=1)
-    _, _, by_value = tiny_setup(loss=loss, seed=1)
-    split = StreamConfig(classes_per_task=2, batch_size=5, mode="split")
-    assert loss == by_member.loss and split == scfg
-    a = TR.run(ds, scfg, by_member)
-    b = TR.run(ds, split, by_value)
+    ds, by_member = tiny_setup(method=L.Method(method),
+                               negative_policy=L.NegativePolicy(policy),
+                               stream_mode=StreamMode.SPLIT)
+    _, by_value = tiny_setup(method=method, negative_policy=policy,
+                             stream_mode="split")
+    assert by_value.method is L.Method(method)
+    assert by_value.negative_policy is L.NegativePolicy(policy)
+    assert by_value.stream_mode is StreamMode.SPLIT
+    assert by_value == by_member
+    a = TR.run(ds, by_member, 1)
+    b = TR.run(ds, by_value, 1)
     for pa, pb in zip(a.model.parameters(), b.model.parameters()):
         assert pa.data.tobytes() == pb.data.tobytes()
     assert a.log.extra_forwards == b.log.extra_forwards
     assert a.final_accuracy == b.final_accuracy
 
 
-@pytest.mark.parametrize("make,key", [
-    (L.LossConfig, "method"), (L.LossConfig, "negative_policy"),
-    (lambda **kw: StreamConfig(classes_per_task=2, **kw), "mode"),
+@pytest.mark.parametrize("key,value", [
+    ("method", "bogus"), ("negative_policy", "bogus"),
+    ("stream_mode", "bogus"),
+    # a member of another setting's enum
+    ("method", L.NegativePolicy.ALL_CLASSES),
 ])
-def test_configs_refuse_an_unknown_enum_value(make, key):
-    with pytest.raises(ValueError, match="'bogus' is not a valid"):
-        make(**{key: "bogus"})
+def test_configs_refuse_an_unknown_enum_value(key, value):
+    with pytest.raises(ConfigError,
+                       match=f"^config key '{key}' must be one of .*, got "):
+        ExperimentConfig(**{key: value})
 
 
 def test_result_metric_properties():
-    ds, scfg, tcfg = tiny_setup()
-    result = TR.run(ds, scfg, tcfg)
+    ds, cfg = tiny_setup()
+    result = TR.run(ds, cfg, 0)
     assert 0.0 <= result.final_accuracy <= 1.0
     assert 0.0 <= result.aaa <= 1.0
     assert np.isfinite(result.forgetting)
@@ -221,13 +222,6 @@ def test_result_metric_properties():
 def test_run_learns_separable_data():
     """Sanity: on a well-separated 2-task problem with enough steps after
     the switch, the final model is far above the 25% chance level."""
-    ds = make_synthetic(SyntheticDatasetSpec(input_dim=4, num_classes=4,
-                                             samples_per_class=200,
-                                             noise_sigma=0.3), seed=0)
-    scfg = StreamConfig(classes_per_task=2, batch_size=5,
-                        mode=StreamMode.SPLIT)
-    tcfg = TR.TrainerConfig(loss=L.LossConfig(method=L.Method.ER_ACE),
-                            lr=0.05, rehearsal_batch_size=5, eval_every=20,
-                            buffer_capacity=8, hidden_sizes=(8, 4), seed=0)
-    result = TR.run(ds, scfg, tcfg)
+    ds, cfg = tiny_setup(samples_per_class=200, eval_every=20)
+    result = TR.run(ds, cfg, 0)
     assert result.final_accuracy > 0.8
