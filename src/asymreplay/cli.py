@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment over its seeds")
     _add_config_flags(p_run)
-    p_run.add_argument("--out", help="directory for report and plot data")
+    p_run.add_argument("--out", help="directory for report.json")
     p_run.add_argument("--timestamp",
                        help="fix the report timestamp (reproducible output)")
     p_run.set_defaults(func=_cmd_run)

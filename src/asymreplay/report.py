@@ -2,9 +2,9 @@
 
 A config is a flat key/value mapping (JSON on disk) that covers the
 dataset, the stream, and the trainer; flags or override dicts win over
-file values, and unknown keys are rejected by name.  Reports are JSON
-with a versioned schema plus plain delimited plot-data files, so any
-external plotter can redraw the figures.
+file values, and unknown keys are rejected by name.  A run writes one
+file, a versioned JSON report holding every per-seed trace and the
+stream's metadata, from which any plotter can redraw the figures.
 """
 
 from __future__ import annotations
@@ -317,36 +317,11 @@ def write_json(path: str, obj):
 
 
 def write_report_files(report: dict, out_dir: str):
-    """report.json plus delimited plot data: anytime-accuracy trace, drift
-    trace, and the per-task accuracy matrix, one seed per column block."""
+    """``out_dir``/report.json, the run's one output file: it holds every
+    per-seed trace (``eval_steps``, ``aa_trace``, ``drift_trace``,
+    ``accuracy_matrix``, ``tasks``) and the stream's metadata."""
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "report.json"), report)
-    ok = [e for e in report["seeds"] if e["error"] is None]
-
-    def tsv(name, header, rows):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write("\t".join(header) + "\n")
-            for row in rows:
-                fh.write("\t".join("" if v is None else repr(v) for v in row)
-                         + "\n")
-
-    if ok:
-        # a step column, then one column per finished seed
-        for key, steps in (("aa_trace", ok[0]["eval_steps"]),
-                           ("drift_trace", range(len(ok[0]["drift_trace"])))):
-            tsv(f"{key}.tsv", ["step"] + [f"seed{e['seed']}" for e in ok],
-                [[step] + [e[key][i] for e in ok]
-                 for i, step in enumerate(steps)])
-        tasks = ok[0]["tasks"]
-        rows = []
-        for e in ok:
-            for i, step in enumerate(e["eval_steps"]):
-                rows.append([e["seed"], step] + e["accuracy_matrix"][i])
-        tsv("accuracy_matrix.tsv",
-            ["seed", "step"] + [f"task{t}" for t in tasks], rows)
-    if report.get("stream_metadata") is not None:
-        write_json(os.path.join(out_dir, "stream_metadata.json"),
-                   report["stream_metadata"])
 
 
 def load_report(path: str) -> dict:

@@ -330,8 +330,10 @@ def blurry_stream(dataset: Dataset, cfg: ExperimentConfig,
 
 def blurriness_sweep(dataset: Dataset, cfg: ExperimentConfig, level: float,
                      seed: int) -> Stream:
-    """Blurry stream calibrated to a requested unique-labels-per-batch level."""
+    """Blurry stream calibrated to a requested unique-labels-per-batch level,
+    which is checked against the dataset's class count."""
     return blurry_stream(dataset, replace(cfg, stream_mode=StreamMode.BLURRY,
+                                          num_classes=dataset.num_classes,
                                           target_unique_labels=float(level),
                                           variance_scale=None), seed)
 

@@ -9,7 +9,7 @@ import pytest
 import reference as R
 
 from asymreplay import stream as S
-from asymreplay.report import ExperimentConfig
+from asymreplay.report import ConfigError, ExperimentConfig
 from asymreplay.stream import Dataset, DatasetParseError, StreamMode
 
 
@@ -344,13 +344,18 @@ def test_blurry_metadata_names_the_scale_it_ran():
 
 
 def test_blurriness_sweep_levels():
+    """Levels are checked against the dataset's 10 classes, not the
+    config's 4: level 5 is served, level 11 is refused by name."""
     ds = S.make_synthetic(spec(input_dim=4, num_classes=10,
                                samples_per_class=50), seed=0)
-    cfg = blurry_cfg()
-    for level in (1.0, 3.0):
+    cfg = blurry_cfg(num_classes=4, classes_per_task=1)
+    for level in (1.0, 3.0, 5.0):
         st = S.blurriness_sweep(ds, cfg, level, 0)
         uniques = [len(np.unique(b.labels)) for b in st]
         assert np.mean(uniques) == pytest.approx(level, abs=0.3)
+    with pytest.raises(ConfigError,
+                       match="target_unique_labels must be <= num_classes 10"):
+        S.blurriness_sweep(ds, cfg, 11, 0)
 
 
 def test_make_stream_dispatches_on_mode():
