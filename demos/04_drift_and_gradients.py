@@ -35,7 +35,7 @@ for name, method in (("er", Method.ER), ("er-ace", Method.ER_ACE)):
     r = run(dataset, replace(base, method=method), seed=1)
     traces[name] = (np.array(r.log.drift_trace), np.array(r.log.grad_norm_trace))
 
-boundary = (4 * NPC // 10) // 2   # step where task 1 begins
+boundary = r.stream.boundaries[1]   # step where task 1 begins
 window = 20
 
 print(f"task boundary at step {boundary}; averages over the {window} steps after it:")

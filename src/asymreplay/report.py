@@ -40,89 +40,86 @@ class ComparisonError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every setting of an experiment; the dataset, stream, loss and trainer
-    code read their settings off it by field name.  A field's annotation is
-    its config type; ``choices`` metadata is the enum an enum-valued field
-    holds a member of (given the member or its value), and ``help``
-    metadata documents its CLI flag."""
+    code read their settings off it by field name.  A field is declared
+    once: its annotation is its config type, a numeric field's ``floor``
+    metadata is the least value it takes (``strict``: the floor itself is
+    refused), ``choices`` metadata is the enum an enum-valued field holds a
+    member of (given the member or its value), and ``help`` metadata
+    documents its CLI flag.  Construction checks every field from its
+    declaration and stores a float field as a float and a list as a
+    tuple."""
 
     # dataset: either a file path or a synthetic spec
     dataset_path: Optional[str] = None
-    input_dim: int = 16
-    num_classes: int = 10
-    samples_per_class: int = 1000     # training samples per class
-    noise_sigma: float = 0.5
-    mean_radius: float = 1.0
-    val_fraction: float = 0.05
-    test_fraction: float = 0.25
-    dataset_seed: int = 0
+    input_dim: int = field(default=16, metadata={"floor": 1})
+    num_classes: int = field(default=10, metadata={"floor": 1})
+    # training samples per class
+    samples_per_class: int = field(default=1000, metadata={"floor": 1})
+    noise_sigma: float = field(default=0.5, metadata={"floor": 0})
+    mean_radius: float = field(default=1.0, metadata={"floor": 0})
+    val_fraction: float = field(default=0.05, metadata={"floor": 0})
+    test_fraction: float = field(default=0.25, metadata={"floor": 0})
+    dataset_seed: int = field(default=0, metadata={"floor": 0})
     # stream
-    classes_per_task: int = 2
-    batch_size: int = 10
+    classes_per_task: int = field(default=2, metadata={"floor": 1})
+    batch_size: int = field(default=10, metadata={"floor": 1})
     stream_mode: str = field(default=StreamMode.SPLIT,
                              metadata={"choices": StreamMode})
     # blurry mode only: calibrate the schedule variance so batches average
     # this many distinct labels; None runs the raw schedule
-    target_unique_labels: Optional[float] = 2.0
-    variance_scale: Optional[float] = None
+    target_unique_labels: Optional[float] = field(default=2.0,
+                                                  metadata={"floor": 1})
+    variance_scale: Optional[float] = field(
+        default=None, metadata={"floor": 0, "strict": True})
     # method / loss
     method: str = field(default=Method.ER_ACE, metadata={"choices": Method})
-    gamma: float = 1.0
-    tau: float = 0.1
+    gamma: float = field(default=1.0, metadata={"floor": 0})
+    tau: float = field(default=0.1, metadata={"floor": 0, "strict": True})
     negative_policy: str = field(default=NegativePolicy.INCOMING_ONLY,
                                  metadata={"choices": NegativePolicy})
-    triplet_margin: float = 0.2
+    triplet_margin: float = field(default=0.2,
+                                  metadata={"floor": 0, "strict": True})
     # trainer
-    lr: float = 0.05
-    rehearsal_batch_size: int = 10
-    eval_every: int = 10
-    buffer_capacity: int = 20
+    lr: float = field(default=0.05, metadata={"floor": 0})
+    rehearsal_batch_size: int = field(default=10, metadata={"floor": 0})
+    eval_every: int = field(default=10, metadata={"floor": 1})
+    buffer_capacity: int = field(default=20, metadata={"floor": 1})
     hidden_sizes: tuple[int, ...] = field(
         default=(128, 128, 64),
-        metadata={"help": "comma-separated layer widths"})
-    head_tau: Optional[float] = None   # None: the loss temperature tau
+        metadata={"floor": 1, "help": "comma-separated layer widths"})
+    head_tau: Optional[float] = field(default=None,   # None: the loss's tau
+                                      metadata={"floor": 0, "strict": True})
     # seeds
-    seeds: tuple[int, ...] = field(default=(0,),
-                                   metadata={"help": "comma-separated seeds"})
+    seeds: tuple[int, ...] = field(
+        default=(0,), metadata={"floor": 0, "help": "comma-separated seeds"})
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            choices = f.metadata.get("choices")
-            if choices:
-                value = getattr(self, f.name)
-                try:
-                    object.__setattr__(self, f.name, choices(value))
-                except ValueError:
-                    raise ConfigError(
-                        f"config key {f.name!r} must be one of "
-                        f"{', '.join(c.value for c in choices)}, "
-                        f"got {value!r}") from None
         try:
-            check_range(self, 0, "seeds", integer=True, each=True)
+            for f in dataclasses.fields(self):
+                kind, optional = FIELD_KINDS[f.name]
+                value, meta = getattr(self, f.name), f.metadata
+                if "choices" in meta:
+                    try:
+                        value = meta["choices"](value)
+                    except ValueError:
+                        raise ValueError(
+                            f"config key {f.name!r} must be one of "
+                            f"{', '.join(c.value for c in meta['choices'])}"
+                            f", got {value!r}") from None
+                elif kind is str:
+                    _check_type(f.name, value)
+                else:
+                    check_range(self, meta["floor"], f.name,
+                                strict=meta.get("strict", False),
+                                optional=optional, integer=kind is not float,
+                                each=kind is tuple)
+                    if value is not None:   # floats as float, lists as tuples
+                        value = kind(value)
+                object.__setattr__(self, f.name, value)
             if len(set(self.seeds)) < len(self.seeds):
                 raise ValueError(f"seeds must be distinct, got {self.seeds}")
-            # the synthetic spec is checked even with a dataset file: the
-            # report records its keys
-            check_range(self, 0, "dataset_seed", integer=True)
-            check_range(self, 1, "input_dim", "num_classes",
-                        "samples_per_class", integer=True)
-            check_range(self, 0, "noise_sigma", "mean_radius", "val_fraction",
-                        "test_fraction")
-            # stream
-            check_range(self, 1, "classes_per_task", "batch_size",
-                        integer=True)
-            check_range(self, 1, "target_unique_labels", optional=True)
-            check_range(self, 0, "variance_scale", strict=True, optional=True)
-            # loss
-            check_range(self, 0, "gamma")
-            check_range(self, 0, "tau", "triplet_margin", strict=True)
-            # trainer
-            check_range(self, 0, "lr")
-            check_range(self, 0, "rehearsal_batch_size", integer=True)
-            check_range(self, 1, "eval_every", "buffer_capacity",
-                        integer=True)
-            check_range(self, 1, "hidden_sizes", integer=True, each=True)
-            check_range(self, 0, "head_tau", strict=True, optional=True)
-            # a dataset file brings its own class count
+            # a dataset file brings its own class count (its synthetic keys
+            # are checked all the same: the report records them)
             if self.dataset_path is None:
                 check_num_classes(self, self.num_classes)
         except ValueError as exc:
@@ -165,18 +162,14 @@ def _is_a(kind, value) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _coerce(key, value):
+def _check_type(key, value):
+    """Refuse an unknown config key, or a value that is not of its type."""
     if key not in FIELD_KINDS:
         raise ConfigError(f"unknown config key: {key!r}")
     kind, optional = FIELD_KINDS[key]
-    if value is None and optional:
-        return None
-    if not _is_a(kind, value):
+    if not (_is_a(kind, value) or (value is None and optional)):
         raise ConfigError(f"config key {key!r} must be {_KIND_NAMES[kind]}"
                           f"{' or null' if optional else ''}, got {value!r}")
-    if kind is float:
-        return float(value)
-    return tuple(value) if kind is tuple else value
 
 
 def parse_config(path: Optional[str] = None,
@@ -193,14 +186,16 @@ def parse_config(path: Optional[str] = None,
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also bad UTF-8 or a too-long integer
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         merged.update(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**{k: _coerce(k, v) for k, v in merged.items()})
+    for key, value in merged.items():
+        _check_type(key, value)
+    return ExperimentConfig(**merged)
 
 
 _AGGREGATE_KEYS = ("final_accuracy", "aaa", "forgetting", "train_flops",
@@ -345,7 +340,7 @@ def load_report(path: str) -> dict:
     for key in ("method", "buffer_capacity"):
         if key not in report["config"]:
             raise ValueError(f"report config has no {key!r}")
-        _coerce(key, report["config"][key])
+        _check_type(key, report["config"][key])
     for key in _AGGREGATE_KEYS:
         agg = report["aggregates"].get(key)
         if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()

@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import struct
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -34,8 +35,9 @@ def check_range(cfg, low, *names, strict=False, optional=False,
                 integer=False, each=False):
     """Refuse each field ``names`` of ``cfg`` that is not a finite number
     >= ``low`` (> when ``strict``) or, when ``integer``, not a non-bool
-    integer; None passes only when ``optional``.  With ``each`` the field
-    must be a nonempty list, and every item of it is checked."""
+    integer; None passes only when ``optional``.  A setting that is not an
+    integer must be finite as a float.  With ``each`` the field must be a
+    nonempty list, and every item of it is checked."""
     for name in names:
         values = getattr(cfg, name)
         if not each:
@@ -46,7 +48,9 @@ def check_range(cfg, low, *names, strict=False, optional=False,
             if value is None and optional:
                 continue
             # comparisons refuse NaN and never convert a big int to float
-            if not (isinstance(value, numbers.Real) and value < math.inf
+            if not (isinstance(value, numbers.Real)
+                    and (value < math.inf if integer
+                         else value <= sys.float_info.max)
                     and (low < value if strict else low <= value)):
                 raise ValueError(f"{name} must be finite and "
                                  f"{'>' if strict else '>='} {low}, "
@@ -270,9 +274,9 @@ def _mean_unique_labels(per_class_samples, batch_size, variance_scale,
 def calibrate_variance_scale(per_class_samples, batch_size: int,
                              target: float) -> float:
     """Find the schedule-variance multiplier whose simulated streams average
-    ``target`` unique labels per batch (bisection on the log scale)."""
-    if not (1.0 <= target <= len(per_class_samples)):
-        raise ValueError(f"unattainable blurriness level {target}")
+    ``target`` unique labels per batch (bisection on the log scale).  A
+    target further than the bisection's tolerance outside what the streams
+    reach at the multipliers' ends is refused with that range."""
     return _calibrate(tuple(int(n) for n in per_class_samples), batch_size,
                       round(target, 3))
 
@@ -280,9 +284,15 @@ def calibrate_variance_scale(per_class_samples, batch_size: int,
 @functools.cache
 def _calibrate(counts: tuple, batch_size: int, target: float) -> float:
     lo, hi = -6.0, 10.0  # log10 of the variance multiplier
-    if target <= _mean_unique_labels(counts, batch_size, 10.0 ** lo):
+    f_lo, f_hi = (_mean_unique_labels(counts, batch_size, 10.0 ** end)
+                  for end in (lo, hi))
+    if not f_lo - 0.05 <= target <= f_hi + 0.05:
+        raise ValueError(f"unattainable blurriness level {target}: these "
+                         f"streams reach {f_lo:.2f} to {f_hi:.2f} unique "
+                         "labels per batch")
+    if target <= f_lo:
         return 10.0 ** lo
-    if target >= _mean_unique_labels(counts, batch_size, 10.0 ** hi):
+    if target >= f_hi:
         return 10.0 ** hi
     for _ in range(24):
         mid = (lo + hi) / 2.0

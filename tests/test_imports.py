@@ -14,7 +14,7 @@ import numpy as np
 from asymreplay import cli, stream
 assert cli.main(["run", "--num-classes", "4", "--samples-per-class", "20",
                  "--hidden-sizes", "8", "--eval-every", "2"]) == 0
-stream.calibrate_variance_scale(np.array([6, 6, 6]), 3, 2.0)
+stream.calibrate_variance_scale(np.array([6, 6, 6]), 3, 1.5)
 print(sorted(m for m in ("numpy.ma", "concurrent.futures") if m in sys.modules))
 """
 

@@ -14,9 +14,10 @@ import pytest
 from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
                             build_parser, main)
 from asymreplay.losses import Method
-from asymreplay.report import (ComparisonError, ConfigError, ExperimentConfig,
-                               compare, load_report, parse_config,
-                               run_experiment, run_experiments, write_json)
+from asymreplay.report import (FIELD_KINDS, ComparisonError, ConfigError,
+                               ExperimentConfig, compare, load_report,
+                               parse_config, run_experiment, run_experiments,
+                               write_json)
 from asymreplay.stream import (DATASET_MAGIC, DatasetParseError,
                                calibrate_variance_scale, load_dataset,
                                make_synthetic, save_dataset)
@@ -69,6 +70,39 @@ def test_type_mismatch_rejected_by_name():
         parse_config(overrides={"seeds": [1, True]})
 
 
+NUMERIC_FIELDS = [f for f in dataclasses.fields(ExperimentConfig)
+                  if FIELD_KINDS[f.name][0] is not str]
+
+
+@pytest.mark.parametrize("f", NUMERIC_FIELDS, ids=lambda f: f.name)
+def test_every_numeric_field_refuses_a_value_below_its_declared_floor(f):
+    """The floor on each field's declaration is the one that is checked:
+    the value just below it (the floor itself, where that is refused)
+    fails by name with the range message."""
+    floor, strict = f.metadata["floor"], f.metadata.get("strict", False)
+    value = floor if strict else floor - 1
+    if FIELD_KINDS[f.name][0] is tuple:
+        value = (value,)
+    bound = f"{'>' if strict else '>='} {floor}"
+    with pytest.raises(ConfigError,
+                       match=rf"^{f.name} must be finite and {bound}, got"):
+        ExperimentConfig(**{f.name: value})
+
+
+def test_a_config_built_in_python_is_checked_and_stored_as_a_parsed_one():
+    with pytest.raises(ConfigError, match="^config key 'dataset_path' must "
+                                          "be a string or null, got 0$"):
+        ExperimentConfig(dataset_path=0)
+    built, parsed = ExperimentConfig(gamma=2), parse_config(
+        overrides={"gamma": 2})
+    assert type(built.gamma) is float
+    assert json.dumps(built.to_dict()) == json.dumps(parsed.to_dict())
+    listed = ExperimentConfig(hidden_sizes=[8, 4], seeds=[1, 2])
+    assert listed.hidden_sizes == (8, 4) and listed.seeds == (1, 2)
+    assert hash(listed) == hash(ExperimentConfig(hidden_sizes=(8, 4),
+                                                 seeds=(1, 2)))
+
+
 def test_invalid_enum_values_rejected():
     with pytest.raises((ConfigError, ValueError)):
         parse_config(overrides={"method": "sgd"})
@@ -88,6 +122,9 @@ def test_malformed_json_rejected(tmp_path):
         parse_config(str(path))
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="must hold a JSON object"):
+        parse_config(str(path))
+    path.write_bytes(b'{"lr": "\xff"}')
+    with pytest.raises(ConfigError):   # not UTF-8
         parse_config(str(path))
 
 
@@ -375,7 +412,7 @@ def test_compare_refuses_different_streams(small_report):
 
 
 @pytest.mark.parametrize("key,values,extra", [
-    ("target_unique_labels", (1.0, 3.0), {"stream_mode": "blurry"}),
+    ("target_unique_labels", (1.0, 2.5), {"stream_mode": "blurry"}),
     ("test_fraction", (0.25, 0.9), {}),
     # 40 rows per task cut into 4 steps either way
     ("batch_size", (10, 13), {}),
@@ -461,6 +498,31 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("config error: argument --hidden-sizes")
     assert err[1] == "config error: unrecognized arguments: --no-such-flag"
+
+
+def test_a_float_key_too_large_for_a_float_exits_1_before_the_dataset(
+        tmp_path, monkeypatch, capsys):
+    from asymreplay import report as RP
+    built = []
+    monkeypatch.setattr(RP, "make_synthetic", lambda *a: built.append(a))
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"lr": 1' + "0" * 400 + "}")
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: lr must be finite and >= 0, got 1000")
+    # past 4300 digits Python's JSON parser may refuse the integer itself
+    cfg.write_text('{"lr": 1' + "0" * 5000 + "}")
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert built == []
+
+
+def test_a_blurriness_level_the_streams_cannot_reach_exits_2(capsys):
+    assert main(["run", *cli_small_args(), "--stream-mode", "blurry",
+                 "--target-unique-labels", "3"]) == EXIT_RUN
+    assert capsys.readouterr().err == (
+        "run failed: unattainable blurriness level 3.0: these streams reach "
+        "1.00 to 2.81 unique labels per batch\n")
 
 
 def test_cli_exit_code_on_missing_or_truncated_dataset(tmp_path, capsys):

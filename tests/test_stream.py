@@ -333,6 +333,16 @@ def test_calibration_rejects_unattainable_target():
         S.calibrate_variance_scale(np.full(4, 30), 10, 0.5)
 
 
+def test_calibration_refuses_a_level_the_streams_cannot_reach():
+    """Three classes of six rows at batch 3 reach at most 1.83 labels per
+    batch: level 2 is refused with that range, not run at the clamp."""
+    with pytest.raises(ValueError, match=r"^unattainable blurriness level "
+                                         r"2\.0: these streams reach "
+                                         r"1\.00 to 1\.83 unique"):
+        S.calibrate_variance_scale([6, 6, 6], 3, 2.0)
+    S.calibrate_variance_scale([6, 6, 6], 3, 1.5)
+
+
 def test_blurry_metadata_names_the_scale_it_ran():
     ds = S.make_synthetic(spec(), seed=0)
     calibrated = S.calibrate_variance_scale(ds.train_count_per_class(), 10,
