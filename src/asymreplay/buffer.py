@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import NegativePolicy
-from .stream import check_range
+from .stream import check_value
 
 
 @dataclass
@@ -37,8 +37,7 @@ class ReplayBuffer:
     capacity by the first ``reservoir_update``."""
 
     def __init__(self, capacity: int, rng: np.random.Generator):
-        self.capacity = capacity
-        check_range(self, 1, "capacity", integer=True)
+        self.capacity = check_value("capacity", capacity, int, 1)
         self.x = np.zeros((0, 0), dtype=np.float32)
         self.y = np.zeros(0, dtype=np.intp)
         self.n_seen = 0

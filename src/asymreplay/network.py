@@ -8,13 +8,12 @@ not yet appeared in the stream exist from step 0 with random init.
 
 from __future__ import annotations
 
-import numbers
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .stream import check_range
+from .stream import check_value
 from .tensor import Tensor
 
 
@@ -28,14 +27,10 @@ class ModelParams:
 
     def __init__(self, sizes: Sequence[int], num_classes: int, tau: float,
                  rng: np.random.Generator):
-        if len(sizes) < 2 or any(
-                isinstance(s, bool) or not isinstance(s, numbers.Integral)
-                or s < 1 for s in sizes):
-            raise ValueError(f"invalid layer sizes {sizes}")
-        self.tau = tau
-        check_range(self, 0, "tau", strict=True)
-        self.tau = float(tau)
-        self.sizes = list(sizes)
+        self.sizes = list(check_value("sizes", sizes, tuple, 1))
+        if len(sizes) < 2:
+            raise ValueError(f"sizes must hold at least 2 widths, got {len(sizes)}")
+        self.tau = check_value("tau", tau, float, 0, strict=True)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .losses import Method, NegativePolicy
-from .stream import (Dataset, StreamMode, check_num_classes, check_range,
-                     load_dataset, make_synthetic)
+from .stream import (Dataset, StreamMode, check_num_classes, check_value,
+                     load_dataset, make_synthetic, shown)
 from .trainer import RunAbort, run
 
 REPORT_SCHEMA_VERSION = 2
@@ -106,18 +106,15 @@ class ExperimentConfig:
                             f"config key {f.name!r} must be one of "
                             f"{', '.join(c.value for c in meta['choices'])}"
                             f", got {value!r}") from None
-                elif kind is str:
-                    _check_type(f.name, value)
-                else:
-                    check_range(self, meta["floor"], f.name,
-                                strict=meta.get("strict", False),
-                                optional=optional, integer=kind is not float,
-                                each=kind is tuple)
-                    if value is not None:   # floats as float, lists as tuples
-                        value = kind(value)
+                else:   # every number declares a floor; a string has none
+                    value = check_value(
+                        f.name, value, kind,
+                        None if kind is str else meta["floor"],
+                        meta.get("strict", False), optional)
                 object.__setattr__(self, f.name, value)
             if len(set(self.seeds)) < len(self.seeds):
-                raise ValueError(f"seeds must be distinct, got {self.seeds}")
+                raise ValueError("seeds must be distinct, got "
+                                 f"({', '.join(map(shown, self.seeds))})")
             # a dataset file brings its own class count (its synthetic keys
             # are checked all the same: the report records them)
             if self.dataset_path is None:
@@ -149,35 +146,14 @@ def _kind(hint):
 # config key -> (type, optional), read off ExperimentConfig's annotations
 FIELD_KINDS = {name: _kind(hint) for name, hint in
                typing.get_type_hints(ExperimentConfig).items()}
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               tuple: "a list of integers"}
-
-
-def _is_a(kind, value) -> bool:
-    if isinstance(value, bool):
-        return False
-    if kind is tuple:
-        return (isinstance(value, (list, tuple))
-                and all(_is_a(int, v) for v in value))
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _check_type(key, value):
-    """Refuse an unknown config key, or a value that is not of its type."""
-    if key not in FIELD_KINDS:
-        raise ConfigError(f"unknown config key: {key!r}")
-    kind, optional = FIELD_KINDS[key]
-    if not (_is_a(kind, value) or (value is None and optional)):
-        raise ConfigError(f"config key {key!r} must be {_KIND_NAMES[kind]}"
-                          f"{' or null' if optional else ''}, got {value!r}")
 
 
 def parse_config(path: Optional[str] = None,
                  overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a config from an optional JSON file plus overrides.
 
-    Override values win over file values.  Unknown keys and type
-    mismatches are rejected with the offending key named.
+    Override values win over file values.  An unknown key is refused by
+    name, and the config checks every value as it does one built in Python.
     """
     merged: dict = {}
     if path is not None:
@@ -193,8 +169,9 @@ def parse_config(path: Optional[str] = None,
         merged.update(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in merged.items():
-        _check_type(key, value)
+    for key in merged:
+        if key not in FIELD_KINDS:
+            raise ConfigError(f"unknown config key: {key!r}")
     return ExperimentConfig(**merged)
 
 
@@ -319,13 +296,18 @@ def write_report_files(report: dict, out_dir: str):
     write_json(os.path.join(out_dir, "report.json"), report)
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
 def load_report(path: str) -> dict:
     """A report file, refused by name unless it holds stream metadata with
     a digest, the config keys ``compare`` reads, each of its config type,
-    per-seed entries with an error, and aggregates with numeric means and
-    stderrs (forgetting's may be null)."""
-    with open(path) as fh:
-        report = json.load(fh)
+    per-seed entries with an error, and aggregates with finite means and
+    stderrs (forgetting's mean may be null); a NaN or Infinity is not
+    JSON."""
+    with open(path) as fh:   # the writer emits strict JSON: no NaN, Infinity
+        report = json.load(fh, parse_constant=_not_json)
     version = report.get("schema_version") if isinstance(report, dict) else None
     if version != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version {version}")
@@ -340,15 +322,15 @@ def load_report(path: str) -> dict:
     for key in ("method", "buffer_capacity"):
         if key not in report["config"]:
             raise ValueError(f"report config has no {key!r}")
-        _check_type(key, report["config"][key])
+        check_value(f"report config key {key!r}", report["config"][key],
+                    FIELD_KINDS[key][0])
     for key in _AGGREGATE_KEYS:
         agg = report["aggregates"].get(key)
-        if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()
-                and (_is_a(float, agg["mean"])
-                     or (key == "forgetting" and agg["mean"] is None))
-                and _is_a(float, agg["stderr"])):
-            raise ValueError(f"report aggregate {key!r} lacks a numeric mean "
-                             "or stderr")
+        if not (isinstance(agg, dict) and {"mean", "stderr"} <= agg.keys()):
+            raise ValueError(f"report aggregate {key!r} lacks a mean or stderr")
+        check_value(f"report aggregate {key!r} mean", agg["mean"], float,
+                    optional=key == "forgetting")
+        check_value(f"report aggregate {key!r} stderr", agg["stderr"], float)
     return report
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-import math
 import numbers
 import os
 import struct
@@ -30,34 +29,43 @@ if TYPE_CHECKING:
 DATASET_MAGIC = b"ARDS"
 DATASET_VERSION = 1
 
+# a setting's kind -> (its name in messages, the types that hold it)
+_KINDS = {int: ("an integer", numbers.Integral),
+          float: ("a number", numbers.Real), str: ("a string", str),
+          tuple: ("a nonempty list of integers", (list, tuple))}
 
-def check_range(cfg, low, *names, strict=False, optional=False,
-                integer=False, each=False):
-    """Refuse each field ``names`` of ``cfg`` that is not a finite number
-    >= ``low`` (> when ``strict``) or, when ``integer``, not a non-bool
-    integer; None passes only when ``optional``.  A setting that is not an
-    integer must be finite as a float.  With ``each`` the field must be a
-    nonempty list, and every item of it is checked."""
-    for name in names:
-        values = getattr(cfg, name)
-        if not each:
-            values = [values]
-        elif not (isinstance(values, (list, tuple)) and values):
-            raise ValueError(f"{name} must be a nonempty list, got {values}")
-        for value in values:
-            if value is None and optional:
-                continue
-            # comparisons refuse NaN and never convert a big int to float
-            if not (isinstance(value, numbers.Real)
-                    and (value < math.inf if integer
-                         else value <= sys.float_info.max)
-                    and (low < value if strict else low <= value)):
-                raise ValueError(f"{name} must be finite and "
-                                 f"{'>' if strict else '>='} {low}, "
-                                 f"got {value}")
-            if integer and (isinstance(value, bool)
-                            or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value}")
+
+def shown(value) -> str:
+    """``repr(value)``, or the size of an integer too long to print."""
+    try:
+        return repr(value)
+    except ValueError:   # an integer past sys.get_int_max_str_digits()
+        return (f"an integer of {int(value).bit_length()} bits"
+                if isinstance(value, numbers.Integral)
+                else f"a {type(value).__name__} too long to print")
+
+
+def check_value(name, value, kind, floor=None, strict=False, optional=False):
+    """Setting ``name``'s ``value`` as a ``kind`` (int, float, str, or tuple:
+    a nonempty list of integers, each checked as an int), refused by name
+    unless it is None and ``optional``, or of its kind (a bool is never a
+    number) and, if a number, finite and >= ``floor`` (> when ``strict``)."""
+    if value is None and optional:
+        return None
+    noun, types = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (kind is tuple and not value)):
+        raise ValueError(f"{name} must be {noun}{' or null' * optional}, "
+                         f"got {shown(value)}")
+    if kind is tuple:
+        return tuple(check_value(name, v, int, floor, strict) for v in value)
+    # comparisons refuse NaN and never convert a big int to a float
+    if kind is not str and not (
+            (kind is int or abs(value) <= sys.float_info.max) and (
+                floor is None or (floor < value if strict else floor <= value))):
+        bound = f" and {'>' if strict else '>='} {floor}" * (floor is not None)
+        raise ValueError(f"{name} must be finite{bound}, got {shown(value)}")
+    return kind(value)
 
 
 class StreamMode(enum.Enum):
@@ -96,7 +104,8 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        check_range(self, 1, "num_classes", "input_dim", integer=True)
+        check_value("num_classes", self.num_classes, int, 1)
+        check_value("input_dim", self.input_dim, int, 1)
         if not len(self.train_y):
             raise ValueError("dataset has no training rows")
         for split in ("train", "val", "test"):

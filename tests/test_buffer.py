@@ -17,10 +17,9 @@ def filled_buffer(capacity, n, seed=0):
 
 
 def test_capacity_validation():
-    for capacity in (0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="capacity must be finite"):
-            ReplayBuffer(capacity, rng=np.random.default_rng(0))
-    for capacity in (2.5, True):
+    with pytest.raises(ValueError, match="capacity must be finite"):
+        ReplayBuffer(0, rng=np.random.default_rng(0))
+    for capacity in (float("nan"), float("inf"), 2.5, True):
         with pytest.raises(ValueError,
                            match=f"capacity must be an integer, got {capacity}"):
             ReplayBuffer(capacity, rng=np.random.default_rng(0))

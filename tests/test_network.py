@@ -109,15 +109,17 @@ def test_invalid_sizes_rejected():
         net.init_params([4], 3, 0.1, 0)
     with pytest.raises(ValueError):
         net.init_params([4, 0], 3, 0.1, 0)
-    with pytest.raises(ValueError, match=r"invalid layer sizes \[4, 2.5\]"):
+    with pytest.raises(ValueError, match="sizes must be an integer, got 2.5"):
         net.init_params([4, 2.5], 3, 0.1, 0)
-    with pytest.raises(ValueError, match=r"invalid layer sizes \[16, True\]"):
+    with pytest.raises(ValueError, match="sizes must be an integer, got True"):
         net.init_params([16, True], 3, 0.1, 0)
     with pytest.raises(ValueError):
         net.init_params([4, 3], 3, 0.0, 0)
-    for tau in (float("nan"), float("inf"), "0.1"):
+    for tau in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
             net.init_params([4, 3], 3, tau, 0)
+    with pytest.raises(ValueError, match="tau must be a number, got '0.1'"):
+        net.init_params([4, 3], 3, "0.1", 0)
 
 
 def test_forward_flops_single_layer_convention():

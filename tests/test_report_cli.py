@@ -90,8 +90,8 @@ def test_every_numeric_field_refuses_a_value_below_its_declared_floor(f):
 
 
 def test_a_config_built_in_python_is_checked_and_stored_as_a_parsed_one():
-    with pytest.raises(ConfigError, match="^config key 'dataset_path' must "
-                                          "be a string or null, got 0$"):
+    with pytest.raises(ConfigError,
+                       match="^dataset_path must be a string or null, got 0$"):
         ExperimentConfig(dataset_path=0)
     built, parsed = ExperimentConfig(gamma=2), parse_config(
         overrides={"gamma": 2})
@@ -101,6 +101,42 @@ def test_a_config_built_in_python_is_checked_and_stored_as_a_parsed_one():
     assert listed.hidden_sizes == (8, 4) and listed.seeds == (1, 2)
     assert hash(listed) == hash(ExperimentConfig(hidden_sizes=(8, 4),
                                                  seeds=(1, 2)))
+
+
+def _wrong_kinds(f):
+    """Values of the wrong kind for field ``f``: a bool, a string where it
+    takes no string, a list for a scalar (a scalar for a list), and null
+    where it is not optional."""
+    kind, optional = FIELD_KINDS[f.name]
+    return [True, *(["1"] if kind is not str or "choices" in f.metadata
+                    else []),
+            1 if kind is tuple else [1], *([] if optional else [None])]
+
+
+WRONG_KINDS = [(f.name, v) for f in dataclasses.fields(ExperimentConfig)
+               for v in _wrong_kinds(f)]
+
+
+@pytest.mark.parametrize("key,value", WRONG_KINDS, ids=[
+    f"{k}={json.dumps(v)}" for k, v in WRONG_KINDS])
+def test_a_config_built_in_python_is_refused_as_a_parsed_one(key, value,
+                                                             tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(str(path))
+    assert str(built.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize("key,value", [("batch_size", -10**5000),
+                                       ("seeds", (10**5000, 10**5000))],
+                         ids=["batch_size", "seeds"])
+def test_a_value_too_long_to_print_is_refused_by_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be .*an integer of "
+                                          "16610 bits"):
+        ExperimentConfig(**{key: value})
 
 
 def test_invalid_enum_values_rejected():
@@ -133,7 +169,7 @@ def test_null_config_value_only_for_optional_keys(tmp_path):
     path.write_text(json.dumps({"variance_scale": None}))
     assert parse_config(str(path)).variance_scale is None
     path.write_text(json.dumps({"lr": None}))
-    with pytest.raises(ConfigError, match="'lr' must be a number, got None"):
+    with pytest.raises(ConfigError, match="lr must be a number, got None"):
         parse_config(str(path))
 
 
@@ -649,6 +685,23 @@ def test_fault_during_the_run_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(TR, "train_step", faulty_step)
     assert main(["run", *cli_small_args()]) == EXIT_RUN
     assert "run failed: fault inside train_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant", [float("nan"), float("inf")])
+def test_cli_compare_refuses_a_report_that_is_not_strict_json(
+        constant, small_report, tmp_path, capsys):
+    """The writer emits strict JSON, so a NaN or Infinity in a report is
+    refused, not printed as a mean."""
+    report, out = small_report
+    report = json.loads(json.dumps(report))
+    report["aggregates"]["aaa"]["mean"] = constant
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    assert main(["compare", str(bad), str(out / "report.json")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read report {bad}:")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])

@@ -248,7 +248,7 @@ def test_configs_refuse_a_value_out_of_range_by_name(make, key, value, bound):
 def test_range_check_passes_none_only_where_optional():
     cfg = blurry_cfg(target_unique_labels=None, variance_scale=None)
     assert cfg.variance_scale is None
-    with pytest.raises(ValueError, match="^batch_size must be finite"):
+    with pytest.raises(ValueError, match="^batch_size must be an integer"):
         split_cfg(batch_size=None)
     # an integer too large for a float is still a finite number
     assert split_cfg(batch_size=10**400).batch_size == 10**400
