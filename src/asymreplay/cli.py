@@ -67,9 +67,17 @@ def _aborted(report) -> list:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
+    made = args.out is not None and not os.path.isdir(args.out)
+    if made:   # an unwritable output is refused before the dataset is built
+        try:
+            os.makedirs(args.out)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     try:
         report = run_experiment(cfg, out_dir=args.out, now=args.timestamp)
     except Exception as exc:   # the config was checked whole before the run
+        if made and not os.listdir(args.out):
+            os.rmdir(args.out)   # a failed run leaves no output directory
         if not isinstance(exc, (OSError, ValueError)):
             traceback.print_exc()   # an unexpected kind of fault: show where
         print(f"run failed: {exc}", file=sys.stderr)
@@ -94,6 +102,8 @@ def _cannot_write(path, exc) -> int:
 def _cmd_sweep(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    if args.buffer_capacities == []:   # "" would fall back to the base size
+        raise ConfigError("--buffer-capacities lists no buffer size")
     base = parse_config(args.config, _overrides(args))
     jobs = {}   # output directory -> config, in grid order
     for method in args.methods or [base.method.value]:

@@ -253,6 +253,9 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dirs=None,
     it, in input order, from ``workers`` spawned processes (default and cap:
     one per usable core and per job).  A worker imports the calling script
     first, so a script calls this under ``if __name__ == "__main__":``."""
+    if out_dirs is not None and len(out_dirs) != len(configs):
+        raise ValueError(f"{len(configs)} configs but {len(out_dirs)} "
+                         "output directories")
     import concurrent.futures   # only a pool's callers pay for its imports
     import multiprocessing
 

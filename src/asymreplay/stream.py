@@ -215,8 +215,6 @@ def make_synthetic(cfg: ExperimentConfig, seed: int) -> Dataset:
 
 def split_stream(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> Stream:
     """Disjoint tasks in ascending class order, one pass, shuffled within."""
-    if cfg.stream_mode is not StreamMode.SPLIT:
-        raise ValueError("split_stream requires SPLIT mode")
     check_num_classes(cfg, dataset.num_classes)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
     task_ids = np.arange(dataset.num_classes) // cfg.classes_per_task
@@ -324,8 +322,6 @@ def blurry_stream(dataset: Dataset, cfg: ExperimentConfig,
     inputs are drawn without replacement from each class's remaining pool,
     with exhausted classes dropped and the weights renormalized.
     """
-    if cfg.stream_mode is not StreamMode.BLURRY:
-        raise ValueError("blurry_stream requires BLURRY mode")
     per_class = dataset.train_count_per_class()
     scale = cfg.variance_scale
     if scale is None:

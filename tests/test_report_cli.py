@@ -874,12 +874,40 @@ def test_cli_sweep_unwritable_out_exits_2_before_any_job(tmp_path, capsys):
     assert err.startswith(f"cannot write {out}:") and err.count("\n") == 1
 
 
+def test_cli_run_unwritable_out_exits_2_before_the_dataset(
+        tmp_path, monkeypatch, capsys):
+    from asymreplay import report as RP
+    built = []
+    monkeypatch.setattr(RP, "make_synthetic", lambda *a: built.append(a))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "run"
+    assert main(["run", *cli_small_args(), "--out", str(out)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}:") and err.count("\n") == 1
+    assert built == []
+
+
 def test_cli_sweep_refuses_zero_workers(tmp_path, capsys):
     assert main(["sweep", *cli_small_args(), "--workers", "0",
                  "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: --workers must be >= 1")
     assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_refuses_empty_buffer_capacities(monkeypatch, tmp_path,
+                                                   capsys):
+    """An empty list names no buffer size; it does not fall back to the
+    base config's."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    out = tmp_path / "sweep"
+    assert main(["sweep", *cli_small_args(), "--buffer-capacities", "",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: --buffer-capacities lists no buffer size\n")
+    assert InlinePool.sizes == [] and not out.exists()
 
 
 @pytest.mark.parametrize("grid,job", [
@@ -963,6 +991,20 @@ def test_run_experiments_equals_in_process_runs_in_input_order(workers):
     cfgs = [small_cfg(method=m) for m in ("er-aml", "er")]
     want = [run_experiment(cfg, now="T0") for cfg in cfgs]
     assert run_experiments(cfgs, now="T0", workers=workers) == want
+
+
+@pytest.mark.parametrize("n_dirs", [1, 3])
+def test_run_experiments_refuses_out_dirs_of_another_length(
+        n_dirs, monkeypatch, tmp_path):
+    """Each config needs its own output directory: a job is never dropped
+    and the pool never starts."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    dirs = [str(tmp_path / str(i)) for i in range(n_dirs)]
+    with pytest.raises(ValueError,
+                       match=f"^2 configs but {n_dirs} output directories$"):
+        run_experiments([small_cfg(), small_cfg(method="er")], dirs)
+    assert InlinePool.sizes == [] and list(tmp_path.iterdir()) == []
 
 
 def test_run_experiments_returns_a_failed_jobs_exception(tmp_path):
