@@ -9,11 +9,12 @@ average a requested number of distinct labels ("blurriness level").
 Run:  python3 demos/03_blurry_stream.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from asymreplay.report import ExperimentConfig
-from asymreplay.stream import (StreamMode, blurriness_sweep, make_stream,
-                               make_synthetic)
+from asymreplay.stream import StreamMode, make_stream, make_synthetic
 
 cfg = ExperimentConfig(input_dim=8, num_classes=10, samples_per_class=100,
                        noise_sigma=0.3, classes_per_task=2, batch_size=10,
@@ -40,6 +41,6 @@ for c in range(10):
 print()
 print("sweeping the blurriness level:")
 for level in (1.0, 2.0, 3.0, 4.0, 5.0):
-    st = blurriness_sweep(dataset, cfg, level, seed=0)
+    st = make_stream(dataset, replace(cfg, target_unique_labels=level), seed=0)
     measured = np.mean([len(np.unique(b.labels)) for b in st])
     print(f"  requested {level:.0f}  measured {measured:.3f}")

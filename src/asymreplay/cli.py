@@ -25,7 +25,7 @@ EXIT_RUN = 2
 
 def _int_list(text: str):
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, "
                                          f"got {text!r}")
@@ -102,8 +102,6 @@ def _cannot_write(path, exc) -> int:
 def _cmd_sweep(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    if args.buffer_capacities == []:   # "" would fall back to the base size
-        raise ConfigError("--buffer-capacities lists no buffer size")
     base = parse_config(args.config, _overrides(args))
     jobs = {}   # output directory -> config, in grid order
     for method in args.methods or [base.method.value]:

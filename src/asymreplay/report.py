@@ -66,9 +66,9 @@ class ExperimentConfig:
     stream_mode: str = field(default=StreamMode.SPLIT,
                              metadata={"choices": StreamMode})
     # blurry mode only: calibrate the schedule variance so batches average
-    # this many distinct labels; None runs the raw schedule
-    target_unique_labels: Optional[float] = field(default=2.0,
-                                                  metadata={"floor": 1})
+    # this many distinct labels, unless variance_scale sets it (1.0 runs
+    # the raw schedule)
+    target_unique_labels: float = field(default=2.0, metadata={"floor": 1})
     variance_scale: Optional[float] = field(
         default=None, metadata={"floor": 0, "strict": True})
     # method / loss
@@ -87,8 +87,6 @@ class ExperimentConfig:
     hidden_sizes: tuple[int, ...] = field(
         default=(128, 128, 64),
         metadata={"floor": 1, "help": "comma-separated layer widths"})
-    head_tau: Optional[float] = field(default=None,   # None: the loss's tau
-                                      metadata={"floor": 0, "strict": True})
     # seeds
     seeds: tuple[int, ...] = field(
         default=(0,), metadata={"floor": 0, "help": "comma-separated seeds"})
@@ -167,8 +165,7 @@ def parse_config(path: Optional[str] = None,
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         merged.update(raw)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged.update(overrides or {})
     for key in merged:
         if key not in FIELD_KINDS:
             raise ConfigError(f"unknown config key: {key!r}")

@@ -18,7 +18,7 @@ import numbers
 import os
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -80,7 +80,7 @@ def check_num_classes(cfg, num_classes: int):
         raise ValueError(f"num_classes {num_classes} must be divisible "
                          f"by classes_per_task {cfg.classes_per_task}")
     if (cfg.stream_mode is StreamMode.BLURRY and cfg.variance_scale is None
-            and (cfg.target_unique_labels or 1) > num_classes):
+            and cfg.target_unique_labels > num_classes):
         raise ValueError("target_unique_labels must be <= num_classes "
                          f"{num_classes}")
 
@@ -245,7 +245,14 @@ def _schedule_log_weights(per_class_samples: np.ndarray, t: float,
 
 def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
                         variance_scale: float, rng: np.random.Generator):
-    """Yield per-step label arrays until every class pool is exhausted."""
+    """Per-step label arrays until every class pool is exhausted.
+
+    ``rng.choice(n, p=w)`` is ``cdf.searchsorted(rng.random(), "right")``
+    and ``rng.random(k)`` yields k single calls' doubles, so with k at most
+    the smallest pool, which then cannot empty before the last draw, one
+    ``choice(n, size=k, p=w)`` equals k single draws.  The per-sample
+    oracle in tests/reference.py catches a numpy change to this.
+    """
     remaining = np.array(per_class_samples, np.int64)
     t = 0
     step_labels = []
@@ -253,13 +260,15 @@ def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
         n_draw = min(batch_size, int(remaining.sum()))
         lw = _schedule_log_weights(per_class_samples, t, variance_scale)
         labels = np.empty(n_draw, dtype=np.intp)
-        for i in range(n_draw):
-            avail = remaining > 0
+        i = 0
+        while i < n_draw:
+            avail = np.flatnonzero(remaining)
             w = np.exp(lw[avail] - lw[avail].max())
             w /= w.sum()
-            c = int(np.flatnonzero(avail)[rng.choice(avail.sum(), p=w)])
-            remaining[c] -= 1
-            labels[i] = c
+            k = min(n_draw - i, int(remaining[avail].min()))
+            labels[i:i + k] = avail[rng.choice(avail.size, size=k, p=w)]
+            remaining -= np.bincount(labels[i:i + k], minlength=remaining.size)
+            i += k
         step_labels.append(labels)
         t += n_draw
     return step_labels
@@ -325,9 +334,8 @@ def blurry_stream(dataset: Dataset, cfg: ExperimentConfig,
     per_class = dataset.train_count_per_class()
     scale = cfg.variance_scale
     if scale is None:
-        scale = (1.0 if cfg.target_unique_labels is None else
-                 calibrate_variance_scale(per_class, cfg.batch_size,
-                                          cfg.target_unique_labels))
+        scale = calibrate_variance_scale(per_class, cfg.batch_size,
+                                         cfg.target_unique_labels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB1E5]))
     step_labels = _draw_blurry_labels(per_class, cfg.batch_size, scale, rng)
     labels = np.concatenate([np.zeros(0, np.intp), *step_labels])
@@ -341,16 +349,6 @@ def blurry_stream(dataset: Dataset, cfg: ExperimentConfig,
     return Stream(dataset, order, np.cumsum(sizes) - sizes,
                   np.arange(dataset.num_classes) // cfg.classes_per_task, [],
                   StreamMode.BLURRY, cfg.batch_size, scale)
-
-
-def blurriness_sweep(dataset: Dataset, cfg: ExperimentConfig, level: float,
-                     seed: int) -> Stream:
-    """Blurry stream calibrated to a requested unique-labels-per-batch level,
-    which is checked against the dataset's class count."""
-    return blurry_stream(dataset, replace(cfg, stream_mode=StreamMode.BLURRY,
-                                          num_classes=dataset.num_classes,
-                                          target_unique_labels=float(level),
-                                          variance_scale=None), seed)
 
 
 def make_stream(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> Stream:

@@ -73,8 +73,7 @@ def sgd_update(model: net.ModelParams, lr: float):
 def build_state(dataset: Dataset, stream: Stream, cfg: ExperimentConfig,
                 seed: int) -> RunState:
     sizes = [dataset.input_dim, *cfg.hidden_sizes]
-    tau = cfg.head_tau if cfg.head_tau is not None else cfg.tau
-    model = net.init_params(sizes, dataset.num_classes, tau, seed)
+    model = net.init_params(sizes, dataset.num_classes, cfg.tau, seed)
     buffer = ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(
         np.random.SeedSequence([seed, 0xB0FF])))
     fetch_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFE7C]))

@@ -203,14 +203,37 @@ def ref_split_batches(dataset, cfg, seed):
     return batches
 
 
+def ref_draw_blurry_labels(per_class_samples, batch_size, variance_scale,
+                           rng):
+    """Per-step label arrays of a blurry schedule, one ``rng.choice`` per
+    sample over the classes whose pool is not yet empty."""
+    from asymreplay.stream import _schedule_log_weights
+    remaining = np.array(per_class_samples, np.int64)
+    t = 0
+    step_labels = []
+    while remaining.sum() > 0:
+        n_draw = min(batch_size, int(remaining.sum()))
+        lw = _schedule_log_weights(per_class_samples, t, variance_scale)
+        labels = np.empty(n_draw, dtype=np.intp)
+        for i in range(n_draw):
+            avail = remaining > 0
+            w = np.exp(lw[avail] - lw[avail].max())
+            w /= w.sum()
+            c = int(np.flatnonzero(avail)[rng.choice(avail.sum(), p=w)])
+            remaining[c] -= 1
+            labels[i] = c
+        step_labels.append(labels)
+        t += n_draw
+    return step_labels
+
+
 def ref_blurry_batches(dataset, cfg, seed, variance_scale):
     """(inputs, labels) per step of a blurry stream at a given
-    schedule variance: labels from the library's schedule draw, inputs
-    popped one by one from per-class shuffled pools."""
-    from asymreplay.stream import _draw_blurry_labels
+    schedule variance: labels drawn one by one, inputs popped one by one
+    from per-class shuffled pools."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB1E5]))
-    step_labels = _draw_blurry_labels(dataset.train_count_per_class(),
-                                      cfg.batch_size, variance_scale, rng)
+    step_labels = ref_draw_blurry_labels(dataset.train_count_per_class(),
+                                         cfg.batch_size, variance_scale, rng)
     pools = {c: list(rng.permutation(np.where(dataset.train_y == c)[0]))
              for c in range(dataset.num_classes)}
     batches = []

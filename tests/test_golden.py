@@ -46,7 +46,7 @@ OUTPUTS = ("report.json",)
 GOLDEN = {
     'er': {
         'report.json':
-            'fbf281fce826e9b182262633de65f4953981fc2c089ce345d7fff2fbade98e6c',
+            'e67f4e7cd407eae9da992897471ff25a7a820092573e3f80eb9b91bf2475a7dd',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -54,7 +54,7 @@ GOLDEN = {
     },
     'er-ace': {
         'report.json':
-            '0d2701c4f57aa4a4aa70e4ba2ce60c995559617ba721c2d27dacf113cd2f157e',
+            '492fbc56c62cf6e3db7f13512f66fe4158ce94c96a8c91018e310b573c16e450',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -62,7 +62,7 @@ GOLDEN = {
     },
     'ssil-nodistill': {
         'report.json':
-            'ec726b45eb1135ea5a1699b3fe894a0214dc679792a7f9dcf4f12499fe683d2c',
+            'aabf5cb0a284404669a59a925ba5eaf16d0ac11ca775473ae422e1d1790cbc7e',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -70,7 +70,7 @@ GOLDEN = {
     },
     'er-aml': {
         'report.json':
-            '9ba2c9e2573b01252681bc69101d6320ff5e370ebbec873942f099629b0a9af2',
+            'e81a8081c4e4c383c536b92d8b9e895bc44e2c81b1b99a21ad879dc3992cb84a',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -78,7 +78,7 @@ GOLDEN = {
     },
     'er-aml-triplet': {
         'report.json':
-            'cf78b9c95f6f64589e7797a9cbfc2b9771cfa72c8438c9bde8f1b97c4925db54',
+            '6f6572e0a0cdfaee8fcb1f12eaf7721a6e3fe6bcf12c9694d94ef15670f28535',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -86,7 +86,7 @@ GOLDEN = {
     },
     'er-aml-all-classes': {
         'report.json':
-            'dc93a145a92ade5ff86f3e6aeddaa77525e2a0f263a9aaf39430f15ab8d1ef04',
+            '96efa18325d931faa6fb395717746b770bd68f6413ce1c9f5f6aade50ca3f8a2',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -94,7 +94,7 @@ GOLDEN = {
     },
     'er-aml-blurry': {
         'report.json':
-            '51fe20706661bda7382142b07827020e06216387a641aebabc719b025d9bcc68',
+            '12a3f36fd50bf1e6f0e304c01e9be520163608dcbc6571242faf365e466af367',
         'buffer_seed0':
             'e61f240d0c0dee33fdd6a4b56ce36c2a4ecc68d5fc4c8b3cdc56e6097a4e1e75',
         'buffer_seed1':

@@ -1,7 +1,11 @@
-"""The README's quick-start block runs as written."""
+"""The README's quick-start block runs as written, and its lists of
+config keys match the keys' declarations."""
 
+import dataclasses
 import re
 from pathlib import Path
+
+from asymreplay.report import FIELD_KINDS, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +17,36 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 3 and all(float(v) >= 0 for v in printed)
+
+
+def _names(text):
+    return re.findall(r"`(\w+)`", text)
+
+
+def test_readme_floors_name_each_numeric_field_under_its_floor():
+    """The floors paragraph names every numeric config field once, under
+    the floor its declaration gives it."""
+    text = " ".join(README.read_text().split())
+    floors = re.search(r"The floors are (.*?)\. ", text).group(1)
+    listed = {}
+    for group in floors.split("; "):
+        bound, names = re.fullmatch(r"(?:and )?((?:above )?\d+) for (.*)",
+                                    group).groups()
+        listed[bound] = _names(names)
+    declared = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        if "floor" in f.metadata:
+            bound = ("above " * f.metadata.get("strict", False)
+                     + str(f.metadata["floor"]))
+            declared.setdefault(bound, []).append(f.name)
+    assert {b: sorted(n) for b, n in listed.items()} == \
+        {b: sorted(n) for b, n in declared.items()}
+    assert len(_names(floors)) == len(set(_names(floors)))
+
+
+def test_readme_optional_keys_are_the_optional_fields():
+    text = " ".join(README.read_text().split())
+    keys = re.search(r"Only the optional keys \((.*?)\) may be `null`",
+                     text).group(1)
+    assert _names(keys) == [k for k, (_, optional) in FIELD_KINDS.items()
+                            if optional]

@@ -173,6 +173,19 @@ def test_null_config_value_only_for_optional_keys(tmp_path):
         parse_config(str(path))
 
 
+def test_null_override_is_read_as_a_files_null(tmp_path):
+    """An override of None is a value, as a file's null is: refused where
+    the key is not optional, and winning over the file's value where it
+    is."""
+    with pytest.raises(ConfigError, match="lr must be a number, got None"):
+        parse_config(overrides={"lr": None})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"variance_scale": 0.5}))
+    assert parse_config(str(path)).variance_scale == 0.5
+    assert parse_config(str(path), {"variance_scale": None}).variance_scale \
+        is None
+
+
 def test_empty_seeds_rejected():
     with pytest.raises(ConfigError):
         parse_config(overrides={"seeds": []})
@@ -195,7 +208,7 @@ _CONFIG_FLAGS = {
     **{f"--{name}": ("float", None, None) for name in (
         "noise-sigma", "mean-radius", "val-fraction", "test-fraction",
         "gamma", "tau", "triplet-margin", "lr", "target-unique-labels",
-        "variance-scale", "head-tau")},
+        "variance-scale")},
     "--stream-mode": (None, ["split", "blurry"], None),
     "--method": (None, ["er", "er-ace", "er-aml", "er-aml-triplet",
                         "ssil-nodistill"], None),
@@ -640,7 +653,6 @@ def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
     ("classes_per_task", "3", "split"),
     ("rehearsal_batch_size", "-1", "split"),
     ("buffer_capacity", "0", "split"),
-    ("head_tau", "0", "split"),
     ("input_dim", "0", "split"),
     ("num_classes", "0", "split"),
     ("samples_per_class", "0", "split"),
@@ -899,15 +911,31 @@ def test_cli_sweep_refuses_zero_workers(tmp_path, capsys):
 def test_cli_sweep_refuses_empty_buffer_capacities(monkeypatch, tmp_path,
                                                    capsys):
     """An empty list names no buffer size; it does not fall back to the
-    base config's."""
+    base config's, and is refused as any empty list item is."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     out = tmp_path / "sweep"
     assert main(["sweep", *cli_small_args(), "--buffer-capacities", "",
                  "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: --buffer-capacities lists no buffer size\n")
+        "config error: argument --buffer-capacities: expected "
+        "comma-separated integers, got ''\n")
     assert InlinePool.sizes == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--hidden-sizes", "8,"), ("--seeds", "1,,2"), ("--seeds", ",0")])
+def test_cli_refuses_an_empty_list_item(flag, value, monkeypatch, capsys):
+    """An empty item is refused, not dropped: ``8,`` is no one-layer
+    network and ``1,,2`` no two seeds."""
+    from asymreplay import report as RP
+    built = []
+    monkeypatch.setattr(RP, "make_synthetic", lambda *a: built.append(a))
+    assert main(["run", *cli_small_args(), flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: argument {flag}: expected comma-separated "
+        f"integers, got {value!r}\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("grid,job", [

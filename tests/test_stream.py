@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,8 +183,7 @@ def test_split_stream_matches_copying_reference(seed, samples_per_class,
 def test_blurry_stream_matches_copying_reference(seed, samples_per_class,
                                                  batch_size, scale):
     ds = S.make_synthetic(spec(samples_per_class=samples_per_class), seed=seed)
-    cfg = blurry_cfg(batch_size=batch_size, target_unique_labels=None,
-                     variance_scale=scale)
+    cfg = blurry_cfg(batch_size=batch_size, variance_scale=scale)
     st = S.blurry_stream(ds, cfg, seed)
     want = ref_tuples(R.ref_blurry_batches(ds, cfg, seed, scale))
     assert batch_tuples(st) == want
@@ -201,8 +201,7 @@ def test_calibrated_blurry_stream_matches_copying_reference():
 
 @pytest.mark.parametrize("make,cfg", [
     (S.split_stream, split_cfg()),
-    (S.blurry_stream, blurry_cfg(target_unique_labels=None,
-                                 variance_scale=1.0))])
+    (S.blurry_stream, blurry_cfg(variance_scale=1.0))])
 def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     ds = S.make_synthetic(spec(samples_per_class=27), seed=0)
     train_x = ds.train_x.copy()
@@ -246,8 +245,7 @@ def test_configs_refuse_a_value_out_of_range_by_name(make, key, value, bound):
 
 
 def test_range_check_passes_none_only_where_optional():
-    cfg = blurry_cfg(target_unique_labels=None, variance_scale=None)
-    assert cfg.variance_scale is None
+    assert blurry_cfg(variance_scale=None).variance_scale is None
     with pytest.raises(ValueError, match="^batch_size must be an integer"):
         split_cfg(batch_size=None)
     # an integer too large for a float is still a finite number
@@ -293,8 +291,7 @@ def test_blurry_low_variance_approaches_sharp_order():
     """As the schedule variance shrinks, each batch collapses to a single
     class and classes appear in index order."""
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.blurry_stream(ds, blurry_cfg(target_unique_labels=None,
-                                        variance_scale=1e-6), 0)
+    st = S.blurry_stream(ds, blurry_cfg(variance_scale=1e-6), 0)
     uniques = [len(np.unique(b.labels)) for b in st]
     assert np.mean(uniques) <= 1.01
     firsts = [int(b.labels[0]) for b in st]
@@ -303,8 +300,7 @@ def test_blurry_low_variance_approaches_sharp_order():
 
 def test_blurry_high_variance_mixes_classes():
     ds = S.make_synthetic(spec(), seed=0)
-    st = S.blurry_stream(ds, blurry_cfg(target_unique_labels=None,
-                                        variance_scale=1e6), 0)
+    st = S.blurry_stream(ds, blurry_cfg(variance_scale=1e6), 0)
     uniques = [len(np.unique(b.labels)) for b in st]
     assert np.mean(uniques) > 2.0
 
@@ -349,23 +345,43 @@ def test_blurry_metadata_names_the_scale_it_ran():
                                             2.0)
     for cfg, scale in ((blurry_cfg(), calibrated),
                        (blurry_cfg(variance_scale=0.5), 0.5),
-                       (blurry_cfg(target_unique_labels=None), 1.0)):
+                       (blurry_cfg(variance_scale=1.0), 1.0)):
         assert S.blurry_stream(ds, cfg, 0).metadata()["variance_scale"] == scale
 
 
 def test_blurriness_sweep_levels():
-    """Levels are checked against the dataset's 10 classes, not the
-    config's 4: level 5 is served, level 11 is refused by name."""
-    ds = S.make_synthetic(spec(input_dim=4, num_classes=10,
-                               samples_per_class=50), seed=0)
-    cfg = blurry_cfg(num_classes=4, classes_per_task=1)
+    """A level is a config's ``target_unique_labels``: levels up to the 10
+    classes are served, level 11 is refused by name."""
+    cfg = blurry_cfg(input_dim=4, num_classes=10, samples_per_class=50,
+                     classes_per_task=1)
+    ds = S.make_synthetic(cfg, seed=0)
     for level in (1.0, 3.0, 5.0):
-        st = S.blurriness_sweep(ds, cfg, level, 0)
+        st = S.make_stream(ds, replace(cfg, target_unique_labels=level), 0)
         uniques = [len(np.unique(b.labels)) for b in st]
         assert np.mean(uniques) == pytest.approx(level, abs=0.3)
     with pytest.raises(ConfigError,
                        match="target_unique_labels must be <= num_classes 10"):
-        S.blurriness_sweep(ds, cfg, 11, 0)
+        replace(cfg, target_unique_labels=11)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("counts", [
+    [5, 0, 3, 7],                # a class with no rows
+    [1, 1, 1],                   # every pool empties at its first draw
+    [3, 9, 2, 0, 4, 1],
+    [13, 13, 13, 13]])
+def test_batched_label_draw_equals_the_per_sample_draw(counts, seed):
+    """Labels drawn a run at a time equal the per-sample oracle's, and the
+    generator ends in the same state, whatever pools empty mid-batch."""
+    for batch_size in (1, 2, 3, 5, 7, 10, 13):
+        for scale in (1e-6, 1e-2, 1.0, 50.0, 1e4, 1e10):
+            got, want = (np.random.default_rng(seed) for _ in range(2))
+            steps = S._draw_blurry_labels(np.array(counts), batch_size,
+                                          scale, got)
+            ref = R.ref_draw_blurry_labels(np.array(counts), batch_size,
+                                           scale, want)
+            assert [s.tolist() for s in steps] == [s.tolist() for s in ref]
+            assert got.random() == want.random()
 
 
 def test_make_stream_dispatches_on_mode():
