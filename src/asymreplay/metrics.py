@@ -47,8 +47,9 @@ class ResourceLedger:
 @dataclass
 class MetricsLog:
     eval_steps: list = field(default_factory=list)
-    # per eval: {task: accuracy} over tasks seen so far
-    task_accuracy: list = field(default_factory=list)
+    # per eval: a float64 row of accuracies indexed by task, NaN for a task
+    # none of whose classes has been trained yet
+    accuracy: list = field(default_factory=list)
     aa_trace: list = field(default_factory=list)
     current_task_accuracy: list = field(default_factory=list)
     drift_trace: list = field(default_factory=list)       # per training step
@@ -56,21 +57,18 @@ class MetricsLog:
     skipped_anchors: int = 0   # running totals over training steps
     extra_forwards: int = 0
 
-    def record_eval(self, step: int, per_task: dict, current_task: int):
+    def record_eval(self, step: int, row: np.ndarray, current_task: int):
         self.eval_steps.append(step)
-        self.task_accuracy.append(dict(per_task))
-        self.aa_trace.append(anytime_accuracy_from_dict(per_task))
-        self.current_task_accuracy.append(per_task.get(current_task, float("nan")))
+        self.accuracy.append(row)
+        self.aa_trace.append(anytime_accuracy(row))
+        self.current_task_accuracy.append(float(row[current_task]))
 
     def accuracy_matrix(self):
-        """(evals x tasks) matrix with NaN for not-yet-seen tasks."""
-        tasks = sorted({t for row in self.task_accuracy for t in row})
-        mat = np.full((len(self.task_accuracy), len(tasks)), np.nan)
-        for i, row in enumerate(self.task_accuracy):
-            for j, t in enumerate(tasks):
-                if t in row:
-                    mat[i, j] = row[t]
-        return mat, tasks
+        """(evals x tasks) matrix over the tasks the last evaluation saw
+        (the seen set only grows), NaN before a task is first seen."""
+        mat = np.array(self.accuracy)
+        tasks = np.flatnonzero(~np.isnan(mat[-1]))
+        return mat[:, tasks], tasks.tolist()
 
 
 def accuracy(model, inputs, labels) -> float:
@@ -80,11 +78,13 @@ def accuracy(model, inputs, labels) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
-def anytime_accuracy_from_dict(per_task: dict) -> float:
-    """Unweighted mean over the seen distributions' test accuracies."""
-    if not per_task:
+def anytime_accuracy(row: np.ndarray) -> float:
+    """Unweighted mean over the seen distributions' test accuracies: the
+    row's non-NaN entries, in task order."""
+    seen = row[~np.isnan(row)]
+    if not seen.size:
         raise ValueError("anytime accuracy needs at least one seen distribution")
-    return float(np.mean(list(per_task.values())))
+    return float(np.mean(seen))
 
 
 def averaged_anytime_accuracy(aa_trace) -> float:

@@ -209,10 +209,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             "eval_steps": list(log.eval_steps),
             "aa_trace": list(map(_finite, log.aa_trace)),
             "current_task_accuracy": list(map(_finite, log.current_task_accuracy)),
-            "final_task_accuracy": {str(t): _finite(v) for t, v in
-                                    sorted(result.final_task_accuracy.items())},
+            "final_task_accuracy": {str(t): _finite(v)
+                                    for t, v in zip(tasks, mat[-1])},
             "accuracy_matrix": [list(map(_finite, row)) for row in mat.tolist()],
-            "tasks": [int(t) for t in tasks],
+            "tasks": tasks,
             "drift_trace": list(map(_finite, log.drift_trace)),
             "grad_norm_trace": list(log.grad_norm_trace),
             "skipped_anchors_total": log.skipped_anchors,
@@ -290,8 +290,9 @@ def write_json(path: str, obj):
 
 def write_report_files(report: dict, out_dir: str):
     """``out_dir``/report.json, the run's one output file: it holds every
-    per-seed trace (``eval_steps``, ``aa_trace``, ``drift_trace``,
-    ``accuracy_matrix``, ``tasks``) and the stream's metadata."""
+    per-seed trace (``eval_steps``, ``aa_trace``, ``current_task_accuracy``,
+    ``drift_trace``, ``grad_norm_trace``, ``accuracy_matrix``, ``tasks``)
+    and the stream's metadata."""
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "report.json"), report)
 

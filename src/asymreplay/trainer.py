@@ -46,12 +46,8 @@ class RunState:
         self.log = M.MetricsLog()
 
     @property
-    def final_task_accuracy(self) -> dict:
-        return self.log.task_accuracy[-1] if self.log.task_accuracy else {}
-
-    @property
     def final_accuracy(self) -> float:
-        return M.anytime_accuracy_from_dict(self.final_task_accuracy)
+        return self.log.aa_trace[-1]
 
     @property
     def aaa(self) -> float:
@@ -150,15 +146,13 @@ def _task_test_sets(dataset: Dataset, task_ids):
 
 def _evaluate(state: RunState, task_tests, current_task: int):
     per_sample = net.forward_flops_per_sample(state.model)
-    # tasks with at least one seen class, ascending
-    seen_tasks = np.flatnonzero(np.bincount(state.task_ids,
-                                            weights=state.seen)).tolist()
-    per_task = {}
-    for t in seen_tasks:
+    row = np.full(len(task_tests), np.nan)
+    # tasks with at least one seen class
+    for t in np.flatnonzero(np.bincount(state.task_ids, weights=state.seen)):
         tx, ty = task_tests[t]
-        per_task[t] = M.accuracy(state.model, tx, ty)
+        row[t] = M.accuracy(state.model, tx, ty)
         state.ledger.charge_eval(len(ty), per_sample)
-    state.log.record_eval(state.step, per_task, current_task)
+    state.log.record_eval(state.step, row, current_task)
 
 
 def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:

@@ -383,7 +383,7 @@ def test_criterion_09_blurry_calibration():
 def test_criterion_10_metric_arithmetic():
     # hand fixtures
     aaa_ok = M.averaged_anytime_accuracy([0.8, 0.6, 0.4]) == 0.6
-    aa_ok = M.anytime_accuracy_from_dict({0: 1.0, 1: 0.5, 2: 0.0}) == 0.5
+    aa_ok = M.anytime_accuracy(np.array([1.0, 0.5, 0.0, np.nan])) == 0.5
     mat = np.array([[0.9, np.nan], [0.7, 0.8], [0.5, 0.6]])
     forget_ok = abs(M.forgetting(mat) - 0.4) < 1e-15
 

@@ -8,10 +8,11 @@ from asymreplay import network as net
 
 
 def test_anytime_accuracy_unweighted_mean():
-    assert M.anytime_accuracy_from_dict({0: 1.0, 1: 0.5}) == pytest.approx(0.75)
-    assert M.anytime_accuracy_from_dict({2: 0.3}) == 0.3
+    assert M.anytime_accuracy(np.array([1.0, 0.5, np.nan])) == \
+        pytest.approx(0.75)
+    assert M.anytime_accuracy(np.array([np.nan, np.nan, 0.3])) == 0.3
     with pytest.raises(ValueError):
-        M.anytime_accuracy_from_dict({})
+        M.anytime_accuracy(np.array([np.nan, np.nan]))
 
 
 def test_averaged_anytime_accuracy_fixture():
@@ -42,8 +43,8 @@ def test_forgetting_nan_for_single_task():
 
 def test_accuracy_matrix_nan_before_first_seen():
     log = M.MetricsLog()
-    log.record_eval(0, {0: 0.9}, current_task=0)
-    log.record_eval(10, {0: 0.7, 1: 0.8}, current_task=1)
+    log.record_eval(0, np.array([0.9, np.nan]), current_task=0)
+    log.record_eval(10, np.array([0.7, 0.8]), current_task=1)
     mat, tasks = log.accuracy_matrix()
     assert tasks == [0, 1]
     assert np.isnan(mat[0, 1]) and mat[1, 0] == pytest.approx(0.7)

@@ -1,13 +1,14 @@
 """The README's quick-start block runs as written, and its lists of
-config keys match the keys' declarations."""
+config keys, report traces and demos match what they list."""
 
 import dataclasses
 import re
 from pathlib import Path
 
-from asymreplay.report import FIELD_KINDS, ExperimentConfig
+from asymreplay.report import FIELD_KINDS, ExperimentConfig, run_experiment
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_quick_start_runs(capsys):
@@ -50,3 +51,23 @@ def test_readme_optional_keys_are_the_optional_fields():
                      text).group(1)
     assert _names(keys) == [k for k, (_, optional) in FIELD_KINDS.items()
                             if optional]
+
+
+def test_readme_trace_list_is_a_seed_entrys_list_keys():
+    text = " ".join(README.read_text().split())
+    traces = re.search(r"It holds every per-seed trace \((.*?)\)",
+                       text).group(1)
+    cfg = ExperimentConfig(input_dim=4, num_classes=4, samples_per_class=20,
+                           batch_size=5, hidden_sizes=(8,))
+    entry = run_experiment(cfg)["seeds"][0]
+    assert entry["error"] is None
+    assert sorted(_names(traces)) == sorted(
+        k for k, v in entry.items() if isinstance(v, list))
+
+
+def test_readme_demos_block_names_each_demo_once():
+    text = README.read_text()
+    block = re.search(r"```bash\n(.*?)```", text[text.index("## Demos"):],
+                      re.S).group(1)
+    assert sorted(re.findall(r"demos/(\S+\.py)", block)) == \
+        sorted(path.name for path in (ROOT / "demos").glob("*.py"))

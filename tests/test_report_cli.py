@@ -10,7 +10,9 @@ import struct
 
 import numpy as np
 import pytest
+from test_golden import BASE, RUNS
 
+from asymreplay import metrics as M
 from asymreplay.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUN, _overrides,
                             build_parser, main)
 from asymreplay.losses import Method
@@ -318,6 +320,28 @@ def test_report_files_written(small_report):
     assert sorted(os.listdir(out)) == ["report.json"]
     loaded = load_report(str(out / "report.json"))
     assert loaded == json.loads(json.dumps(report))  # JSON round trip
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_report_accuracy_keys_read_off_one_record(name, tmp_path):
+    """Every accuracy number of a golden run's seed entry is read off its
+    accuracy matrix, one row per evaluation, exactly."""
+    assert main(["run", *BASE, *RUNS[name], "--out", str(tmp_path)]) == 0
+    for e in load_report(str(tmp_path / "report.json"))["seeds"]:
+        rows, aa = e["accuracy_matrix"], e["aa_trace"]
+        assert e["error"] is None
+        assert len(e["eval_steps"]) == len(aa) == len(rows) == \
+            len(e["current_task_accuracy"])
+        assert e["final_accuracy"] == aa[-1]
+        assert e["aaa"] == np.mean(aa)
+        for aa_i, cur, row in zip(aa, e["current_task_accuracy"], rows):
+            assert aa_i == np.mean([v for v in row if v is not None])
+            assert cur is not None and cur in row
+        assert e["final_task_accuracy"] == dict(zip(map(str, e["tasks"]),
+                                                    rows[-1]))
+        forgetting = M.forgetting(np.array(rows, dtype=float))
+        assert e["forgetting"] == (None if np.isnan(forgetting)
+                                   else forgetting)
 
 
 def test_one_stream_built_per_seed(monkeypatch):

@@ -68,7 +68,7 @@ def test_run_deterministic_per_seed():
     assert a.log.aa_trace == b.log.aa_trace
     assert np.array_equal(a.log.drift_trace, b.log.drift_trace,
                           equal_nan=True)
-    assert a.final_task_accuracy == b.final_task_accuracy
+    assert np.array_equal(a.log.accuracy, b.log.accuracy, equal_nan=True)
 
 
 def test_different_seeds_differ():
