@@ -60,11 +60,6 @@ def _overrides(args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _aborted(report) -> list:
-    """The seed entries of ``report`` whose run aborted."""
-    return [e for e in report["seeds"] if e["error"] is not None]
-
-
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     made = args.out is not None and not os.path.isdir(args.out)
@@ -82,12 +77,9 @@ def _cmd_run(args) -> int:
             traceback.print_exc()   # an unexpected kind of fault: show where
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-    failed = _aborted(report)
-    for e in failed:
-        print(f"seed {e['seed']} aborted: {e['error']}", file=sys.stderr)
-    if len(failed) == len(report["seeds"]):
-        print("all seeds failed", file=sys.stderr)
-        return EXIT_RUN
+    for e in report["seeds"]:
+        if e["error"] is not None:
+            print(f"seed {e['seed']} aborted: {e['error']}", file=sys.stderr)
     print(compare([report])[0], end="")
     if args.out:
         print(f"report written to {os.path.join(args.out, 'report.json')}")
@@ -118,13 +110,10 @@ def _cmd_sweep(args) -> int:
     done = {}   # output directory -> report of each finished job
     for d, result in zip(jobs, run_experiments(
             list(jobs.values()), list(jobs), args.timestamp, args.workers)):
-        if not isinstance(result, Exception):
-            failed = _aborted(result)
-            if len(failed) < len(result["seeds"]):
-                done[d] = result
-                continue
-            result = f"all seeds failed ({failed[0]['error']})"
-        print(f"sweep job {d} failed: {result}", file=sys.stderr)
+        if isinstance(result, Exception):
+            print(f"sweep job {d} failed: {result}", file=sys.stderr)
+        else:
+            done[d] = result
     table, rows = compare(list(done.values()))
     for d, row in zip(done, rows):
         row["report_dir"] = d

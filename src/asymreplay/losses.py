@@ -35,6 +35,10 @@ class Method(enum.Enum):
     SSIL_NODISTILL = "ssil-nodistill"
 
 
+# ER-AML's triplet variant's margin on squared feature distances
+TRIPLET_MARGIN = 0.2
+
+
 class NegativePolicy(enum.Enum):
     INCOMING_ONLY = "incoming-only"
     ALL_CLASSES = "all-classes"
@@ -205,7 +209,7 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
         positives = T.take_rows(f_all, rows[:, 0])
         negatives = T.take_rows(f_all, rows[:, 1])
         if cfg.method is Method.ER_AML_TRIPLET:
-            l1 = triplet_loss(anchors, positives, negatives, cfg.triplet_margin)
+            l1 = triplet_loss(anchors, positives, negatives, TRIPLET_MARGIN)
         else:
             l1 = supcon_loss(anchors, positives, negatives, cfg.tau)
         loss = T.scale(l1, cfg.gamma)

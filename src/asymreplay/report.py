@@ -56,9 +56,6 @@ class ExperimentConfig:
     # training samples per class
     samples_per_class: int = field(default=1000, metadata={"floor": 1})
     noise_sigma: float = field(default=0.5, metadata={"floor": 0})
-    mean_radius: float = field(default=1.0, metadata={"floor": 0})
-    val_fraction: float = field(default=0.05, metadata={"floor": 0})
-    test_fraction: float = field(default=0.25, metadata={"floor": 0})
     dataset_seed: int = field(default=0, metadata={"floor": 0})
     # stream
     classes_per_task: int = field(default=2, metadata={"floor": 1})
@@ -77,8 +74,6 @@ class ExperimentConfig:
     tau: float = field(default=0.1, metadata={"floor": 0, "strict": True})
     negative_policy: str = field(default=NegativePolicy.INCOMING_ONLY,
                                  metadata={"choices": NegativePolicy})
-    triplet_margin: float = field(default=0.2,
-                                  metadata={"floor": 0, "strict": True})
     # trainer
     lr: float = field(default=0.05, metadata={"floor": 0})
     rehearsal_batch_size: int = field(default=10, metadata={"floor": 0})
@@ -182,7 +177,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     ``now`` injects the report timestamp; leaving it None stamps wall-clock
     time, which breaks byte-identical reproduction of the report file.
-    An aborted seed is recorded with its diagnostic and the rest continue.
+    An aborted seed is recorded with its diagnostic and the rest continue;
+    when every seed aborts, nothing is written and ``ValueError`` names the
+    first seed's diagnostic.
     """
     if now is None:
         import datetime
@@ -222,6 +219,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             "mean_memory_bytes": result.ledger.mean_memory_bytes,
         })
         per_seed.append(entry)
+    if stream_meta is None:   # no seed finished
+        raise ValueError(f"all seeds failed ({per_seed[0]['error']})")
     aggregates = {}
     for key in _AGGREGATE_KEYS:
         # per-seed values are finite or None; no finite value means null

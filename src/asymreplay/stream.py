@@ -171,19 +171,25 @@ class Stream:
         }
 
 
-def random_class_means(num_classes: int, input_dim: int, seed: int,
-                       radius: float = 1.0) -> np.ndarray:
-    """Distinct random directions scaled to a common radius."""
+# the synthetic dataset's class-mean radius, and its validation and test
+# counts per class as fractions of the training count
+MEAN_RADIUS = 1.0
+VAL_FRACTION = 0.05
+TEST_FRACTION = 0.25
+
+
+def random_class_means(num_classes: int, input_dim: int,
+                       seed: int) -> np.ndarray:
+    """Distinct random directions of norm ``MEAN_RADIUS``."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1A55]))
     means = rng.normal(size=(num_classes, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    return (means * radius).astype(np.float32)
+    return (means * MEAN_RADIUS).astype(np.float32)
 
 
 # the config fields a synthetic dataset is made from
 SYNTHETIC_KEYS = ("input_dim", "num_classes", "samples_per_class",
-                  "noise_sigma", "mean_radius", "val_fraction",
-                  "test_fraction")
+                  "noise_sigma")
 
 
 def make_synthetic(cfg: ExperimentConfig, seed: int) -> Dataset:
@@ -191,26 +197,24 @@ def make_synthetic(cfg: ExperimentConfig, seed: int) -> Dataset:
     from the ``SYNTHETIC_KEYS`` fields of ``cfg``.
 
     ``samples_per_class`` sets the training count; validation and test
-    counts are the stated fractions of it (at least one test sample per
-    class so every task is evaluable).
+    counts are ``VAL_FRACTION`` and ``TEST_FRACTION`` of it (at least one
+    test sample per class so every task is evaluable).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
-    means = random_class_means(cfg.num_classes, cfg.input_dim, seed,
-                               cfg.mean_radius)
+    means = random_class_means(cfg.num_classes, cfg.input_dim, seed)
     counts = (cfg.samples_per_class,
-              max(1, round(cfg.val_fraction * cfg.samples_per_class)),
-              max(1, round(cfg.test_fraction * cfg.samples_per_class)))
+              max(1, round(VAL_FRACTION * cfg.samples_per_class)),
+              max(1, round(TEST_FRACTION * cfg.samples_per_class)))
+    # one draw of every class's rows equals one draw per class in turn
+    x = rng.normal(scale=cfg.noise_sigma,
+                   size=(cfg.num_classes, sum(counts), cfg.input_dim))
+    x += means[:, None]
     labels = np.arange(cfg.num_classes, dtype=np.intp)
-    splits = [(np.empty((cfg.num_classes * n, cfg.input_dim), np.float32),
-               np.repeat(labels, n)) for n in counts]
-    for c in range(cfg.num_classes):
-        pts = means[c] + rng.normal(scale=cfg.noise_sigma,
-                                    size=(sum(counts), cfg.input_dim))
-        parts = np.split(pts, np.cumsum(counts)[:-1])
-        for (xs, _), n, part in zip(splits, counts, parts):
-            xs[c * n:(c + 1) * n] = part      # float32 cast on store
-    (tx, ty), (vx, vy), (sx, sy) = splits
-    return Dataset(tx, ty, vx, vy, sx, sy, cfg.num_classes)
+    splits = []
+    for lo, n in zip(np.cumsum(counts) - counts, counts):
+        part = x[:, lo:lo + n].astype(np.float32)   # C-contiguous (C, n, d)
+        splits += [part.reshape(-1, cfg.input_dim), np.repeat(labels, n)]
+    return Dataset(*splits, cfg.num_classes)
 
 
 def split_stream(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> Stream:

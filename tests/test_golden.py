@@ -46,7 +46,7 @@ OUTPUTS = ("report.json",)
 GOLDEN = {
     'er': {
         'report.json':
-            'e67f4e7cd407eae9da992897471ff25a7a820092573e3f80eb9b91bf2475a7dd',
+            '249dc5dd60f2b5d689212d22f5199cc56476a41f07870b5e0bac22426270b24e',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -54,7 +54,7 @@ GOLDEN = {
     },
     'er-ace': {
         'report.json':
-            '492fbc56c62cf6e3db7f13512f66fe4158ce94c96a8c91018e310b573c16e450',
+            '219150c1f1773d34adbcc8d3c07d7c9d7a6b9118468eb6c8a8081facb06029e6',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -62,7 +62,7 @@ GOLDEN = {
     },
     'ssil-nodistill': {
         'report.json':
-            'aabf5cb0a284404669a59a925ba5eaf16d0ac11ca775473ae422e1d1790cbc7e',
+            '7c64660a7ea30b4d51e683d632c9a56f3e6a8e1a0e9f32b5055c728c526faf8a',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -70,7 +70,7 @@ GOLDEN = {
     },
     'er-aml': {
         'report.json':
-            'e81a8081c4e4c383c536b92d8b9e895bc44e2c81b1b99a21ad879dc3992cb84a',
+            '33ed190ca09352d7a5a0495013bce1c27ee02f64b009e43906c0343ccc406e88',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -78,7 +78,7 @@ GOLDEN = {
     },
     'er-aml-triplet': {
         'report.json':
-            '6f6572e0a0cdfaee8fcb1f12eaf7721a6e3fe6bcf12c9694d94ef15670f28535',
+            '1e8cdda454f9b80d4e62e5e84583e82b7f4ce57369e603bd9c25c89f31d19b86',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -86,7 +86,7 @@ GOLDEN = {
     },
     'er-aml-all-classes': {
         'report.json':
-            '96efa18325d931faa6fb395717746b770bd68f6413ce1c9f5f6aade50ca3f8a2',
+            '5ee0f133bcd469c78b19c151404033942077206097e76dd2657b4bbd6f82ce33',
         'buffer_seed0':
             '3009789eb1204f6d10aab2d0c8556fe4b8eec19429757badcd083e6541ecc0b8',
         'buffer_seed1':
@@ -94,7 +94,7 @@ GOLDEN = {
     },
     'er-aml-blurry': {
         'report.json':
-            '12a3f36fd50bf1e6f0e304c01e9be520163608dcbc6571242faf365e466af367',
+            'e24cdabc7b40c7e036056f7aab8564b2919eb50942e45cf9fa5edf4bdd6fccc3',
         'buffer_seed0':
             'e61f240d0c0dee33fdd6a4b56ce36c2a4ecc68d5fc4c8b3cdc56e6097a4e1e75',
         'buffer_seed1':

@@ -290,17 +290,17 @@ def test_er_aml_value_transcription(trial, policy):
     assert float(out.loss.data) == pytest.approx(want, rel=1e-4)
 
 
-def test_er_aml_triplet_value_transcription():
+def test_er_aml_triplet_value_transcription(monkeypatch):
+    monkeypatch.setattr(L, "TRIPLET_MARGIN", 0.4)
     rng = np.random.default_rng(90)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
-    cfg = ExperimentConfig(method=Method.ER_AML_TRIPLET, gamma=0.7,
-                           triplet_margin=0.4)
+    cfg = ExperimentConfig(method=Method.ER_AML_TRIPLET, gamma=0.7)
     out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
     want = R.ref_er_aml(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
                         pos_neg.pairs, bx, cfg.gamma, None, 4,
-                        triplet_margin=cfg.triplet_margin)
+                        triplet_margin=L.TRIPLET_MARGIN)
     assert float(out.loss.data) == pytest.approx(want, rel=1e-4)
 
 
@@ -446,8 +446,6 @@ def test_loss_config_validation():
         ExperimentConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(triplet_margin=float("nan"))
 
 
 def test_class_index_sets_invariants():
@@ -555,13 +553,13 @@ def test_replay_ce_mask_grid(trial, incoming, rehearsal):
 
 @pytest.mark.parametrize("method", [Method.ER_AML_SUPCON, Method.ER_AML_TRIPLET])
 @pytest.mark.parametrize("trial", range(3))
-def test_grad_er_aml(trial, method):
+def test_grad_er_aml(trial, method, monkeypatch):
+    monkeypatch.setattr(L, "TRIPLET_MARGIN", 0.3)
     rng = np.random.default_rng(330 + trial)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
-    cfg = ExperimentConfig(method=method, gamma=1.1, tau=0.2,
-                           triplet_margin=0.3)
+    cfg = ExperimentConfig(method=method, gamma=1.1, tau=0.2)
     bx = buffer.x[pos_neg.buffer_slots]
-    margin = cfg.triplet_margin if method is Method.ER_AML_TRIPLET else None
+    margin = L.TRIPLET_MARGIN if method is Method.ER_AML_TRIPLET else None
     composite_grad_check(
         lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
                               cfg, buffer).loss,

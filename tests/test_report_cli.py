@@ -208,8 +208,7 @@ _CONFIG_FLAGS = {
         "classes-per-task", "batch-size", "rehearsal-batch-size",
         "eval-every", "buffer-capacity")},
     **{f"--{name}": ("float", None, None) for name in (
-        "noise-sigma", "mean-radius", "val-fraction", "test-fraction",
-        "gamma", "tau", "triplet-margin", "lr", "target-unique-labels",
+        "noise-sigma", "gamma", "tau", "lr", "target-unique-labels",
         "variance-scale")},
     "--stream-mode": (None, ["split", "blurry"], None),
     "--method": (None, ["er", "er-ace", "er-aml", "er-aml-triplet",
@@ -229,9 +228,6 @@ FLAG_TABLE = {
         "--input-dim": ("int", None, 16), "--num-classes": ("int", None, 10),
         "--samples-per-class": ("int", None, 1000),
         "--noise-sigma": ("float", None, 0.5),
-        "--mean-radius": ("float", None, 1.0),
-        "--val-fraction": ("float", None, 0.05),
-        "--test-fraction": ("float", None, 0.25),
         "--dataset-seed": ("int", None, 0), "--out": (None, None, None)},
 }
 
@@ -486,19 +482,19 @@ def test_compare_refuses_different_streams(small_report):
 
 @pytest.mark.parametrize("key,values,extra", [
     ("target_unique_labels", (1.0, 2.5), {"stream_mode": "blurry"}),
-    ("test_fraction", (0.25, 0.9), {}),
+    ("dataset_seed", (0, 1), {}),
     # 40 rows per task cut into 4 steps either way
     ("batch_size", (10, 13), {}),
 ])
 def test_compare_refuses_stream_keys_beyond_the_dataset_shape(key, values,
                                                                extra):
-    """Blurriness level, split fractions and batch size change the stream
+    """Blurriness level, dataset seed and batch size change the stream
     too: the schedule's scale, the dataset's digest or the batch size
     differ even where the step count does not."""
     a, b = (run_experiment(small_cfg(seeds=[0], **extra, **{key: v}), now="T0")
             for v in values)
     named = {"target_unique_labels": "variance_scale",
-             "test_fraction": "dataset_sha256",
+             "dataset_seed": "dataset_sha256",
              "batch_size": "batch_size"}[key]
     with pytest.raises(ComparisonError, match=rf"\(keys differ: {named}\)"):
         compare([a, b])
@@ -690,9 +686,6 @@ def test_dataset_file_stream_metadata_ignores_num_classes(tmp_path):
     ("lr", "nan", "split"),
     ("lr", "inf", "split"),
     ("noise_sigma", "nan", "split"),
-    ("mean_radius", "-1", "split"),
-    ("val_fraction", "-3", "split"),
-    ("test_fraction", "nan", "split"),
     ("batch_size", "0", "split"),
     ("variance_scale", "-1", "blurry"),
 ])
@@ -1078,7 +1071,8 @@ def test_run_experiments_returns_a_failed_jobs_exception(tmp_path):
 
 def test_sweep_job_whose_seeds_all_abort_fails(monkeypatch, tmp_path, capsys):
     """A job whose every seed aborts is a failed job, as in ``run``: it is
-    named, gets no summary row, and the sweep exits 2."""
+    named, gets no summary row and writes no report, and the sweep exits 2;
+    ``run`` with the same flags exits 2 and leaves no ``--out``."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     out = tmp_path / "sweep"
     assert main(["sweep", *cli_small_args(), "--lr", "1e38",
@@ -1086,8 +1080,14 @@ def test_sweep_job_whose_seeds_all_abort_fails(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     for job in ("er-M8", "er-ace-M8"):
         assert f"sweep job {out / job} failed: all seeds failed" in err
+        assert not (out / job / "report.json").exists()
     assert err.count("non-finite loss") == 2   # each job says why
     assert json.loads((out / "sweep_summary.json").read_text()) == []
+    run_out = tmp_path / "run"
+    assert main(["run", *cli_small_args(), "--lr", "1e38",
+                 "--out", str(run_out)]) == EXIT_RUN
+    assert "run failed: all seeds failed" in capsys.readouterr().err
+    assert not run_out.exists()
 
 
 def _refuse_constant(name):

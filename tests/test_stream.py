@@ -18,7 +18,7 @@ def spec(**kw):
     """A synthetic dataset's config; tasks of one class fit any class
     count."""
     base = dict(input_dim=8, num_classes=4, samples_per_class=30,
-                noise_sigma=0.25, mean_radius=1.0, classes_per_task=1)
+                noise_sigma=0.25, classes_per_task=1)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -47,22 +47,21 @@ def dataset(num_classes):
 # synthetic dataset ----------------------------------------------------
 
 def test_class_means_on_requested_radius():
-    means = S.random_class_means(6, 12, seed=3, radius=2.5)
+    means = S.random_class_means(6, 12, seed=3)
     assert means.shape == (6, 12)
-    assert np.allclose(np.linalg.norm(means, axis=1), 2.5, atol=1e-5)
+    assert np.allclose(np.linalg.norm(means, axis=1), 1.0, atol=1e-5)
 
 
 def test_sigma_zero_collapses_to_means():
     ds = S.make_synthetic(spec(noise_sigma=0.0), seed=1)
-    means = S.random_class_means(4, 8, seed=1, radius=1.0)
+    means = S.random_class_means(4, 8, seed=1)
     for c in range(4):
         rows = ds.train_x[ds.train_y == c]
         assert np.allclose(rows, means[c], atol=1e-6)
 
 
 def test_split_sizes_and_counts():
-    ds = S.make_synthetic(spec(samples_per_class=40, val_fraction=0.05,
-                               test_fraction=0.25), seed=0)
+    ds = S.make_synthetic(spec(samples_per_class=40), seed=0)
     assert np.all(ds.train_count_per_class() == 40)
     assert len(ds.val_y) == 4 * 2      # round(0.05*40) per class
     assert len(ds.test_y) == 4 * 10
@@ -89,9 +88,8 @@ def dataset_sha256(ds):
 @pytest.mark.parametrize("kw,seed,digest", [
     ({}, 3,
      "68d966cf364878a5e5709dcf39c6f323fd0dbc90a408e5bb7cb8aafb2eb4565f"),
-    (dict(input_dim=3, num_classes=3, samples_per_class=7, noise_sigma=0.5,
-          mean_radius=2.0, val_fraction=0.3, test_fraction=0.0), 11,
-     "556a5844e27b9bc8bfe3805b52db833fdde1c523792401f9b95879fa9d47ecb0"),
+    (dict(input_dim=3, num_classes=3, samples_per_class=7, noise_sigma=0.5),
+     11, "cdf2639d66a005c8949ede0b9323eacde6cd7360e517f5055ef76f5376df54fb"),
 ])
 def test_dataset_bytes_pinned(kw, seed, digest):
     """Generation stays bit-identical to the per-class concatenating
@@ -107,7 +105,7 @@ def test_low_noise_clusters_linearly_separable():
     ds = S.make_synthetic(spec(input_dim=16, num_classes=10,
                                samples_per_class=100, noise_sigma=0.05),
                           seed=0)
-    means = S.random_class_means(10, 16, seed=0, radius=1.0)
+    means = S.random_class_means(10, 16, seed=0)
     d2 = ((ds.test_x[:, None, :] - means[None]) ** 2).sum(axis=2)
     acc = float(np.mean(np.argmin(d2, axis=1) == ds.test_y))
     assert acc >= 0.999
@@ -219,8 +217,8 @@ def test_stream_passes_repeat_and_batches_are_private(make, cfg):
     (split_cfg, "target_unique_labels", float("nan"), ">= 1"),
     (blurry_cfg, "variance_scale", 0.0, "> 0"),
     (spec, "noise_sigma", -1.0, ">= 0"),
-    (spec, "mean_radius", float("inf"), ">= 0"),
-    (spec, "val_fraction", -3.0, ">= 0"),
+    (spec, "noise_sigma", float("inf"), ">= 0"),
+    (blurry_cfg, "variance_scale", float("inf"), "> 0"),
     (ExperimentConfig, "seeds", (-1,), ">= 0"),
     # a count setting must be an int, never a bool (bound None)
     (split_cfg, "batch_size", True, None),
