@@ -71,11 +71,15 @@ class MetricsLog:
         return mat[:, tasks], tasks.tolist()
 
 
-def accuracy(model, inputs, labels) -> float:
-    if len(labels) == 0:
-        return float("nan")
-    pred = net.predict(model, inputs)
-    return float(np.mean(pred == np.asarray(labels)))
+def accuracy(model, inputs, labels, groups, num_groups: int) -> np.ndarray:
+    """Each group's accuracy from one ``net.predict`` over all ``inputs``:
+    a float64 row indexed by group, where ``groups[i]`` is row i's group;
+    NaN for a group with no rows."""
+    hits = net.predict(model, inputs) == np.asarray(labels)
+    n_rows = np.bincount(groups, minlength=num_groups)
+    # an empty group keeps the NaN it starts with: no 0/0 is computed
+    return np.divide(np.bincount(groups, weights=hits, minlength=num_groups),
+                     n_rows, out=np.full(num_groups, np.nan), where=n_rows > 0)
 
 
 def anytime_accuracy(row: np.ndarray) -> float:

@@ -89,11 +89,16 @@ def forward(model: ModelParams, x) -> tuple[Tensor, Tensor]:
     return f, cosine_logits(model, f)
 
 
+PREDICT_ROWS = 256   # rows per forward in ``predict``
+
+
 def predict(model: ModelParams, x) -> np.ndarray:
-    """Argmax over all class logits; ties break toward the lowest index."""
+    """Argmax over all class logits, ``PREDICT_ROWS`` rows per forward so a
+    call holds one block's activations; ties break toward the lowest index."""
     with T.no_grad():
-        _, lg = forward(model, x)
-    return np.argmax(lg.data, axis=1)
+        blocks = [np.argmax(forward(model, x[lo:lo + PREDICT_ROWS])[1].data, 1)
+                  for lo in range(0, len(x), PREDICT_ROWS)]
+    return np.concatenate([np.zeros(0, np.intp), *blocks])
 
 
 def forward_flops_per_sample(model: ModelParams, with_head: bool = True) -> int:

@@ -134,24 +134,15 @@ def train_step(state: RunState, batch: LabeledBatch, cfg: ExperimentConfig):
     state.log.extra_forwards += out.extra_buffer_forwards
 
 
-def _task_test_sets(dataset: Dataset, task_ids):
-    """Each task's test split, indexed by task; none may be empty."""
-    row_task = task_ids[dataset.test_y]
-    n_rows = np.bincount(row_task, minlength=task_ids.max() + 1)
-    if n_rows.min() == 0:   # an empty test split has no accuracy
-        raise ValueError(f"task {n_rows.argmin()} has no test rows")
-    return [(dataset.test_x[row_task == t], dataset.test_y[row_task == t])
-            for t in range(task_ids.max() + 1)]
-
-
-def _evaluate(state: RunState, task_tests, current_task: int):
-    per_sample = net.forward_flops_per_sample(state.model)
-    row = np.full(len(task_tests), np.nan)
-    # tasks with at least one seen class
-    for t in np.flatnonzero(np.bincount(state.task_ids, weights=state.seen)):
-        tx, ty = task_tests[t]
-        row[t] = M.accuracy(state.model, tx, ty)
-        state.ledger.charge_eval(len(ty), per_sample)
+def _evaluate(state: RunState, dataset: Dataset, row_task, current_task: int):
+    """One ``predict`` pass over the test rows of every task with a seen
+    class; ``row_task[i]`` is test row i's task."""
+    seen_tasks = np.bincount(state.task_ids, weights=state.seen) > 0
+    rows = seen_tasks[row_task]
+    row = M.accuracy(state.model, dataset.test_x[rows], dataset.test_y[rows],
+                     row_task[rows], len(seen_tasks))
+    state.ledger.charge_eval(int(rows.sum()),
+                             net.forward_flops_per_sample(state.model))
     state.log.record_eval(state.step, row, current_task)
 
 
@@ -164,7 +155,10 @@ def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:
     """
     stream = make_stream(dataset, cfg, seed)
     state = build_state(dataset, stream, cfg, seed)
-    task_tests = _task_test_sets(dataset, state.task_ids)
+    row_task = state.task_ids[dataset.test_y]
+    n_rows = np.bincount(row_task, minlength=state.task_ids.max() + 1)
+    if n_rows.min() == 0:   # an empty test split has no accuracy
+        raise ValueError(f"task {n_rows.argmin()} has no test rows")
     # a diverging run overflows on its way to the RunAbort that names it
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in stream:
@@ -172,5 +166,5 @@ def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:
             if state.step % cfg.eval_every == 0 or state.step == len(stream):
                 # the most frequent label's task; ties go to the lowest label
                 task = int(state.task_ids[np.bincount(batch.labels).argmax()])
-                _evaluate(state, task_tests, task)
+                _evaluate(state, dataset, row_task, task)
     return state

@@ -7,7 +7,10 @@ of these references; loss values are checked by transcription.  The stream
 builders near the end are the copy-per-batch versions the library's
 index-array streams are checked against, and ``RefReservoir`` is the
 list-of-slots reservoir the array-backed ``ReplayBuffer`` is checked
-against.
+against.  ``ref_evaluate`` is the per-task evaluation the trainer's
+one-pass ``_evaluate`` is checked against: it forwards each seen task's test
+split on its own, with the library's forward, since the two must agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -328,3 +331,24 @@ def tagged_to_rows(pairs, slots, n):
 
     return [None if p is None else tuple(row(*ref) for ref in p)
             for p in pairs]
+
+
+def ref_evaluate(state, dataset, row_task, current_task):
+    """``trainer._evaluate`` one task at a time: each task with a seen class
+    has its own test split (rows picked by the task of their label, not by
+    ``row_task``), one whole forward and one accuracy, charged one by one."""
+    from asymreplay import network as net
+    from asymreplay import tensor as T
+    per_sample = net.forward_flops_per_sample(state.model)
+    num_tasks = int(state.task_ids.max()) + 1
+    row = np.full(num_tasks, np.nan)
+    for t in range(num_tasks):
+        if not state.seen[state.task_ids == t].any():
+            continue
+        mine = state.task_ids[dataset.test_y] == t
+        tx, ty = dataset.test_x[mine], dataset.test_y[mine]
+        with T.no_grad():
+            logits = net.forward(state.model, tx)[1].data
+        row[t] = float(np.mean(np.argmax(logits, axis=1) == ty))
+        state.ledger.charge_eval(len(ty), per_sample)
+    state.log.record_eval(state.step, row, current_task)

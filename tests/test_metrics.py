@@ -57,8 +57,12 @@ def test_accuracy_function():
     model.weights[0].data[...] = np.eye(2, dtype=np.float32)
     model.W.data[...] = np.eye(2, dtype=np.float32)
     x = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32)
-    assert M.accuracy(model, x, [0, 1, 1]) == pytest.approx(2 / 3)
-    assert np.isnan(M.accuracy(model, np.zeros((0, 2), dtype=np.float32), []))
+    one_group = M.accuracy(model, x, [0, 1, 1], np.zeros(3, np.intp), 1)
+    assert one_group.tolist() == pytest.approx([2 / 3])
+    # two groups with rows and one, in between, with none
+    row = M.accuracy(model, x, [0, 1, 1], np.array([0, 2, 2]), 3)
+    assert row.dtype == np.float64 and len(row) == 3
+    assert row[0] == 1.0 and np.isnan(row[1]) and row[2] == 0.5
 
 
 def test_one_step_drift_orthogonal_features_sqrt2():

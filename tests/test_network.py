@@ -71,6 +71,20 @@ def test_predict_matches_argmax_of_logits():
     assert np.array_equal(net.predict(model, x), np.argmax(lg, axis=1))
 
 
+def test_predict_in_blocks_equals_one_forward(monkeypatch):
+    """Blocks of ``PREDICT_ROWS`` rows, the last one short, predict what one
+    forward of every row does; no rows predict nothing."""
+    model = small_model(num_classes=5, seed=7)
+    x = np.random.default_rng(3).standard_normal((10, 4)).astype(np.float32)
+    with T.no_grad():
+        lg = net.forward(model, x)[1].data
+    monkeypatch.setattr(net, "PREDICT_ROWS", 3)
+    pred = net.predict(model, x)
+    assert pred.dtype == np.intp
+    assert np.array_equal(pred, np.argmax(lg, axis=1))
+    assert net.predict(model, x[:0]).shape == (0,)
+
+
 def test_restricted_softmax_matches_similarity_ratio():
     """softmax over class subset C == exp-cosine-sim ratio of the head."""
     model = small_model(num_classes=6, seed=11)

@@ -1,5 +1,7 @@
 """Training loop: update rule, scheduling, determinism, shared data path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from asymreplay import losses as L
 from asymreplay import network as net
 from asymreplay import trainer as TR
 from asymreplay.report import ConfigError, ExperimentConfig
-from asymreplay.stream import StreamMode, make_stream
+from asymreplay.stream import (StreamMode, load_dataset, make_stream,
+                               save_dataset)
 from asymreplay.tensor import Tensor
+
+import reference as R
 
 
 def tiny_setup(method=L.Method.ER_ACE, **kw):
@@ -49,9 +54,15 @@ def test_sgd_update_skips_missing_grads():
         assert np.array_equal(p.data, b)
 
 
-def test_single_pass_step_count_and_eval_schedule():
+def test_single_pass_step_count_and_eval_schedule(monkeypatch):
+    """One ``predict`` call per evaluation, and none while training."""
+    forwards = []
+    predict = net.predict
+    monkeypatch.setattr(net, "predict",
+                        lambda *a: forwards.append(1) or predict(*a))
     ds, cfg = tiny_setup()
     result = TR.run(ds, cfg, 0)
+    assert len(forwards) == len(result.log.eval_steps)
     n_steps = (4 * 20) // 5
     assert len(result.log.drift_trace) == n_steps
     want_evals = sorted(set(list(range(4, n_steps + 1, 4)) + [n_steps]))
@@ -69,6 +80,40 @@ def test_run_deterministic_per_seed():
     assert np.array_equal(a.log.drift_trace, b.log.drift_trace,
                           equal_nan=True)
     assert np.array_equal(a.log.accuracy, b.log.accuracy, equal_nan=True)
+
+
+def _with_shuffled_test_rows(ds, path):
+    """``ds`` with its test rows permuted, written and read back as a file."""
+    perm = np.random.default_rng(7).permutation(len(ds.test_y))
+    save_dataset(replace(ds, test_x=ds.test_x[perm], test_y=ds.test_y[perm]),
+                 path)
+    return load_dataset(path)
+
+
+@pytest.mark.parametrize("block", [7, net.PREDICT_ROWS])
+@pytest.mark.parametrize("stream", ["split", "blurry", "shuffled-file"])
+def test_evaluation_equals_the_per_task_oracle(stream, block, tmp_path,
+                                               monkeypatch):
+    """Every evaluation row, bit for bit, and ``eval_flops`` equal those of
+    one forward per seen task's own test split (``R.ref_evaluate``), also
+    when ``predict``'s blocks cut a task's rows."""
+    monkeypatch.setattr(net, "PREDICT_ROWS", block)
+    ds, cfg = tiny_setup(num_classes=6, stream_mode=(
+        "blurry" if stream == "blurry" else "split"))
+    if stream == "shuffled-file":
+        ds = _with_shuffled_test_rows(ds, tmp_path / "shuffled.bin")
+        task0_rows = np.flatnonzero(ds.test_y // cfg.classes_per_task == 0)
+        assert np.diff(task0_rows).max() > 1   # a task's rows are gathered
+    got = TR.run(ds, cfg, 0)
+    monkeypatch.setattr(TR, "_evaluate", R.ref_evaluate)
+    want = TR.run(ds, cfg, 0)
+    assert got.log.eval_steps == want.log.eval_steps
+    rows = np.array(got.log.accuracy)
+    assert rows.tobytes() == np.array(want.log.accuracy).tobytes()
+    assert np.isnan(rows[0]).any() and not np.isnan(rows[-1]).any()
+    assert got.log.aa_trace == want.log.aa_trace
+    assert got.log.current_task_accuracy == want.log.current_task_accuracy
+    assert got.ledger.eval_flops == want.ledger.eval_flops > 0
 
 
 def test_different_seeds_differ():
