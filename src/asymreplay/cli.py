@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import os
 import sys
 import traceback
@@ -35,15 +36,16 @@ _CONFIG_FIELDS = dataclasses.fields(ExperimentConfig)
 # gen-dataset takes the synthetic dataset's fields plus its seed
 _DATASET_FIELDS = [f for f in _CONFIG_FIELDS
                   if f.name in SYNTHETIC_KEYS or f.name == "dataset_seed"]
-_FLAG_TYPES = {int: int, float: float, str: None, tuple: _int_list}
+_FLAG_TYPES = {int: int, float: float, tuple: _int_list}
 
 
 def _add_field_flag(group, f, **kwargs):
     """One flag for config field ``f``, typed from its annotation."""
-    choices = f.metadata.get("choices")
+    kind = FIELD_KINDS[f.name][0]
     group.add_argument("--" + f.name.replace("_", "-"),
-                       type=_FLAG_TYPES[FIELD_KINDS[f.name][0]],
-                       choices=[c.value for c in choices] if choices else None,
+                       type=_FLAG_TYPES.get(kind),
+                       choices=([m.value for m in kind]
+                                if isinstance(kind, enum.EnumMeta) else None),
                        help=f.metadata.get("help"), **kwargs)
 
 

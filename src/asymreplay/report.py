@@ -43,11 +43,9 @@ class ExperimentConfig:
     code read their settings off it by field name.  A field is declared
     once: its annotation is its config type, a numeric field's ``floor``
     metadata is the least value it takes (``strict``: the floor itself is
-    refused), ``choices`` metadata is the enum an enum-valued field holds a
-    member of (given the member or its value), and ``help`` metadata
-    documents its CLI flag.  Construction checks every field from its
-    declaration and stores a float field as a float and a list as a
-    tuple."""
+    refused), and ``help`` metadata documents its CLI flag.  Construction
+    checks every field from its declaration and stores a float field as a
+    float, a list as a tuple and an enum's value as its member."""
 
     # dataset: either a file path or a synthetic spec
     dataset_path: Optional[str] = None
@@ -60,8 +58,7 @@ class ExperimentConfig:
     # stream
     classes_per_task: int = field(default=2, metadata={"floor": 1})
     batch_size: int = field(default=10, metadata={"floor": 1})
-    stream_mode: str = field(default=StreamMode.SPLIT,
-                             metadata={"choices": StreamMode})
+    stream_mode: StreamMode = StreamMode.SPLIT
     # blurry mode only: calibrate the schedule variance so batches average
     # this many distinct labels, unless variance_scale sets it (1.0 runs
     # the raw schedule)
@@ -69,11 +66,10 @@ class ExperimentConfig:
     variance_scale: Optional[float] = field(
         default=None, metadata={"floor": 0, "strict": True})
     # method / loss
-    method: str = field(default=Method.ER_ACE, metadata={"choices": Method})
+    method: Method = Method.ER_ACE
     gamma: float = field(default=1.0, metadata={"floor": 0})
     tau: float = field(default=0.1, metadata={"floor": 0, "strict": True})
-    negative_policy: str = field(default=NegativePolicy.INCOMING_ONLY,
-                                 metadata={"choices": NegativePolicy})
+    negative_policy: NegativePolicy = NegativePolicy.INCOMING_ONLY
     # trainer
     lr: float = field(default=0.05, metadata={"floor": 0})
     rehearsal_batch_size: int = field(default=10, metadata={"floor": 0})
@@ -90,21 +86,12 @@ class ExperimentConfig:
         try:
             for f in dataclasses.fields(self):
                 kind, optional = FIELD_KINDS[f.name]
-                value, meta = getattr(self, f.name), f.metadata
-                if "choices" in meta:
-                    try:
-                        value = meta["choices"](value)
-                    except ValueError:
-                        raise ValueError(
-                            f"config key {f.name!r} must be one of "
-                            f"{', '.join(c.value for c in meta['choices'])}"
-                            f", got {value!r}") from None
-                else:   # every number declares a floor; a string has none
-                    value = check_value(
-                        f.name, value, kind,
-                        None if kind is str else meta["floor"],
-                        meta.get("strict", False), optional)
-                object.__setattr__(self, f.name, value)
+                # every number declares a floor; a string or an enum has none
+                floor = (f.metadata["floor"] if kind in (int, float, tuple)
+                         else None)
+                object.__setattr__(self, f.name, check_value(
+                    f.name, getattr(self, f.name), kind, floor,
+                    f.metadata.get("strict", False), optional))
             if len(set(self.seeds)) < len(self.seeds):
                 raise ValueError("seeds must be distinct, got "
                                  f"({', '.join(map(shown, self.seeds))})")
@@ -128,8 +115,8 @@ class ExperimentConfig:
 
 
 def _kind(hint):
-    """(type, optional) of a field annotation; the type is int, float, str
-    or tuple (a tuple of integers)."""
+    """(type, optional) of a field annotation; the type is int, float, str,
+    tuple (a tuple of integers) or an enum."""
     args = typing.get_args(hint)
     if type(None) in args:
         return next(a for a in args if a is not type(None)), True

@@ -46,12 +46,20 @@ def shown(value) -> str:
 
 
 def check_value(name, value, kind, floor=None, strict=False, optional=False):
-    """Setting ``name``'s ``value`` as a ``kind`` (int, float, str, or tuple:
-    a nonempty list of integers, each checked as an int), refused by name
-    unless it is None and ``optional``, or of its kind (a bool is never a
-    number) and, if a number, finite and >= ``floor`` (> when ``strict``)."""
+    """Setting ``name``'s ``value`` as a ``kind`` (int, float, str, tuple:
+    a nonempty list of integers, each checked as an int, or an enum: one of
+    its members or their values), refused by name unless it is None and
+    ``optional``, or of its kind (a bool is never a number) and, if a
+    number, finite and >= ``floor`` (> when ``strict``)."""
     if value is None and optional:
         return None
+    if isinstance(kind, enum.EnumMeta):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"{name} must be one of "
+                             f"{', '.join(m.value for m in kind)}, "
+                             f"got {shown(value)}") from None
     noun, types = _KINDS[kind]
     if (isinstance(value, bool) or not isinstance(value, types)
             or (kind is tuple and not value)):

@@ -13,9 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name)
 def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+    """A demo runs to completion and leaves its TMPDIR as it found it."""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(demo)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert not any(tmpdir.iterdir())

@@ -553,8 +553,7 @@ def test_replay_ce_mask_grid(trial, incoming, rehearsal):
 
 @pytest.mark.parametrize("method", [Method.ER_AML_SUPCON, Method.ER_AML_TRIPLET])
 @pytest.mark.parametrize("trial", range(3))
-def test_grad_er_aml(trial, method, monkeypatch):
-    monkeypatch.setattr(L, "TRIPLET_MARGIN", 0.3)
+def test_grad_er_aml(trial, method):
     rng = np.random.default_rng(330 + trial)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = ExperimentConfig(method=method, gamma=1.1, tau=0.2)

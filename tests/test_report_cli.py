@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -73,7 +74,7 @@ def test_type_mismatch_rejected_by_name():
 
 
 NUMERIC_FIELDS = [f for f in dataclasses.fields(ExperimentConfig)
-                  if FIELD_KINDS[f.name][0] is not str]
+                  if FIELD_KINDS[f.name][0] in (int, float, tuple)]
 
 
 @pytest.mark.parametrize("f", NUMERIC_FIELDS, ids=lambda f: f.name)
@@ -110,8 +111,7 @@ def _wrong_kinds(f):
     takes no string, a list for a scalar (a scalar for a list), and null
     where it is not optional."""
     kind, optional = FIELD_KINDS[f.name]
-    return [True, *(["1"] if kind is not str or "choices" in f.metadata
-                    else []),
+    return [True, *(["1"] if kind is not str else []),
             1 if kind is tuple else [1], *([] if optional else [None])]
 
 
@@ -251,8 +251,9 @@ def test_flag_table_unchanged(command):
 
 def other_value(f):
     """A valid value of config field ``f`` other than its default."""
-    if "choices" in f.metadata:
-        return [c.value for c in f.metadata["choices"]][-1]
+    kind = FIELD_KINDS[f.name][0]
+    if isinstance(kind, enum.EnumMeta):
+        return [m.value for m in kind][-1]
     if f.name == "dataset_path":
         return "ds.bin"
     if isinstance(f.default, tuple):
@@ -414,22 +415,27 @@ def test_cli_compare_refuses_incomplete_report_by_name(edit, named,
     (lambda r: r["aggregates"]["final_accuracy"].update(stderr=None),
      "'final_accuracy'"),
     (lambda r: r["config"].update(method=None), "'method'"),
+    (lambda r: r["config"].update(method="bogus"), "'method'"),
     (lambda r: r["config"].update(buffer_capacity=None), "'buffer_capacity'"),
     (lambda r: r.update(stream_metadata={}), "'dataset_sha256'"),
     (lambda r: r["stream_metadata"].update(dataset_sha256=None),
      "'dataset_sha256'"),
 ], ids=["string-mean", "null-mean", "null-stderr", "null-method",
-        "null-capacity", "empty-stream-metadata", "null-digest"])
+        "unknown-method", "null-capacity", "empty-stream-metadata",
+        "null-digest"])
 def test_cli_compare_refuses_mistyped_report_by_name(edit, named,
                                                      small_report, tmp_path,
                                                      capsys):
-    """A report value of the wrong type is refused by name (exit 1), not
-    with a TypeError traceback from the comparison table."""
+    """A report value of the wrong type, or a method that does not exist,
+    is refused by name (exit 1), not tabulated or met with a TypeError
+    traceback from the comparison table."""
     report, out = small_report
     report = json.loads(json.dumps(report))
     edit(report)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
+    with pytest.raises(ValueError, match=named):
+        load_report(str(bad))
     assert main(["compare", str(out / "report.json"), str(bad)]) \
         == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -250,7 +250,7 @@ def test_configs_take_an_enum_member_or_its_value(method, policy):
 ])
 def test_configs_refuse_an_unknown_enum_value(key, value):
     with pytest.raises(ConfigError,
-                       match=f"^config key '{key}' must be one of .*, got "):
+                       match=f"^{key} must be one of .*, got "):
         ExperimentConfig(**{key: value})
 
 
