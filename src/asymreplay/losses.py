@@ -56,7 +56,8 @@ class LossOutput:
     """A loss value plus the bookkeeping the trainer's metrics need."""
 
     loss: Tensor
-    # (feature tensor, labels) for every batch forwarded with gradient
+    # (feature tensor, labels) for every batch of buffered rows forwarded
+    # with gradient; incoming rows are all current, so never old
     feature_records: list = field(default_factory=list)
     extra_buffer_forwards: int = 0
     skipped_anchors: int = 0
@@ -151,10 +152,9 @@ def replay_ce(model, x_in, y_in, x_bf, y_bf, incoming,
     loss is identical either way), so wherever two methods' masks agree,
     as ER's and ER-ACE's do on a first task, they agree float for float.
     """
-    f_in, lg_in = net.forward(model, x_in)
-    out = LossOutput(masked_ce(lg_in, y_in, incoming),
-                     feature_records=[(f_in, np.asarray(y_in))])
-    return rehearse(model, out, x_bf, y_bf, rehearsal)
+    lg_in = net.forward(model, x_in)[1]
+    return rehearse(model, LossOutput(masked_ce(lg_in, y_in, incoming)),
+                    x_bf, y_bf, rehearsal)
 
 
 def er_loss(model, x_in, y_in, x_bf, y_bf) -> LossOutput:
@@ -193,7 +193,7 @@ def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
     forwarded once as a single extra batch.
     """
     f_in = net.features(model, x_in)
-    records = [(f_in, np.asarray(y_in))]
+    records = []
     buf_slots = pos_neg.buffer_slots
     f_all = f_in
     if buf_slots:

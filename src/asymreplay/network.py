@@ -21,16 +21,18 @@ class ModelParams:
     """An MLP feature extractor (relu between layers, none after the last)
     plus one prototype row per class; logit = cos(feature, prototype) / tau.
 
-    ``sizes`` runs from the input width to the feature width.  The layer
-    weights are drawn from ``rng`` first, then the prototypes ``W``.
+    ``sizes`` runs from the input width to the feature width.
+    Glorot-uniform weights, zero biases, deterministic per seed: the layer
+    weights are drawn first, then the prototypes ``W``.
     """
 
     def __init__(self, sizes: Sequence[int], num_classes: int, tau: float,
-                 rng: np.random.Generator):
+                 seed: int):
         self.sizes = list(check_value("sizes", sizes, tuple, 1))
         if len(sizes) < 2:
             raise ValueError(f"sizes must hold at least 2 widths, got {len(sizes)}")
         self.tau = check_value("tau", tau, float, 0, strict=True)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -55,13 +57,6 @@ class ModelParams:
 
     def num_params(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-
-def init_params(sizes: Sequence[int], num_classes: int, tau: float,
-                seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
-    return ModelParams(sizes, num_classes, tau,
-                       np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def features(model: ModelParams, x) -> Tensor:

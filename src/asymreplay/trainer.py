@@ -33,11 +33,17 @@ class RunAbort(RuntimeError):
 
 
 class RunState:
-    def __init__(self, model: net.ModelParams, buffer: ReplayBuffer,
-                 fetch_rng: np.random.Generator, stream: Stream):
-        self.model = model
-        self.buffer = buffer
-        self.fetch_rng = fetch_rng
+    """One seed's run on ``stream``: the model, the buffer and the
+    positive/negative fetch RNG, each derived from ``seed``, and its logs."""
+
+    def __init__(self, stream: Stream, cfg: ExperimentConfig, seed: int):
+        dataset = stream.dataset
+        self.model = net.ModelParams([dataset.input_dim, *cfg.hidden_sizes],
+                                     dataset.num_classes, cfg.tau, seed)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(
+            np.random.SeedSequence([seed, 0xB0FF])))
+        self.fetch_rng = np.random.default_rng(
+            np.random.SeedSequence([seed, 0xFE7C]))
         self.task_ids = stream.task_ids   # each class's task, indexed by label
         self.stream = stream
         self.seen = np.zeros(len(stream.task_ids), dtype=bool)   # classes trained on
@@ -64,16 +70,6 @@ def sgd_update(model: net.ModelParams, lr: float):
     for p in model.parameters():
         if p.grad is not None:
             p.data -= np.float32(lr) * p.grad
-
-
-def build_state(dataset: Dataset, stream: Stream, cfg: ExperimentConfig,
-                seed: int) -> RunState:
-    sizes = [dataset.input_dim, *cfg.hidden_sizes]
-    model = net.init_params(sizes, dataset.num_classes, cfg.tau, seed)
-    buffer = ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(
-        np.random.SeedSequence([seed, 0xB0FF])))
-    fetch_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFE7C]))
-    return RunState(model, buffer, fetch_rng, stream)
 
 
 def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
@@ -154,7 +150,7 @@ def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:
     draws).
     """
     stream = make_stream(dataset, cfg, seed)
-    state = build_state(dataset, stream, cfg, seed)
+    state = RunState(stream, cfg, seed)
     row_task = state.task_ids[dataset.test_y]
     n_rows = np.bincount(row_task, minlength=state.task_ids.max() + 1)
     if n_rows.min() == 0:   # an empty test split has no accuracy

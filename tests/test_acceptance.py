@@ -96,7 +96,7 @@ def _fd_instance(rng):
     central finite differences of the float64 references."""
     num_classes = 4
     while True:
-        model = net.init_params([3, 4, 3], num_classes, 0.1,
+        model = net.ModelParams([3, 4, 3], num_classes, 0.1,
                                 int(rng.integers(1 << 16)))
         x_in = rng.standard_normal((4, 3)).astype(np.float32)
         y_in = rng.integers(0, 2, size=4)
@@ -192,7 +192,7 @@ def test_criterion_02_masking_soundness():
     rng = np.random.default_rng(2)
     worst = 0
     for _ in range(25):
-        model = net.init_params([4, 5, 3], 6, 0.1, int(rng.integers(1 << 16)))
+        model = net.ModelParams([4, 5, 3], 6, 0.1, int(rng.integers(1 << 16)))
         x_in = rng.standard_normal((5, 4)).astype(np.float32)
         y_in = rng.integers(0, 2, size=5)
         seen = np.arange(6) < 4
@@ -234,7 +234,7 @@ def test_criterion_03_er_equals_er_ace_on_first_task():
     worst = 0.0
     for _ in range(50):
         num_classes = int(rng.integers(2, 5))
-        model = net.init_params([4, 6, 3], num_classes, 0.1,
+        model = net.ModelParams([4, 6, 3], num_classes, 0.1,
                                 int(rng.integers(1 << 16)))
         x_in = rng.standard_normal((6, 4)).astype(np.float32)
         y_in = rng.integers(0, num_classes, size=6)
@@ -402,7 +402,7 @@ def test_criterion_10_metric_arithmetic():
     er = TR.run(ds, cfg, 0)
     per_sample = net.forward_flops_per_sample(er.model)
     stream = S.make_stream(ds, cfg, 0)
-    state = TR.build_state(ds, stream, cfg, 0)
+    state = TR.RunState(stream, cfg, 0)
     total = 0
     for batch in stream:
         _, y_bf = state.buffer.sample(cfg.rehearsal_batch_size)

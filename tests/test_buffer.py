@@ -40,27 +40,6 @@ def test_buffer_stores_copies():
     assert np.array_equal(buf.x[0], np.ones(3, dtype=np.float32))
 
 
-@pytest.mark.parametrize("capacity,n", [(5, 100), (20, 200), (1, 2)])
-def test_reservoir_retention_probability(capacity, n):
-    """Monte-Carlo: each of the n items survives with probability
-    capacity/n, within 3 sigma of the binomial count."""
-    trials = 10_000
-    counts = np.zeros(n)
-    xs = np.arange(n, dtype=np.float32)[:, None]
-    master = np.random.SeedSequence(42)
-    for child in master.spawn(trials):
-        buf = ReplayBuffer(capacity, rng=np.random.default_rng(child))
-        buf.reservoir_update(xs, np.arange(n))
-        for y in buf.y[:len(buf)]:
-            counts[int(y)] += 1
-    p = capacity / n
-    sigma = np.sqrt(trials * p * (1 - p))
-    expected = trials * p
-    assert np.all(np.abs(counts - expected) <= max(3 * sigma, 1e-9)), (
-        f"worst deviation {np.abs(counts - expected).max():.1f} "
-        f"vs 3 sigma {3 * sigma:.1f}")
-
-
 def test_sample_with_replacement_while_underfilled():
     buf = filled_buffer(10, 3, seed=1)
     xs, ys = buf.sample(8)

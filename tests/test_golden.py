@@ -22,7 +22,7 @@ import io
 import os
 import tempfile
 
-from asymreplay import cli, trainer
+from asymreplay import cli, report
 
 BASE = ["--input-dim", "8", "--num-classes", "6", "--classes-per-task", "2",
         "--samples-per-class", "40", "--batch-size", "5",
@@ -106,19 +106,19 @@ GOLDEN = {
 def run_digests(name, out_dir):
     """sha256 of each output file of run ``name``, keyed by file name, and
     of each seed's final buffer contents, keyed ``buffer_seed{s}``."""
-    states = []
-    real_build_state = trainer.build_state
+    states = []   # ``run_experiment`` calls ``run`` once per seed
+    real_run = report.run
 
-    def build_state(*args, **kwargs):
-        states.append(real_build_state(*args, **kwargs))
+    def run(*args, **kwargs):
+        states.append(real_run(*args, **kwargs))
         return states[-1]
 
-    trainer.build_state = build_state
+    report.run = run
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["run", *BASE, *RUNS[name], "--out", out_dir]) == 0
     finally:
-        trainer.build_state = real_build_state
+        report.run = real_run
     digests = {}
     for fname in OUTPUTS:
         with open(os.path.join(out_dir, fname), "rb") as fh:

@@ -18,7 +18,7 @@ def leaf(arr):
 
 
 def make_model(input_dim=4, hidden=(5, 3), num_classes=4, tau=0.1, seed=0):
-    return net.init_params([input_dim, *hidden], num_classes, tau, seed)
+    return net.ModelParams([input_dim, *hidden], num_classes, tau, seed)
 
 
 def mask_of(classes, num_classes):
@@ -305,22 +305,6 @@ def test_er_aml_triplet_value_transcription(monkeypatch):
 
 
 # composites: structure ------------------------------------------------
-
-def test_er_equals_er_ace_on_first_task():
-    """C_old empty, buffer classes within C_curr, universe == C_curr."""
-    rng = np.random.default_rng(100)
-    for _ in range(20):
-        model = make_model(num_classes=2, seed=int(rng.integers(1 << 16)))
-        x_in = rng.standard_normal((5, 4)).astype(np.float32)
-        y_in = np.array([0, 1, 0, 1, 0])
-        x_bf = rng.standard_normal((3, 4)).astype(np.float32)
-        y_bf = rng.integers(0, 2, size=3)
-        curr, old = masks(y_in, [], 2)
-        er = float(L.er_loss(model, x_in, y_in, x_bf, y_bf).loss.data)
-        ace = float(L.er_ace_loss(model, x_in, y_in, x_bf, y_bf,
-                                  curr, old).loss.data)
-        assert abs(er - ace) <= 1e-7
-
 
 def test_ssil_equals_er_ace_with_single_task():
     rng = np.random.default_rng(101)

@@ -53,7 +53,7 @@ def test_accuracy_matrix_nan_before_first_seen():
 
 
 def test_accuracy_function():
-    model = net.init_params([2, 2], 2, 0.1, seed=0)
+    model = net.ModelParams([2, 2], 2, 0.1, seed=0)
     model.weights[0].data[...] = np.eye(2, dtype=np.float32)
     model.W.data[...] = np.eye(2, dtype=np.float32)
     x = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32)
@@ -67,8 +67,8 @@ def test_accuracy_function():
 
 def test_one_step_drift_orthogonal_features_sqrt2():
     """Unit features rotated to an orthogonal direction drift by sqrt(2)."""
-    before = net.init_params([2, 2], 2, 0.1, seed=0)
-    after = net.init_params([2, 2], 2, 0.1, seed=0)
+    before = net.ModelParams([2, 2], 2, 0.1, seed=0)
+    after = net.ModelParams([2, 2], 2, 0.1, seed=0)
     before.weights[0].data[...] = np.eye(2, dtype=np.float32)
     after.weights[0].data[...] = np.array([[0, 1], [-1, 0]],
                                           dtype=np.float32)

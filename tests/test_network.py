@@ -8,7 +8,7 @@ from asymreplay import tensor as T
 
 
 def small_model(sizes=(4, 3), num_classes=3, tau=0.1, seed=0):
-    return net.init_params(list(sizes), num_classes, tau, seed)
+    return net.ModelParams(list(sizes), num_classes, tau, seed)
 
 
 def test_zero_weights_give_zero_features():
@@ -34,7 +34,7 @@ def test_input_width_mismatch_rejected():
 
 
 def test_cosine_logit_hand_values():
-    model = net.init_params([2, 2], 2, 0.1, 0)
+    model = net.ModelParams([2, 2], 2, 0.1, 0)
     model.W.data[...] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.float32)
     f = T.Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
     lg = net.cosine_logits(model, f).data
@@ -120,20 +120,20 @@ def test_init_bounds_and_determinism():
 
 def test_invalid_sizes_rejected():
     with pytest.raises(ValueError):
-        net.init_params([4], 3, 0.1, 0)
+        net.ModelParams([4], 3, 0.1, 0)
     with pytest.raises(ValueError):
-        net.init_params([4, 0], 3, 0.1, 0)
+        net.ModelParams([4, 0], 3, 0.1, 0)
     with pytest.raises(ValueError, match="sizes must be an integer, got 2.5"):
-        net.init_params([4, 2.5], 3, 0.1, 0)
+        net.ModelParams([4, 2.5], 3, 0.1, 0)
     with pytest.raises(ValueError, match="sizes must be an integer, got True"):
-        net.init_params([16, True], 3, 0.1, 0)
+        net.ModelParams([16, True], 3, 0.1, 0)
     with pytest.raises(ValueError):
-        net.init_params([4, 3], 3, 0.0, 0)
+        net.ModelParams([4, 3], 3, 0.0, 0)
     for tau in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
-            net.init_params([4, 3], 3, tau, 0)
+            net.ModelParams([4, 3], 3, tau, 0)
     with pytest.raises(ValueError, match="tau must be a number, got '0.1'"):
-        net.init_params([4, 3], 3, "0.1", 0)
+        net.ModelParams([4, 3], 3, "0.1", 0)
 
 
 def test_forward_flops_single_layer_convention():
@@ -143,7 +143,7 @@ def test_forward_flops_single_layer_convention():
 
 
 def test_forward_flops_full_formula():
-    model = net.init_params([5, 7, 3], 4, 0.1, 0)
+    model = net.ModelParams([5, 7, 3], 4, 0.1, 0)
     expected = (2 * 5 * 7 + 7) + 7 + (2 * 7 * 3 + 3)       # layers + relu
     expected += (3 * 3 + 1) + (2 * 3 * 4 + 4)              # norm + head
     assert net.forward_flops_per_sample(model) == expected
@@ -152,8 +152,8 @@ def test_forward_flops_full_formula():
 def test_regression_fixture_two_layer_forward():
     """Pinned output of a fixed two-layer net on a fixed input; guards
     against silent changes to init or forward order."""
-    model = net.init_params([3, 3, 2], 2, 0.1, seed=0)
+    model = net.ModelParams([3, 3, 2], 2, 0.1, seed=0)
     x = np.array([[0.5, -1.0, 2.0]], dtype=np.float32)
     f = net.features(model, x).data
-    again = net.features(net.init_params([3, 3, 2], 2, 0.1, seed=0), x).data
+    again = net.features(net.ModelParams([3, 3, 2], 2, 0.1, seed=0), x).data
     assert f.tobytes() == again.tobytes()
