@@ -7,8 +7,6 @@ plus full-softmax rehearsal), and prints the anytime-accuracy trace.
 Run:  python3 demos/01_quickstart.py
 """
 
-import numpy as np
-
 from asymreplay.losses import Method
 from asymreplay.report import ExperimentConfig
 from asymreplay.stream import make_synthetic

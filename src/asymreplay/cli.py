@@ -94,8 +94,6 @@ def _cannot_write(path, exc) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     base = parse_config(args.config, _overrides(args))
     jobs = {}   # output directory -> config, in grid order
     for method in args.methods or [base.method.value]:
@@ -111,7 +109,7 @@ def _cmd_sweep(args) -> int:
         return _cannot_write(args.out, exc)
     done = {}   # output directory -> report of each finished job
     for d, result in zip(jobs, run_experiments(
-            list(jobs.values()), list(jobs), args.timestamp, args.workers)):
+            list(jobs.values()), list(jobs), args.timestamp)):
         if isinstance(result, Exception):
             print(f"sweep job {d} failed: {result}", file=sys.stderr)
         else:
@@ -190,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--buffer-capacities", type=_int_list,
                          help="comma-separated buffer sizes")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="pool size (default and cap: usable cores)")
     p_sweep.add_argument("--timestamp")
     p_sweep.set_defaults(func=_cmd_sweep)
 

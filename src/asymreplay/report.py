@@ -231,11 +231,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
 
 def run_experiments(configs: Sequence[ExperimentConfig], out_dirs=None,
-                    now: Optional[str] = None, workers: Optional[int] = None):
+                    now: Optional[str] = None):
     """Each config's ``run_experiment`` report, or the exception that ended
-    it, in input order, from ``workers`` spawned processes (default and cap:
-    one per usable core and per job).  A worker imports the calling script
-    first, so a script calls this under ``if __name__ == "__main__":``."""
+    it, in input order, from spawned processes: one per job and per core the
+    CPU affinity allows.  A worker imports the calling script first, so a
+    script calls this under ``if __name__ == "__main__":``."""
     if out_dirs is not None and len(out_dirs) != len(configs):
         raise ValueError(f"{len(configs)} configs but {len(out_dirs)} "
                          "output directories")
@@ -250,7 +250,7 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dirs=None,
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers or usable, usable, len(configs) or 1),
+                max_workers=min(usable, len(configs) or 1),
                 mp_context=multiprocessing.get_context("spawn")) as ex:
             futures = [ex.submit(run_experiment, cfg, d, now) for cfg, d in
                        zip(configs, out_dirs or [None] * len(configs))]

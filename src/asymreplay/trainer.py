@@ -44,7 +44,6 @@ class RunState:
             np.random.SeedSequence([seed, 0xB0FF])))
         self.fetch_rng = np.random.default_rng(
             np.random.SeedSequence([seed, 0xFE7C]))
-        self.task_ids = stream.task_ids   # each class's task, indexed by label
         self.stream = stream
         self.seen = np.zeros(len(stream.task_ids), dtype=bool)   # classes trained on
         self.step = 0
@@ -82,7 +81,7 @@ def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
                              x_bf, y_bf, curr, old)
     if method is L.Method.SSIL_NODISTILL:
         return L.ssil_nodistill_loss(state.model, batch.inputs, batch.labels,
-                                     x_bf, y_bf, curr, state.task_ids)
+                                     x_bf, y_bf, curr, state.stream.task_ids)
     pos_neg = state.buffer.fetch_pos_neg(batch.inputs, batch.labels,
                                          cfg.negative_policy,
                                          state.fetch_rng)
@@ -130,11 +129,12 @@ def train_step(state: RunState, batch: LabeledBatch, cfg: ExperimentConfig):
     state.log.extra_forwards += out.extra_buffer_forwards
 
 
-def _evaluate(state: RunState, dataset: Dataset, row_task, current_task: int):
+def _evaluate(state: RunState, row_task, current_task: int):
     """One ``predict`` pass over the test rows of every task with a seen
     class; ``row_task[i]`` is test row i's task."""
-    seen_tasks = np.bincount(state.task_ids, weights=state.seen) > 0
+    seen_tasks = np.bincount(state.stream.task_ids, weights=state.seen) > 0
     rows = seen_tasks[row_task]
+    dataset = state.stream.dataset
     row = M.accuracy(state.model, dataset.test_x[rows], dataset.test_y[rows],
                      row_task[rows], len(seen_tasks))
     state.ledger.charge_eval(int(rows.sum()),
@@ -151,8 +151,8 @@ def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:
     """
     stream = make_stream(dataset, cfg, seed)
     state = RunState(stream, cfg, seed)
-    row_task = state.task_ids[dataset.test_y]
-    n_rows = np.bincount(row_task, minlength=state.task_ids.max() + 1)
+    row_task = stream.task_ids[dataset.test_y]
+    n_rows = np.bincount(row_task, minlength=stream.task_ids.max() + 1)
     if n_rows.min() == 0:   # an empty test split has no accuracy
         raise ValueError(f"task {n_rows.argmin()} has no test rows")
     # a diverging run overflows on its way to the RunAbort that names it
@@ -161,6 +161,6 @@ def run(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> RunState:
             train_step(state, batch, cfg)
             if state.step % cfg.eval_every == 0 or state.step == len(stream):
                 # the most frequent label's task; ties go to the lowest label
-                task = int(state.task_ids[np.bincount(batch.labels).argmax()])
-                _evaluate(state, dataset, row_task, task)
+                task = int(stream.task_ids[np.bincount(batch.labels).argmax()])
+                _evaluate(state, row_task, task)
     return state

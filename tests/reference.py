@@ -333,19 +333,20 @@ def tagged_to_rows(pairs, slots, n):
             for p in pairs]
 
 
-def ref_evaluate(state, dataset, row_task, current_task):
+def ref_evaluate(state, row_task, current_task):
     """``trainer._evaluate`` one task at a time: each task with a seen class
     has its own test split (rows picked by the task of their label, not by
     ``row_task``), one whole forward and one accuracy, charged one by one."""
     from asymreplay import network as net
     from asymreplay import tensor as T
     per_sample = net.forward_flops_per_sample(state.model)
-    num_tasks = int(state.task_ids.max()) + 1
+    task_ids, dataset = state.stream.task_ids, state.stream.dataset
+    num_tasks = int(task_ids.max()) + 1
     row = np.full(num_tasks, np.nan)
     for t in range(num_tasks):
-        if not state.seen[state.task_ids == t].any():
+        if not state.seen[task_ids == t].any():
             continue
-        mine = state.task_ids[dataset.test_y] == t
+        mine = task_ids[dataset.test_y] == t
         tx, ty = dataset.test_x[mine], dataset.test_y[mine]
         with T.no_grad():
             logits = net.forward(state.model, tx)[1].data

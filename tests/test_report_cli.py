@@ -208,8 +208,7 @@ FLAG_TABLE = {
             "--timestamp": (None, None, None)},
     "sweep": {**_CONFIG_FLAGS, "--methods": ("<lambda>", None, None),
               "--buffer-capacities": ("_int_list", None, None),
-              "--out": (None, None, None), "--workers": ("int", None, None),
-              "--timestamp": (None, None, None)},
+              "--out": (None, None, None), "--timestamp": (None, None, None)},
     "gen-dataset": {
         "--input-dim": ("int", None, 16), "--num-classes": ("int", None, 10),
         "--samples-per-class": ("int", None, 1000),
@@ -841,8 +840,7 @@ def test_cli_compare_of_different_streams_is_not_a_config_error(
 def test_cli_sweep_and_compare(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", *cli_small_args(), "--methods", "er,er-ace",
-                 "--buffer-capacities", "8", "--workers", "2",
-                 "--out", str(out)])
+                 "--buffer-capacities", "8", "--out", str(out)])
     assert code == EXIT_OK
     dirs = [str(out / "er-M8"), str(out / "er-ace-M8")]   # grid order
     for d in dirs:
@@ -889,8 +887,7 @@ def test_cli_sweep_unwritable_out_exits_2_before_any_job(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "sweep"
-    assert main(["sweep", *cli_small_args(), "--workers", "1",
-                 "--out", str(out)]) == EXIT_RUN
+    assert main(["sweep", *cli_small_args(), "--out", str(out)]) == EXIT_RUN
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {out}:") and err.count("\n") == 1
 
@@ -907,14 +904,6 @@ def test_cli_run_unwritable_out_exits_2_before_the_dataset(
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {out}:") and err.count("\n") == 1
     assert built == []
-
-
-def test_cli_sweep_refuses_zero_workers(tmp_path, capsys):
-    assert main(["sweep", *cli_small_args(), "--workers", "0",
-                 "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: --workers must be >= 1")
-    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_sweep_refuses_empty_buffer_capacities(monkeypatch, tmp_path,
@@ -1008,26 +997,28 @@ def test_sweep_workers_are_spawned_with_one_blas_thread(preset, monkeypatch,
 
 
 @pytest.mark.parametrize("cores", [1, 4])
-@pytest.mark.parametrize("workers", [None, "64"])
 def test_sweep_pool_has_at_most_one_worker_per_core_and_job(
-        cores, workers, monkeypatch, tmp_path, capsys):
-    """A 2-job grid asks for min(2, usable cores) workers, however many
-    ``--workers`` requests; no process is started."""
+        cores, monkeypatch, tmp_path, capsys):
+    """A 2-job grid asks for min(2, usable cores) workers; no process is
+    started."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
-    flag = ["--workers", workers] if workers else []
-    assert main(["sweep", *cli_small_args(), "--methods", "er,er-ace", *flag,
+    assert main(["sweep", *cli_small_args(), "--methods", "er,er-ace",
                  "--out", str(tmp_path / "sweep")]) == EXIT_OK
     assert InlinePool.sizes == [min(2, cores)]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_experiments_equals_in_process_runs_in_input_order(workers):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_run_experiments_equals_in_process_runs_in_input_order(cores,
+                                                               monkeypatch):
+    """One worker runs both jobs in turn, two run one each."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
     cfgs = [small_cfg(method=m) for m in ("er-aml", "er")]
     want = [run_experiment(cfg, now="T0") for cfg in cfgs]
-    assert run_experiments(cfgs, now="T0", workers=workers) == want
+    assert run_experiments(cfgs, now="T0") == want
 
 
 @pytest.mark.parametrize("n_dirs", [1, 3])
@@ -1054,7 +1045,7 @@ def test_run_experiments_returns_a_failed_jobs_exception(tmp_path):
     cut.write_bytes(DATASET_MAGIC + b"\0" * 4)
     truncated = small_cfg(dataset_path=str(cut))
     failed, parse, done = run_experiments([missing, truncated, good],
-                                          now="T0", workers=2)
+                                          now="T0")
     assert isinstance(failed, OSError) and "missing.bin" in str(failed)
     assert isinstance(parse, DatasetParseError) and parse.offset == 8
     assert str(parse) == "truncated header (at byte offset 8)"

@@ -11,7 +11,6 @@ from asymreplay import trainer as TR
 from asymreplay.report import ConfigError, ExperimentConfig
 from asymreplay.stream import (StreamMode, load_dataset, make_stream,
                                save_dataset)
-from asymreplay.tensor import Tensor
 
 import reference as R
 
