@@ -76,7 +76,7 @@ class ReplayBuffer:
             idx = self.rng.choice(n, size=k, replace=False)
         return self.x[idx], self.y[idx]
 
-    def fetch_pos_neg(self, x_in, y_in, policy: NegativePolicy,
+    def fetch_pos_neg(self, y_in, policy: NegativePolicy,
                       rng: np.random.Generator) -> FetchResult:
         """One (positive, negative) row pair per incoming anchor.
 

@@ -79,13 +79,18 @@ def _cmd_run(args) -> int:
             traceback.print_exc()   # an unexpected kind of fault: show where
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-    for e in report["seeds"]:
-        if e["error"] is not None:
-            print(f"seed {e['seed']} aborted: {e['error']}", file=sys.stderr)
+    _name_aborted_seeds(report)
     print(compare([report])[0], end="")
     if args.out:
         print(f"report written to {os.path.join(args.out, 'report.json')}")
     return EXIT_OK
+
+
+def _name_aborted_seeds(report: dict, prefix: str = ""):
+    for e in report["seeds"]:
+        if e["error"] is not None:
+            print(f"{prefix}seed {e['seed']} aborted: {e['error']}",
+                  file=sys.stderr)
 
 
 def _cannot_write(path, exc) -> int:
@@ -113,6 +118,7 @@ def _cmd_sweep(args) -> int:
         if isinstance(result, Exception):
             print(f"sweep job {d} failed: {result}", file=sys.stderr)
         else:
+            _name_aborted_seeds(result, f"sweep job {d} ")
             done[d] = result
     table, rows = compare(list(done.values()))
     for d, row in zip(done, rows):

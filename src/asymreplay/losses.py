@@ -184,8 +184,8 @@ def ssil_nodistill_loss(model, x_in, y_in, x_bf, y_bf, curr: np.ndarray,
     return replay_ce(model, x_in, y_in, x_bf, y_bf, curr, groups)
 
 
-def er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
-                cfg: ExperimentConfig, buffer) -> LossOutput:
+def er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg: ExperimentConfig,
+                buffer) -> LossOutput:
     """Contrastive (or triplet) incoming loss plus ER's rehearsal CE.
 
     ``pos_neg`` comes from ``buffer.fetch_pos_neg``; its rows index the

@@ -257,7 +257,8 @@ def _schedule_log_weights(per_class_samples: np.ndarray, t: float,
 
 def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
                         variance_scale: float, rng: np.random.Generator):
-    """Per-step label arrays until every class pool is exhausted.
+    """One array of every pool's labels in stream order; step k's batch,
+    ``labels[k * batch_size:][:batch_size]``, is weighted at its start.
 
     ``rng.choice(n, p=w)`` is ``cdf.searchsorted(rng.random(), "right")``
     and ``rng.random(k)`` yields k single calls' doubles, so with k at most
@@ -266,36 +267,37 @@ def _draw_blurry_labels(per_class_samples: np.ndarray, batch_size: int,
     oracle in tests/reference.py catches a numpy change to this.
     """
     remaining = np.array(per_class_samples, np.int64)
-    t = 0
-    step_labels = []
-    while remaining.sum() > 0:
-        n_draw = min(batch_size, int(remaining.sum()))
-        lw = _schedule_log_weights(per_class_samples, t, variance_scale)
-        labels = np.empty(n_draw, dtype=np.intp)
-        i = 0
-        while i < n_draw:
+    labels = np.empty(int(remaining.sum()), dtype=np.intp)
+    i = 0
+    while i < len(labels):
+        lw = _schedule_log_weights(per_class_samples, i, variance_scale)
+        end = min(i + batch_size, len(labels))
+        while i < end:
             avail = np.flatnonzero(remaining)
             w = np.exp(lw[avail] - lw[avail].max())
             w /= w.sum()
-            k = min(n_draw - i, int(remaining[avail].min()))
+            k = min(end - i, int(remaining[avail].min()))
             labels[i:i + k] = avail[rng.choice(avail.size, size=k, p=w)]
             remaining -= np.bincount(labels[i:i + k], minlength=remaining.size)
             i += k
-        step_labels.append(labels)
-        t += n_draw
-    return step_labels
+    return labels
 
 
-def _mean_unique_labels(per_class_samples, batch_size, variance_scale,
-                        seeds=(0, 1, 2)) -> float:
+# the seeds whose label draws calibration fits
+CALIBRATION_SEEDS = (0, 1, 2)
+
+
+def _mean_unique_labels(per_class_samples, batch_size,
+                        variance_scale) -> float:
     """Mean distinct labels per batch in the label draws ``blurry_stream``
-    makes for ``seeds``: calibration fits the streams of seeds 0-2."""
+    makes for ``CALIBRATION_SEEDS``."""
     vals = []
-    for s in seeds:
+    for s in CALIBRATION_SEEDS:
         rng = np.random.default_rng(np.random.SeedSequence([s, 0xB1E5]))
-        steps = _draw_blurry_labels(per_class_samples, batch_size,
-                                    variance_scale, rng)
-        vals.extend(np.count_nonzero(np.bincount(lb)) for lb in steps)
+        labels = _draw_blurry_labels(per_class_samples, batch_size,
+                                     variance_scale, rng)
+        vals.extend(np.count_nonzero(np.bincount(labels[i:i + batch_size]))
+                    for i in range(0, len(labels), batch_size))
     return float(np.mean(vals))
 
 
@@ -349,16 +351,14 @@ def blurry_stream(dataset: Dataset, cfg: ExperimentConfig,
         scale = calibrate_variance_scale(per_class, cfg.batch_size,
                                          cfg.target_unique_labels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB1E5]))
-    step_labels = _draw_blurry_labels(per_class, cfg.batch_size, scale, rng)
-    labels = np.concatenate([np.zeros(0, np.intp), *step_labels])
+    labels = _draw_blurry_labels(per_class, cfg.batch_size, scale, rng)
     # each class's training rows are shuffled into a pool that is popped
     # from the end: the k-th draw of class c takes pool[-1 - k]
     order = np.empty(len(labels), dtype=np.intp)
     for c in range(dataset.num_classes):
         pool = rng.permutation(np.where(dataset.train_y == c)[0])
         order[labels == c] = pool[::-1]
-    sizes = np.array([len(lb) for lb in step_labels], dtype=np.intp)
-    return Stream(dataset, order, np.cumsum(sizes) - sizes,
+    return Stream(dataset, order, np.arange(0, len(labels), cfg.batch_size),
                   np.arange(dataset.num_classes) // cfg.classes_per_task, [],
                   StreamMode.BLURRY, cfg.batch_size, scale)
 
@@ -378,20 +378,17 @@ def _row_dtype(dim: int) -> np.dtype:
 
 def save_dataset(dataset: Dataset, path):
     """Little-endian binary: magic, version, input_dim, num_classes, three
-    split counts, then per split rows of input_dim float32 plus an int32
-    label."""
+    split counts, then the train, val and test rows back to back, each of
+    input_dim float32 plus an int32 label."""
+    ys = [dataset.train_y, dataset.val_y, dataset.test_y]
+    rows = np.empty(sum(map(len, ys)), dtype=_row_dtype(dataset.input_dim))
+    rows["x"] = np.concatenate([dataset.train_x, dataset.val_x, dataset.test_x])
+    rows["y"] = np.concatenate(ys)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIIII", DATASET_VERSION, dataset.input_dim,
-                             dataset.num_classes, len(dataset.train_y),
-                             len(dataset.val_y), len(dataset.test_y)))
-        for xs, ys in ((dataset.train_x, dataset.train_y),
-                       (dataset.val_x, dataset.val_y),
-                       (dataset.test_x, dataset.test_y)):
-            rows = np.empty(len(ys), dtype=_row_dtype(dataset.input_dim))
-            rows["x"] = xs
-            rows["y"] = ys
-            fh.write(rows.tobytes())
+                             dataset.num_classes, *map(len, ys)))
+        fh.write(rows.tobytes())
 
 
 class DatasetParseError(ValueError):
@@ -418,26 +415,22 @@ def load_dataset(path) -> Dataset:
         if 4 * dim + 4 >= 2**31:   # numpy dtypes stay under 2 GiB
             raise DatasetParseError(f"input_dim {dim} too large", 8)
         row = _row_dtype(dim)
-        size = os.fstat(fh.fileno()).st_size
-        splits = []
-        for count in (n_train, n_val, n_test):
-            offset = fh.tell()
-            # never ask for more than the file holds, whatever the header says
-            raw = fh.read(min(count * row.itemsize, size - offset))
-            rows = np.frombuffer(raw, dtype=row,
-                                 count=len(raw) // row.itemsize)
-            # a bad label in a complete row is reported before truncation
-            bad = np.flatnonzero((rows["y"] < 0) | (rows["y"] >= num_classes))
-            if len(bad):
-                i = int(bad[0])
-                raise DatasetParseError(
-                    f"label {rows['y'][i]} out of range",
-                    offset + i * row.itemsize + 4 * dim)
-            if len(rows) != count:
-                raise DatasetParseError("truncated payload", fh.tell())
-            splits.append((rows["x"].astype(np.float32),
-                           rows["y"].astype(np.intp)))
+        n_rows = n_train + n_val + n_test
+        # never ask for more than the file holds, whatever the header says
+        raw = fh.read(min(n_rows * row.itemsize,
+                          os.fstat(fh.fileno()).st_size - fh.tell()))
+        rows = np.frombuffer(raw, dtype=row, count=len(raw) // row.itemsize)
+        # a bad label in a complete row is reported before truncation
+        bad = np.flatnonzero((rows["y"] < 0) | (rows["y"] >= num_classes))
+        if len(bad):
+            i = int(bad[0])
+            raise DatasetParseError(f"label {rows['y'][i]} out of range",
+                                    28 + i * row.itemsize + 4 * dim)
+        if len(rows) != n_rows:
+            raise DatasetParseError("truncated payload", fh.tell())
         if fh.read(1):
             raise DatasetParseError("trailing bytes after payload", fh.tell() - 1)
-    (tx, ty), (vx, vy), (sx, sy) = splits
-    return Dataset(tx, ty, vx, vy, sx, sy, num_classes)
+    x, y = rows["x"].astype(np.float32), rows["y"].astype(np.intp)
+    val, test = n_train, n_train + n_val   # where each split's rows begin
+    return Dataset(x[:val], y[:val], x[val:test], y[val:test], x[test:],
+                   y[test:], num_classes)

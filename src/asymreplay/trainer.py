@@ -82,11 +82,10 @@ def _dispatch_loss(state: RunState, batch: LabeledBatch, x_bf, y_bf,
     if method is L.Method.SSIL_NODISTILL:
         return L.ssil_nodistill_loss(state.model, batch.inputs, batch.labels,
                                      x_bf, y_bf, curr, state.stream.task_ids)
-    pos_neg = state.buffer.fetch_pos_neg(batch.inputs, batch.labels,
-                                         cfg.negative_policy,
+    pos_neg = state.buffer.fetch_pos_neg(batch.labels, cfg.negative_policy,
                                          state.fetch_rng)
-    return L.er_aml_loss(state.model, batch.inputs, batch.labels, x_bf, y_bf,
-                         pos_neg, cfg, state.buffer)
+    return L.er_aml_loss(state.model, batch.inputs, x_bf, y_bf, pos_neg, cfg,
+                         state.buffer)
 
 
 def train_step(state: RunState, batch: LabeledBatch, cfg: ExperimentConfig):

@@ -283,7 +283,7 @@ class RefReservoir:
         return (np.stack([self.slots[i][0] for i in idx]),
                 np.array([self.slots[i][1] for i in idx], dtype=np.intp))
 
-    def fetch_pos_neg(self, x_in, y_in, policy, rng):
+    def fetch_pos_neg(self, y_in, policy, rng):
         """(pairs, buffer_slots) with the library's draw order: per anchor,
         a positive (in-batch first, buffer fallback), then a negative drawn
         from the in-batch candidates followed by the buffer candidates."""

@@ -113,7 +113,7 @@ def _fd_instance(rng):
         if min(np.linalg.norm(f, axis=1).min() for f in feats) < 1e-2:
             continue
         pos_neg = buffer.fetch_pos_neg(
-            x_in, y_in, L.NegativePolicy.INCOMING_ONLY,
+            y_in, L.NegativePolicy.INCOMING_ONLY,
             np.random.default_rng(rng.integers(1 << 16)))
         bsel = buffer.x[pos_neg.buffer_slots]
         with T.no_grad():
@@ -148,15 +148,15 @@ def _fd_instance(rng):
          lambda ws, bs, wh: R.ref_ssil(ws, bs, wh, tau, x_in, y_in, x_bf,
                                        y_bf, c_curr, toc, cot)),
         ("aml-supcon",
-         lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
-                               aml_cfg, buffer).loss,
+         lambda: L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, aml_cfg,
+                               buffer).loss,
          lambda ws, bs, wh: R.ref_er_aml(ws, bs, wh, tau, x_in, y_in, x_bf,
                                          y_bf, pos_neg.pairs, bsel,
                                          aml_cfg.gamma, aml_cfg.tau,
                                          num_classes)),
         ("aml-triplet",
-         lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
-                               tri_cfg, buffer).loss,
+         lambda: L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, tri_cfg,
+                               buffer).loss,
          lambda ws, bs, wh: R.ref_er_aml(ws, bs, wh, tau, x_in, y_in, x_bf,
                                          y_bf, pos_neg.pairs, bsel,
                                          tri_cfg.gamma, None, num_classes,

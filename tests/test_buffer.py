@@ -76,11 +76,9 @@ def test_sample_near_uniform():
 
 # fetch_pos_neg --------------------------------------------------------
 
-def fetch(buf, y_in, policy, seed=0, x_in=None):
-    y_in = np.asarray(y_in)
-    if x_in is None:
-        x_in = np.zeros((len(y_in), 1), dtype=np.float32)
-    return buf.fetch_pos_neg(x_in, y_in, policy, np.random.default_rng(seed))
+def fetch(buf, y_in, policy, seed=0):
+    return buf.fetch_pos_neg(np.asarray(y_in), policy,
+                             np.random.default_rng(seed))
 
 
 def row_labels(buf, y_in, res):
@@ -245,9 +243,8 @@ def test_matches_list_of_slots_oracle(capacity, longer, seed):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tolist() == want[1].tolist()
         for policy in NegativePolicy:
-            got = buf.fetch_pos_neg(x_in, y_in, policy,
-                                    np.random.default_rng(lo))
-            pairs, slots = ref.fetch_pos_neg(x_in, y_in, policy,
+            got = buf.fetch_pos_neg(y_in, policy, np.random.default_rng(lo))
+            pairs, slots = ref.fetch_pos_neg(y_in, policy,
                                              np.random.default_rng(lo))
             assert got.pairs == tagged_to_rows(pairs, slots, len(y_in))
             assert got.buffer_slots == slots

@@ -1,6 +1,7 @@
 """A run imports only what it uses: neither ``numpy.ma`` (pulled in by
-``np.isin``/``np.unique``) nor the sweep's process pool; and no module
-imports a name it never reads."""
+``np.isin``/``np.unique``) nor the sweep's process pool; no module
+imports a name it never reads, and no function takes a parameter it never
+reads."""
 
 import ast
 import os
@@ -54,3 +55,28 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in sorted((SRC.parent / d).rglob("*.py"))
               for u in _unused_imports(path)]
     assert unused == []
+
+
+def _unread_parameters(path: Path):
+    """``file:line function(name)`` of each parameter ``path``'s functions
+    never read; ``self``, ``cls``, ``*args``, ``**kwargs`` and parameters on
+    lines marked ``# noqa`` are exempt."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for node in ast.walk(ast.parse(text, str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        a = node.args
+        for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs):
+            if (arg.arg not in ("self", "cls") and arg.arg not in read
+                    and "# noqa" not in lines[arg.lineno - 1]):
+                yield (f"{path.relative_to(SRC.parent)}:{arg.lineno} "
+                       f"{node.name}({arg.arg})")
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    unread = [u for path in sorted(SRC.rglob("*.py"))
+              for u in _unread_parameters(path)]
+    assert unread == []

@@ -270,7 +270,7 @@ def aml_state(rng, policy=NegativePolicy.INCOMING_ONLY, num_classes=4):
         buffer.reservoir_update(bx, rng.integers(0, num_classes, size=8))
         if feature_norms_ok(model, [bx]):
             break
-    pos_neg = buffer.fetch_pos_neg(x_in, y_in, policy,
+    pos_neg = buffer.fetch_pos_neg(y_in, policy,
                                    np.random.default_rng(rng.integers(1 << 16)))
     return model, x_in, y_in, x_bf, y_bf, buffer, pos_neg
 
@@ -282,7 +282,7 @@ def test_er_aml_value_transcription(trial, policy):
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng, policy)
     cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=1.3, tau=0.2,
                            negative_policy=policy)
-    out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
+    out = L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
     want = R.ref_er_aml(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
@@ -295,7 +295,7 @@ def test_er_aml_triplet_value_transcription(monkeypatch):
     rng = np.random.default_rng(90)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = ExperimentConfig(method=Method.ER_AML_TRIPLET, gamma=0.7)
-    out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
+    out = L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg, buffer)
     ws, bs, wh = model_arrays(model)
     bx = buffer.x[pos_neg.buffer_slots]
     want = R.ref_er_aml(ws, bs, wh, model.tau, x_in, y_in, x_bf, y_bf,
@@ -340,15 +340,13 @@ def test_incoming_only_gives_old_features_zero_l1_gradient():
     for trial in range(10):
         model, x_in, y_in, _, _, buffer, _ = aml_state(
             np.random.default_rng(200 + trial))
-        pos_neg = buffer.fetch_pos_neg(x_in, y_in,
-                                       NegativePolicy.INCOMING_ONLY,
+        pos_neg = buffer.fetch_pos_neg(y_in, NegativePolicy.INCOMING_ONLY,
                                        np.random.default_rng(trial))
         cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=1.0,
                                tau=0.1,
                                negative_policy=NegativePolicy.INCOMING_ONLY)
-        out = L.er_aml_loss(model, x_in, y_in,
-                            np.zeros((0, 4), dtype=np.float32), [],
-                            pos_neg, cfg, buffer)
+        out = L.er_aml_loss(model, x_in, np.zeros((0, 4), dtype=np.float32),
+                            [], pos_neg, cfg, buffer)
         if not out.loss.requires_grad:
             continue
         model.zero_grad()
@@ -386,7 +384,7 @@ def test_er_aml_gamma_zero_reduces_to_buffer_ce():
     rng = np.random.default_rng(105)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=0.0, tau=0.1)
-    out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
+    out = L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg, buffer)
     lg = net.forward(model, x_bf)[1]
     want = float(L.masked_ce(lg, y_bf, np.ones(4, dtype=bool)).data)
     assert float(out.loss.data) == want
@@ -399,7 +397,7 @@ def test_er_aml_incoming_term_never_reaches_the_prototypes(method):
     rng = np.random.default_rng(107)
     model, x_in, y_in, x_bf, y_bf, buffer, pos_neg = aml_state(rng)
     cfg = ExperimentConfig(method=method, gamma=2.0, tau=0.1)
-    out = L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg, cfg, buffer)
+    out = L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg, buffer)
     assert out.skipped_anchors < len(y_in)   # the metric term is present
     model.zero_grad()
     out.loss.backward()
@@ -414,8 +412,7 @@ def test_er_aml_empty_buffer_batch_is_pure_supcon():
     rng = np.random.default_rng(106)
     model, x_in, y_in, _, _, buffer, pos_neg = aml_state(rng)
     cfg = ExperimentConfig(method=Method.ER_AML_SUPCON, gamma=1.0, tau=0.1)
-    out = L.er_aml_loss(model, x_in, y_in,
-                        np.zeros((0, 4), dtype=np.float32), [],
+    out = L.er_aml_loss(model, x_in, np.zeros((0, 4), dtype=np.float32), [],
                         pos_neg, cfg, buffer)
     assert out.extra_buffer_forwards == len(pos_neg.buffer_slots)
     # no CE term: gradient on prototypes must be absent
@@ -544,8 +541,8 @@ def test_grad_er_aml(trial, method):
     bx = buffer.x[pos_neg.buffer_slots]
     margin = L.TRIPLET_MARGIN if method is Method.ER_AML_TRIPLET else None
     composite_grad_check(
-        lambda: L.er_aml_loss(model, x_in, y_in, x_bf, y_bf, pos_neg,
-                              cfg, buffer).loss,
+        lambda: L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg,
+                              buffer).loss,
         lambda ws, bs, wh, _: R.ref_er_aml(ws, bs, wh, model.tau,
                                            x_in, y_in, x_bf, y_bf,
                                            pos_neg.pairs, bx,

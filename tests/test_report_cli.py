@@ -24,6 +24,7 @@ from asymreplay.report import (FIELD_KINDS, ComparisonError, ConfigError,
 from asymreplay.stream import (DATASET_MAGIC, DatasetParseError,
                                calibrate_variance_scale, load_dataset,
                                make_synthetic, save_dataset)
+from asymreplay.trainer import RunAbort
 
 SMALL = {
     "input_dim": 4, "num_classes": 4, "samples_per_class": 20,
@@ -1071,6 +1072,32 @@ def test_sweep_job_whose_seeds_all_abort_fails(monkeypatch, tmp_path, capsys):
                  "--out", str(run_out)]) == EXIT_RUN
     assert "run failed: all seeds failed" in capsys.readouterr().err
     assert not run_out.exists()
+
+
+def test_sweep_names_each_aborted_seed(monkeypatch, tmp_path, capsys):
+    """A seed that aborts in a sweep job is named on stderr as ``run`` names
+    it, prefixed with the job, and the job's row counts only the seed that
+    finished."""
+    from asymreplay import report as RP
+    run = RP.run
+
+    def run_but_abort_seed_1(dataset, cfg, seed):
+        if seed == 1:
+            raise RunAbort(3, cfg.method, float("nan"))
+        return run(dataset, cfg, seed)
+
+    monkeypatch.setattr(RP, "run", run_but_abort_seed_1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    aborted = "seed 1 aborted: non-finite loss nan at step 3 for method er-ace"
+    out = tmp_path / "sweep"
+    assert main(["sweep", *cli_small_args(), "--seeds", "0,1",
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == f"sweep job {out / 'er-ace-M8'} " \
+        f"{aborted}\n"
+    (row,) = json.loads((out / "sweep_summary.json").read_text())
+    assert row["seeds"] == 1
+    assert main(["run", *cli_small_args(), "--seeds", "0,1"]) == EXIT_OK
+    assert capsys.readouterr().err == f"{aborted}\n"
 
 
 def _refuse_constant(name):
