@@ -34,12 +34,14 @@ class FetchResult:
 class ReplayBuffer:
     """Slot i holds input ``x[i]`` and label ``y[i]``; the first
     ``len(self)`` slots are filled.  Both arrays are allocated at full
-    capacity by the first ``reservoir_update``."""
+    capacity by the constructor."""
 
-    def __init__(self, capacity: int, rng: np.random.Generator):
+    def __init__(self, capacity: int, input_dim: int,
+                 rng: np.random.Generator):
         self.capacity = check_value("capacity", capacity, int, 1)
-        self.x = np.zeros((0, 0), dtype=np.float32)
-        self.y = np.zeros(0, dtype=np.intp)
+        input_dim = check_value("input_dim", input_dim, int, 1)
+        self.x = np.zeros((self.capacity, input_dim), dtype=np.float32)
+        self.y = np.zeros(self.capacity, dtype=np.intp)
         self.n_seen = 0
         self.rng = rng
 
@@ -48,10 +50,6 @@ class ReplayBuffer:
 
     def reservoir_update(self, inputs, labels):
         """Vitter's Algorithm R, applied per example."""
-        inputs = np.asarray(inputs, dtype=np.float32)
-        if not len(self.x):
-            self.x = np.zeros((self.capacity, inputs.shape[1]), dtype=np.float32)
-            self.y = np.zeros(self.capacity, dtype=np.intp)
         for x, y in zip(inputs, labels):
             if self.n_seen < self.capacity:
                 j = self.n_seen
@@ -65,7 +63,7 @@ class ReplayBuffer:
     def sample(self, k: int):
         """k examples: with replacement while underfilled, without otherwise.
 
-        An empty buffer yields an empty batch (rehearsal simply skipped).
+        An empty buffer yields an empty (0, input_dim) batch.
         """
         n = len(self)
         if not n:

@@ -95,13 +95,11 @@ def supcon_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
 
     Row i of ``positives`` and ``negatives`` ([n, d] each, like
     ``anchors``) is anchor i's one positive and one negative.  With
-    s = cos/tau, the loss is the sum over anchors of
-    lse(s_p, s_n) - s_p.  The anchor itself never enters its own
-    denominator.  The graph has the same ops for any number of anchors.
+    s = cos/tau, the loss is the sum over anchors of lse(s_p, s_n) - s_p.
+    The anchor itself never enters its own denominator.  The graph has
+    the same ops for any number of anchors, zero included.
     """
     n = anchors.data.shape[0]
-    if n == 0:
-        return Tensor(0.0)
     if positives.data.shape != anchors.data.shape \
             or negatives.data.shape != anchors.data.shape:
         raise ValueError("need one positive row and one negative row per anchor")
@@ -118,8 +116,6 @@ def supcon_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
 def triplet_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
                  margin: float) -> Tensor:
     """Margin loss on squared distances between l2-normalized features."""
-    if anchors.data.shape[0] == 0:
-        return Tensor(0.0)
     an = T.l2_normalize(anchors)
     pn = T.l2_normalize(positives)
     nn = T.l2_normalize(negatives)
@@ -132,14 +128,13 @@ def triplet_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
 def rehearse(model, out: LossOutput, x_bf, y_bf, groups) -> LossOutput:
     """Add to ``out.loss`` the CE over ``mask`` of each ``(rows, mask)``
     group's rehearsed rows (None: every row); record the rehearsed features."""
-    if len(y_bf):
-        f_bf, lg_bf = net.forward(model, x_bf)
-        y_bf = np.asarray(y_bf)
-        out.feature_records.append((f_bf, y_bf))
-        for rows, mask in groups:
-            lg, y = ((lg_bf, y_bf) if rows is None
-                     else (T.take_rows(lg_bf, rows), y_bf[rows]))
-            out.loss = T.add(out.loss, masked_ce(lg, y, mask))
+    f_bf, lg_bf = net.forward(model, x_bf)
+    y_bf = np.asarray(y_bf)
+    out.feature_records.append((f_bf, y_bf))
+    for rows, mask in groups:
+        lg, y = ((lg_bf, y_bf) if rows is None
+                 else (T.take_rows(lg_bf, rows), y_bf[rows]))
+        out.loss = T.add(out.loss, masked_ce(lg, y, mask))
     return out
 
 
@@ -196,24 +191,21 @@ def er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg: ExperimentConfig,
     records = []
     buf_slots = pos_neg.buffer_slots
     f_all = f_in
+    # concat_rows with no slots would sum f_in's gradients in another order
     if buf_slots:
         f_extra = net.features(model, buffer.x[buf_slots])
         records.append((f_extra, buffer.y[buf_slots]))
         f_all = T.concat_rows([f_in, f_extra])
 
     active = [i for i, pair in enumerate(pos_neg.pairs) if pair is not None]
-    loss = Tensor(0.0)
-    if active:
-        anchors = T.take_rows(f_in, active)
-        rows = np.array([pos_neg.pairs[i] for i in active])
-        positives = T.take_rows(f_all, rows[:, 0])
-        negatives = T.take_rows(f_all, rows[:, 1])
-        if cfg.method is Method.ER_AML_TRIPLET:
-            l1 = triplet_loss(anchors, positives, negatives, TRIPLET_MARGIN)
-        else:
-            l1 = supcon_loss(anchors, positives, negatives, cfg.tau)
-        loss = T.scale(l1, cfg.gamma)
-    out = LossOutput(loss, feature_records=records,
+    anchors = T.take_rows(f_in, active)
+    rows = np.array([pos_neg.pairs[i] for i in active], np.intp).reshape(-1, 2)
+    positives, negatives = (T.take_rows(f_all, r) for r in rows.T)
+    if cfg.method is Method.ER_AML_TRIPLET:
+        l1 = triplet_loss(anchors, positives, negatives, TRIPLET_MARGIN)
+    else:
+        l1 = supcon_loss(anchors, positives, negatives, cfg.tau)
+    out = LossOutput(T.scale(l1, cfg.gamma), feature_records=records,
                      extra_buffer_forwards=len(buf_slots),
                      skipped_anchors=len(pos_neg.pairs) - len(active))
     return rehearse(model, out, x_bf, y_bf,

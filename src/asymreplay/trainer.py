@@ -40,8 +40,9 @@ class RunState:
         dataset = stream.dataset
         self.model = net.ModelParams([dataset.input_dim, *cfg.hidden_sizes],
                                      dataset.num_classes, cfg.tau, seed)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(
-            np.random.SeedSequence([seed, 0xB0FF])))
+        self.buffer = ReplayBuffer(
+            cfg.buffer_capacity, dataset.input_dim,
+            np.random.default_rng(np.random.SeedSequence([seed, 0xB0FF])))
         self.fetch_rng = np.random.default_rng(
             np.random.SeedSequence([seed, 0xFE7C]))
         self.stream = stream
@@ -104,8 +105,7 @@ def train_step(state: RunState, batch: LabeledBatch, cfg: ExperimentConfig):
         raise RunAbort(state.step, cfg.method, loss_value)
 
     state.model.zero_grad()
-    if out.loss.requires_grad:
-        out.loss.backward()
+    out.loss.backward()
     grad_norm = M.old_feature_grad_norm(out.feature_records, old)
     sgd_update(state.model, cfg.lr)
 

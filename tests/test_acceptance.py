@@ -102,7 +102,7 @@ def _fd_instance(rng):
         y_in = rng.integers(0, 2, size=4)
         x_bf = rng.standard_normal((3, 3)).astype(np.float32)
         y_bf = rng.integers(0, num_classes, size=3)
-        buffer = ReplayBuffer(6, rng=np.random.default_rng(
+        buffer = ReplayBuffer(6, 3, rng=np.random.default_rng(
             rng.integers(1 << 16)))
         bx = rng.standard_normal((6, 3)).astype(np.float32)
         buffer.reservoir_update(bx, rng.integers(0, num_classes, size=6))
@@ -261,7 +261,7 @@ def test_criterion_04_reservoir_retention():
         counts = np.zeros(n)
         xs = np.arange(n, dtype=np.float32)[:, None]
         for child in np.random.SeedSequence(42).spawn(trials):
-            buf = ReplayBuffer(capacity, rng=np.random.default_rng(child))
+            buf = ReplayBuffer(capacity, 1, rng=np.random.default_rng(child))
             buf.reservoir_update(xs, np.arange(n))
             for y in buf.y[:len(buf)]:
                 counts[int(y)] += 1

@@ -4,7 +4,8 @@ bytes as when the digests were recorded.
 Each run covers a method (plus ER-AML under the all-classes negative
 policy and one blurry ER-AML run) on a small synthetic config at M=20 with
 two seeds, so the buffer is full and ER-AML fetches positives and
-negatives from it.  The digests pin ``report.json``, the run's one output
+negatives from it.  Two fine-tune runs (ER and ER-AML at rehearsal batch
+size 0) rehearse zero rows at every step, and ER-AML skips anchors.  The digests pin ``report.json``, the run's one output
 file, and each seed's final buffer contents (the filled slots' inputs, then
 their labels).
 
@@ -39,6 +40,8 @@ RUNS = {
     "er-aml-all-classes": ["--method", "er-aml",
                            "--negative-policy", "all-classes"],
     "er-aml-blurry": ["--method", "er-aml", "--stream-mode", "blurry"],
+    "er-finetune": ["--method", "er", "--rehearsal-batch-size", "0"],
+    "er-aml-finetune": ["--method", "er-aml", "--rehearsal-batch-size", "0"],
 }
 
 OUTPUTS = ("report.json",)
@@ -99,6 +102,22 @@ GOLDEN = {
             'e61f240d0c0dee33fdd6a4b56ce36c2a4ecc68d5fc4c8b3cdc56e6097a4e1e75',
         'buffer_seed1':
             '9f7ee7c2623b2d51aa31e88584271552e39e5f74406644ea175186c90207cfeb',
+    },
+    'er-finetune': {
+        'report.json':
+            'a8a2bfa4cc02398df15574107d4188a0fe7879eb303a0c282a2e96ea18f84a7c',
+        'buffer_seed0':
+            'ec435bbe84f7e30e69c840f018cb6773d0ae07cd08d2ae0af11ea1266f60bdb1',
+        'buffer_seed1':
+            '7bb5a176704c64920d742e48007d94ca90f125679d22f8bbc17f0cc7eacaebf6',
+    },
+    'er-aml-finetune': {
+        'report.json':
+            'b4111861bcf6abded20cc1ce3acef085c2640bd092b1e136db90be000dab0c35',
+        'buffer_seed0':
+            'ec435bbe84f7e30e69c840f018cb6773d0ae07cd08d2ae0af11ea1266f60bdb1',
+        'buffer_seed1':
+            '7bb5a176704c64920d742e48007d94ca90f125679d22f8bbc17f0cc7eacaebf6',
     },
 }
 

@@ -188,6 +188,13 @@ def test_triplet_value_transcription(trial):
     assert got == pytest.approx(R.ref_triplet(a, p, n, 0.3), rel=1e-4, abs=1e-6)
 
 
+@pytest.mark.parametrize("loss", [L.supcon_loss, L.triplet_loss])
+def test_metric_loss_of_zero_rows_is_float32_zero(loss):
+    rows = [T.Tensor(np.zeros((0, 3))) for _ in range(3)]
+    out = loss(*rows, 0.2).data
+    assert out.dtype == np.float32 and out == 0.0
+
+
 def test_triplet_zero_when_negative_far():
     a = np.array([[1.0, 0.0]], dtype=np.float32)
     p = np.array([[1.0, 0.0]], dtype=np.float32)
@@ -264,7 +271,7 @@ def aml_state(rng, policy=NegativePolicy.INCOMING_ONLY, num_classes=4):
     while True:
         model, x_in, y_in, x_bf, y_bf = random_state(rng,
                                                      num_classes=num_classes)
-        buffer = ReplayBuffer(8,
+        buffer = ReplayBuffer(8, 4,
                               rng=np.random.default_rng(rng.integers(1 << 16)))
         bx = rng.standard_normal((8, 4)).astype(np.float32)
         buffer.reservoir_update(bx, rng.integers(0, num_classes, size=8))
@@ -415,11 +422,33 @@ def test_er_aml_empty_buffer_batch_is_pure_supcon():
     out = L.er_aml_loss(model, x_in, np.zeros((0, 4), dtype=np.float32), [],
                         pos_neg, cfg, buffer)
     assert out.extra_buffer_forwards == len(pos_neg.buffer_slots)
-    # no CE term: gradient on prototypes must be absent
+    # the zero-row CE term is in the graph but moves no prototype
     model.zero_grad()
-    if out.loss.requires_grad:
-        out.loss.backward()
-    assert model.W.grad is None
+    out.loss.backward()
+    assert np.all(model.W.grad == 0)
+
+
+@pytest.mark.parametrize("method", [Method.ER_AML_SUPCON, Method.ER_AML_TRIPLET])
+def test_er_aml_step_skipping_every_anchor_is_zero(method):
+    """A batch of three classes against an empty buffer: no anchor has a
+    positive and nothing is rehearsed, so the loss and every parameter's
+    gradient are exactly zero."""
+    model = make_model()
+    buffer = ReplayBuffer(8, 4, rng=np.random.default_rng(0))
+    y_in = np.array([0, 1, 2])
+    pos_neg = buffer.fetch_pos_neg(y_in, NegativePolicy.INCOMING_ONLY,
+                                   np.random.default_rng(0))
+    assert pos_neg.pairs == [None] * 3
+    x_bf, y_bf = buffer.sample(10)
+    assert x_bf.shape == (0, 4)
+    x_in = np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32)
+    cfg = ExperimentConfig(method=method, gamma=1.0, tau=0.1)
+    out = L.er_aml_loss(model, x_in, x_bf, y_bf, pos_neg, cfg, buffer)
+    assert float(out.loss.data) == 0.0 and out.skipped_anchors == 3
+    model.zero_grad()
+    out.loss.backward()
+    for p in model.parameters():
+        assert np.all(p.grad == 0)
 
 
 def test_loss_config_validation():
